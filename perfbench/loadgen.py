@@ -17,7 +17,7 @@ import asyncio
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.protocol import ProtocolError, decode_message
 from repro.service.server import READER_LIMIT
@@ -34,6 +34,21 @@ class Sent:
     raw: bytes = b""
 
 
+def host_steal() -> Tuple[int, int]:
+    """(steal, total) CPU jiffies from /proc/stat; (0, 0) where unreadable."""
+    try:
+        with open("/proc/stat") as fh:
+            fields = [int(x) for x in fh.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return 0, 0
+    return fields[7], sum(fields)
+
+
+def steal_share(start: Tuple[int, int], end: Tuple[int, int]) -> float:
+    """Share of all CPU time the hypervisor took between two readings."""
+    return (end[0] - start[0]) / (end[1] - start[1]) if end[1] > start[1] else 0.0
+
+
 @dataclass
 class PhaseResult:
     phase: str
@@ -41,6 +56,8 @@ class PhaseResult:
     started: float = 0.0
     ended: float = 0.0
     cpu_s: float = 0.0
+    #: Host CPU steal over the phase (see ``steal_share``).
+    steal: float = 0.0
 
     @property
     def wall_s(self) -> float:
@@ -162,7 +179,7 @@ class Connection:
             elif not self._waiting and not finished.done():
                 finished.set_result(None)
 
-        cpu0 = time.process_time()
+        cpu0, steal0 = time.process_time(), host_steal()
         result.started = time.perf_counter()
         deadline = result.started + seconds
         self._on_done = on_done
@@ -173,6 +190,7 @@ class Connection:
         self._on_done = None
         result.ended = max(s.done for s in result.sends)
         result.cpu_s = time.process_time() - cpu0
+        result.steal = steal_share(steal0, host_steal())
         return result
 
     async def open_loop(self, pids: Sequence[int], offsets: Sequence[float],
@@ -189,7 +207,7 @@ class Connection:
                 finished.set_result(None)
 
         self._on_done = on_done
-        cpu0 = time.process_time()
+        cpu0, steal0 = time.process_time(), host_steal()
         result.started = start = time.perf_counter()
         for pid, offset in zip(pids, offsets):
             due = start + offset
@@ -202,6 +220,7 @@ class Connection:
         self._on_done = None
         result.ended = max((s.done for s in result.sends), default=start)
         result.cpu_s = time.process_time() - cpu0
+        result.steal = steal_share(steal0, host_steal())
         return result
 
     async def serial(self, pids: Sequence[int], phase: str) -> PhaseResult:

@@ -6,25 +6,26 @@ subprocesses and drives them from this one load-generator process::
     python3 perfbench/run.py --workload warm_hits --seed 1 --seconds 12 --trace 0
 
 Run it from the root of a checkout (it imports ``src/`` and writes only
-under ``.perfbench_out/``).  Workloads: ``warm_hits``, ``cold_mix``,
-``heavy_kernel``, ``cluster_mix`` (see ``workloads.py`` for what each
-isolates and which change it should show).
+under ``.perfbench_out/``).  Workloads: ``warm_hits``, ``heavy_kernel``,
+``cluster_mix``; each one's ``why`` in BENCHMARK.json says what it
+isolates and which change it should and should not show.
 
-``--trace 0`` runs three server launches.  Each launch pre-fills its
+``--trace 0`` runs two server launches.  Each launch pre-fills its
 fresh cache where the workload has a warm set, warms up, then alternates
-two rounds of a closed loop (fixed in-flight window on one connection)
-and an open loop (Poisson arrivals at the workload's offered rate, each
-request timed from its scheduled send).  It prints the end-to-end
-metrics: throughput is the best closed segment, latency the launch with
-the lowest median, set-up time the median of five spawns.
+the same four rounds of a closed loop (fixed in-flight window on one
+connection) and an open loop (Poisson arrivals at the workload's offered
+rate, each request timed from its scheduled send).  Each round counts
+once, from the launch it ran in with less host CPU steal (see
+``Bench.measured``): throughput is those closed-loop responses over their
+seconds, the latency percentiles are taken over those open-loop samples
+together.  Set-up time is the median of five spawns.
 
 ``--trace 1`` runs one launch plus a depth-1 TCP pass, then replays the
 same request lines in process through each layer's public functions with
 spans on (and once with spans off, for the tracing overhead), and a pass
 of in-process ``SolverService.solve`` warm hits on the launch's cache.
 It prints the per-layer metrics and a self-time table, and writes the
-spans to ``.perfbench_out/spans/``.  Untraced runs write their raw
-per-segment timings to ``.perfbench_out/timings/``.
+spans to ``.perfbench_out/spans/``.
 
 Every response, in both modes, is compared field by field with
 ``result_to_payload(solve(inst, spec, cache=False))``, ignoring only
@@ -50,14 +51,33 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / ".perfbench_out"
 
 
+def contract() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def contract_metrics(trace: int) -> list:
     """Names the final JSON line carries, as BENCHMARK.json lists them.
 
     ``error_rate`` is printed in the table only: it is 0 on a healthy
     run, and failures already travel in the ``failed``/``attempted`` counts.
     """
-    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [m["name"] for m in doc["per_layer" if trace else "end_to_end"]]
+    return [m["name"] for m in contract()["per_layer" if trace else "end_to_end"]]
+
+
+def workload_why(workload) -> str:
+    """The workload's ``why`` in BENCHMARK.json, checked against the code.
+
+    The ``why`` is the one record of the workload; it states the offered
+    rate, window and tail percentile, and those must be the ones run.
+    """
+    why = next((x["why"] for x in contract()["workloads"] if x["name"] == workload.name), "")
+    stated = (f"{workload.rate:g} req/s", f"window {workload.window}",
+              f"tail p{workload.tail_pct:g}")
+    missing = [x for x in stated if x not in why]
+    if missing:
+        raise ValueError(f"BENCHMARK.json's why of {workload.name} does not state "
+                         f"{', '.join(missing)}, which the workload runs with")
+    return why
 
 
 def parse_args(argv):
@@ -79,16 +99,6 @@ def fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def host_steal():
-    """(steal, total) CPU jiffies from /proc/stat, or None where unreadable."""
-    try:
-        with open("/proc/stat") as fh:
-            fields = [int(x) for x in fh.readline().split()[1:9]]
-    except (OSError, ValueError):
-        return None
-    return fields[7], sum(fields)
-
-
 def settle_heap() -> None:
     """Keep the prepared inputs out of later garbage collections.
 
@@ -104,7 +114,7 @@ async def run_untraced(bench, seconds: float):
 
     per = seconds / (LAUNCHES * ROUNDS)
     closed_s, open_s = per * bench.w.closed_share, per * (1 - bench.w.closed_share)
-    bench.prepare(closed_s, open_s, LAUNCHES, ROUNDS)
+    bench.prepare(closed_s, open_s, ROUNDS)
     settle_heap()
     launches = [await bench.launch(i, closed_s) for i in range(LAUNCHES)]
     bench.setups = [bench.setup_only(i) for i in range(EXTRA_SETUPS)]
@@ -113,16 +123,16 @@ async def run_untraced(bench, seconds: float):
     for launch in launches:
         closed = launch.of("closed")
         print(f"launch {launch.index}: setup {launch.setup_s:.3f} s, closed "
-              + ", ".join(f"{len(p.sends)} req in {p.wall_s:.2f} s" for p in closed)
-              + f"; open {len(launch.sends('open'))} req; rss {launch.rss_mb:.1f} MB")
+              + ", ".join(f"{len(p.sends)} req in {p.wall_s:.2f} s (steal {p.steal:.1%})"
+                          for p in closed)
+              + f"; open {len(launch.sends('open'))} req (steal "
+              + ", ".join(f"{p.steal:.1%}" for p in launch.of("open"))
+              + f"); rss {launch.rss_mb:.1f} MB")
     print("setup-only spawns: " + ", ".join(f"{x:.3f} s" for x in bench.setups))
-    timings = OUT / "timings" / f"{bench.w.name}-seed{bench.seed}.json"
-    timings.parent.mkdir(parents=True, exist_ok=True)
-    timings.write_text(json.dumps(bench.timings(launches)))
     lag = bench.loadgen_lag_p99_ms(launches)
     # Behind = the p99 send ran later than one mean arrival gap.
     behind = lag > 1e3 / bench.w.rate
-    print(f"open loop: {bench.latency_samples} samples per launch, tail = p{bench.tail_pct:g}, "
+    print(f"open loop: {bench.latency_samples} samples, tail = p{bench.tail_pct:g}, "
           f"generator lag p99 {lag:.2f} ms"
           + ("  ** generator fell behind its schedule: latency figures are suspect **"
              if behind else ""))
@@ -131,12 +141,12 @@ async def run_untraced(bench, seconds: float):
 
 async def run_traced(bench, seconds: float):
     closed_s, open_s = seconds * 0.2, seconds * 0.3
-    bench.prepare(closed_s, open_s, 1, 1)
+    bench.prepare(closed_s, open_s, 1)
     settle_heap()
     launch = await bench.launch(0, closed_s, serial=True)
     attempted, failed = bench.verify([launch])
     e2e = bench.end_to_end([launch], attempted, failed)
-    print(f"open loop: {bench.latency_samples[0]} samples, tail = p{bench.tail_pct:g}")
+    print(f"open loop: {bench.latency_samples} samples, tail = p{bench.tail_pct:g}")
     info = await bench.traced_replay(launch, budget_s=seconds * 0.1)
     metrics = bench.per_layer(launch, info)
     bench.recorder.write(OUT / "spans" / f"{bench.w.name}-seed{bench.seed}.jsonl")
@@ -165,6 +175,7 @@ def main(argv=None) -> int:
               f"checkout of the repository", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
+    from loadgen import host_steal, steal_share
     from runner import Bench
     from workloads import WORKLOADS
 
@@ -178,7 +189,12 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload]
     workdir = OUT / f"run-{args.workload}-{args.seed}-{os.getpid()}"
     bench = Bench(workload, args.seed, ROOT, workdir)
-    print(f"workload {workload.name}: " + json.dumps(workload.record()))
+    try:
+        why = workload_why(workload)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"workload {workload.name} ({workload.server}): {why}")
     steal0 = host_steal()
     # Servers run in their own sessions, so a signal to this process does
     # not reach them: turn SIGTERM into an exit that runs the cleanup below.
@@ -190,24 +206,29 @@ def main(argv=None) -> int:
         for server in list(bench.live):
             server.stop()
         shutil.rmtree(workdir, ignore_errors=True)
-    steal1 = host_steal()
-    if steal0 and steal1 and steal1[1] > steal0[1]:
-        share = (steal1[0] - steal0[0]) / (steal1[1] - steal0[1])
-        print(f"host CPU steal during the run: {share:.1%} (figures degrade above ~2%)")
+    print(f"host CPU steal during the run: {steal_share(steal0, host_steal()):.1%}")
     service_lost, router_lost = bench.ledger_lost(launches)
     transport = [x.transport_error for x in launches if x.transport_error]
     orphans = bench.orphans + sum(len(x.survivors) for x in launches)
     for note in bench.notes + transport:
         print(f"note: {note}")
-    print(table([("metric", "value", "unit")]
-                + [(name, fmt(value), unit) for name, (value, unit) in metrics.items()]))
+    # The tail percentile and its sample counts travel with the value.
+    extra = {}
+    if "latency_tail_ms" in metrics:
+        extra["latency_tail_ms"] = {"percentile": bench.tail_pct,
+                                    "samples": bench.latency_samples}
+    print(table([("metric", "value", "unit", "")]
+                + [(name, fmt(value), unit, " ".join(f"{k}={v}" for k, v in
+                                                     extra.get(name, {}).items()))
+                   for name, (value, unit) in metrics.items()]))
     print(f"checked {attempted} responses against the direct solve: {failed} failed; "
           f"service lost {service_lost}, router lost {router_lost}, "
           f"orphaned processes {orphans}")
     correct = not (failed or service_lost or router_lost or orphans or transport)
     print(json.dumps({
         "correct": correct, "attempted": attempted, "failed": failed,
-        "metrics": {name: {"value": metrics[name][0], "unit": metrics[name][1]}
+        "metrics": {name: {"value": metrics[name][0], "unit": metrics[name][1],
+                           **extra.get(name, {})}
                     for name in contract_metrics(args.trace)},
     }))
     return 0

@@ -25,34 +25,17 @@ from repro.service.protocol import (
 from repro.solvers import solve
 from repro.solvers.cache import DiskCache
 
-#: Server launches per untraced run; every end-to-end figure is a median
-#: (or a pooled sample) over them, so one unlucky launch cannot move it.
-LAUNCHES = 3
+#: Server launches per untraced run.  Every launch runs the same rounds;
+#: the timing figures take each round from one launch (``Bench.measured``).
+LAUNCHES = 2
 #: Alternating closed/open segment pairs per launch.
-ROUNDS = 2
+ROUNDS = 4
 #: Extra spawn-to-ping measurements per untraced run, on top of the
-#: launches, so the ``setup_s`` median rests on more samples.
-EXTRA_SETUPS = 2
+#: launches, so the ``setup_s`` median rests on five samples.
+EXTRA_SETUPS = 3
 WARMUP_BLOCKS = 1
 #: Depth-1 TCP warm hits timed in the traced run.
 SERIAL_HITS = 100
-#: Percentiles tried for ``latency_tail_ms``, highest first.  The ladder
-#: stops at p90: on a 2-vCPU VM with CPU steal, p95-p99 over ~1000 samples
-#: moved by 25-85% between runs of the same code, p90 by 10-25%.
-TAIL_LADDER = (90.0, 80.0, 75.0, 50.0)
-
-
-def tail_percentile(planned: int) -> float:
-    """Highest ladder percentile with >= 10 of ``planned`` samples beyond it.
-
-    ``planned`` is the smallest launch's count of scheduled open-loop
-    sends.  The schedules do not depend on the seed, so the percentile is
-    fixed per workload and run length.
-    """
-    for pct in TAIL_LADDER:
-        if planned - math.ceil(pct / 100.0 * planned) >= 10:
-            return pct
-    return 50.0
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -130,30 +113,27 @@ class Bench:
             pair.mmax_lb = mmax_lower_bound(instance)
         return pair.expected
 
-    def prepare(self, closed_s: float, open_s: float, launches: int, rounds: int) -> None:
-        """Encode bodies and compute expected payloads before the clock.
+    def prepare(self, closed_s: float, open_s: float, rounds: int) -> None:
+        """Encode every request line before the clock.
 
         ``closed_s`` and ``open_s`` are the seconds of one round's closed
         and open segment; a launch runs ``rounds`` of each, alternating.
+        A closed segment issues at most ``closed_limit`` requests, so its
+        whole stream is encoded here.  Expected payloads are computed here
+        for every pair known to be sent; a closed segment's pairs beyond
+        the quality set get theirs after the clock, only if they were sent.
         """
         w, s = self.w, self.streams
-        self.rounds = rounds
-        self.schedules = [[s.open_schedule(i * rounds + r, open_s) for r in range(rounds)]
-                          for i in range(launches)]
-        n_open = max(sum(map(len, x)) for x in self.schedules)
-        # The closed loop is time-bounded, so its length is not known in
-        # advance; precompute a generous prefix and extend lazily after
-        # the clock if the program outran it.
-        planned = math.ceil(rounds * closed_s * w.rate * 3 / w.block_len) * w.block_len
+        self.schedules = [s.open_schedule(r, open_s) for r in range(rounds)]
+        n_open = sum(map(len, self.schedules))
+        self.closed_limit = math.ceil(closed_s * w.closed_cap / w.block_len) * w.block_len
         pids = set(s.warm_ids) | set(s.quality_ids())
-        for stream, count in (("warmup", WARMUP_BLOCKS * w.block_len),
-                              ("open", n_open), ("closed", planned)):
+        for stream, count in (("warmup", WARMUP_BLOCKS * w.block_len), ("open", n_open)):
             pids.update(s.at(stream, k) for k in range(count))
-        for k in range(3 * planned):
-            self.body(s.at("closed", k))
         for pid in sorted(pids):
-            self.body(pid)
             self.expected(pid)
+        for pid in pids.union(s.at("closed", k) for k in range(rounds * self.closed_limit)):
+            self.body(pid)
 
     # ------------------------------------------------------------------ #
     # one server launch
@@ -214,14 +194,19 @@ class Bench:
             lambda k: s.at("warmup", k), "warmup", w.window, math.inf,
             w.block_len, limit=WARMUP_BLOCKS * w.block_len))
         closed_base = open_base = 0
-        for offsets in self.schedules[launch.index]:
+        for offsets in self.schedules:
             # Alternating segments spread both measurements over the
             # launch, so a burst of host noise hits both alike.
             base = closed_base
             phases.append(await conn.closed_loop(
                 lambda k: s.at("closed", base + k), "closed", w.window,
-                closed_s, w.block_len))
+                closed_s, w.block_len, limit=self.closed_limit))
             closed_base += len(phases[-1].sends)
+            if closed_base - base >= self.closed_limit:
+                self.notes.append(
+                    f"launch {launch.index}: a closed segment used all {self.closed_limit} "
+                    f"prepared requests before its {closed_s:.2f} s; raise closed_cap "
+                    f"of {w.name} so throughput_rps is not capped")
             phases.append(await conn.open_loop(
                 [s.at("open", open_base + k) for k in range(len(offsets))], offsets, "open"))
             open_base += len(offsets)
@@ -273,14 +258,18 @@ class Bench:
     def _ok(self, sent: Sent) -> bool:
         return bool(sent.raw) and b'"ok":true' in sent.raw[:40]
 
-    def launch_latencies_ms(self, launches: Sequence[Launch]) -> List[List[float]]:
-        """Open-loop latencies of each launch, timed from the scheduled send."""
-        return [[(x.done - x.due) * 1e3 for x in launch.sends("open") if self._ok(x)]
-                for launch in launches]
+    def measured(self, launches: Sequence[Launch], name: str) -> List[PhaseResult]:
+        """Each round's ``name`` segment, from the launch it ran quieter in.
 
-    def throughputs(self, launches: Sequence[Launch]) -> List[float]:
-        return [sum(map(self._ok, p.sends)) / p.wall_s
-                for launch in launches for p in launch.of("closed") if p.wall_s > 0]
+        Every launch runs the same rounds: the same request streams and
+        arrival schedules.  CPU the hypervisor takes from this VM slows
+        whatever runs then, by far more than its share, so each round is
+        taken from the launch with the least host CPU steal measured over
+        that segment (never by the figure itself).  The figures therefore
+        always cover the same requests and arrivals, once each.
+        """
+        rounds = zip(*(launch.of(name) for launch in launches))
+        return [min(copies, key=lambda p: p.steal) for copies in rounds]
 
     def quality(self) -> Tuple[float, float]:
         pairs = [self.streams.pairs[pid] for pid in self.streams.quality_ids()]
@@ -290,42 +279,35 @@ class Bench:
                 geomean([p.expected["mmax"] / p.mmax_lb for p in pairs]))
 
     def end_to_end(self, launches: Sequence[Launch], attempted: int, failed: int) -> Dict[str, Tuple[float, str]]:
-        """The end-to-end metrics: best of the launches for each timing.
+        """The end-to-end metrics, each timing pooled over measured segments.
 
-        Host interference (CPU steal on a shared VM) only ever slows a
-        launch down, so the fastest closed segment and the launch with the
-        lowest latency are the figures least disturbed by it; the spread
-        between runs of the same code halves against pooled medians.
+        Throughput is the successful responses of the measured closed-loop
+        segments over their seconds; the latency percentiles are taken over
+        the samples of the measured open-loop segments together, each timed
+        from its scheduled send.
         """
-        per_launch = [x for x in self.launch_latencies_ms(launches) if x]
-        if not per_launch:
+        pooled = [(x.done - x.due) * 1e3 for p in self.measured(launches, "open")
+                  for x in p.sends if self._ok(x)]
+        if not pooled:
             raise RuntimeError("no open-loop request succeeded; nothing to measure")
-        self.tail_pct = tail_percentile(min(sum(map(len, x)) for x in self.schedules))
-        for samples in per_launch:
-            beyond = len(samples) - math.ceil(self.tail_pct / 100.0 * len(samples))
-            if beyond < 10:
-                self.notes.append(f"only {beyond} samples beyond p{self.tail_pct:g} in a launch")
-        self.latency_samples = [len(x) for x in per_launch]
+        closed = self.measured(launches, "closed")
+        self.tail_pct = self.w.tail_pct
+        self.latency_samples = len(pooled)
+        beyond = len(pooled) - math.ceil(self.tail_pct / 100.0 * len(pooled))
+        if beyond < 10:
+            self.notes.append(f"only {beyond} samples beyond p{self.tail_pct:g}: "
+                              f"latency_tail_ms is not a valid tail at this run length")
         cmax, mmax = self.quality()
         return {
-            "throughput_rps": (max(self.throughputs(launches), default=0.0), "req/s"),
-            "latency_p50_ms": (min(percentile(x, 50.0) for x in per_launch), "ms"),
-            "latency_tail_ms": (min(percentile(x, self.tail_pct) for x in per_launch), "ms"),
+            "throughput_rps": (sum(sum(map(self._ok, p.sends)) for p in closed)
+                               / sum(p.wall_s for p in closed), "req/s"),
+            "latency_p50_ms": (percentile(pooled, 50.0), "ms"),
+            "latency_tail_ms": (percentile(pooled, self.tail_pct), "ms"),
             "error_rate": (failed / attempted if attempted else 1.0, "ratio"),
             "setup_s": (statistics.median([x.setup_s for x in launches] + self.setups), "s"),
             "server_rss_mb": (statistics.median(x.rss_mb for x in launches), "MB"),
             "cmax_over_lb": (cmax, "ratio"),
             "mmax_over_lb": (mmax, "ratio"),
-        }
-
-    def timings(self, launches: Sequence[Launch]) -> Dict[str, object]:
-        """Raw per-segment figures of an untraced run, for offline analysis."""
-        return {
-            "workload": self.w.name, "seed": self.seed,
-            "closed_rps": self.throughputs(launches),
-            "open_ms": [[(x.done - x.due) * 1e3 for x in p.sends if self._ok(x)]
-                        for launch in launches for p in launch.of("open")],
-            "setup_s": [x.setup_s for x in launches] + self.setups,
         }
 
     def loadgen_lag_p99_ms(self, launches: Sequence[Launch]) -> float:
