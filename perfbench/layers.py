@@ -12,6 +12,11 @@ key and rank first), and times each call as a span:
 A span has a name, start, end, parent and request id; spans are kept in
 memory and written out when the run ends.  A span's self time is its
 duration minus the time its children cover.
+
+A layer call the workload's own path never makes (a cache put when every
+request hits, routing on ``repro serve``, a solver family absent from the
+mix) is timed on a probe over the same lines instead, so every per-layer
+figure is measured on every workload.
 """
 
 from __future__ import annotations
@@ -134,6 +139,17 @@ def replay_one(line: bytes, rid: int, cache: DiskCache, rec: Recorder,
 
 def replay(lines: Sequence[bytes], cache: DiskCache, rec: Recorder, routed: bool) -> List[float]:
     return [replay_one(line, rid, cache, rec, routed) for rid, line in enumerate(lines, 1)]
+
+
+def kernel_probe(lines: Sequence[bytes], specs: Dict[str, str]) -> Dict[str, List[float]]:
+    """Kernel seconds per solver family on the instances of ``lines``.
+
+    Every family in ``specs`` solves every instance; this stands in for
+    the kernel figure of a family the workload's own traffic never asks for.
+    """
+    instances = [instance_from_payload(decode_message(line)["instance"]) for line in lines]
+    return {family: [solve(inst, spec, cache=False).wall_time for inst in instances]
+            for family, spec in specs.items()}
 
 
 async def service_hits(requests: Sequence[Dict[str, object]], cache_dir: Path) -> List[float]:

@@ -158,6 +158,9 @@ async def run_traced(bench, seconds: float):
     print(f"traced in-process replay of {info['replayed']} requests "
           f"(untraced p50 {info['untraced_us']:.1f} us, traced p50 {info['traced_us']:.1f} us):")
     print(table(rows))
+    if bench.probed:
+        print("taken from a probe, as this workload's path never calls them: "
+              + ", ".join(bench.probed))
     if info["hit_path_us"]:
         serial_us = metrics["transport.serial_hit_us"][0]
         print(f"warm hit: {fmt(serial_us)} us over TCP depth-1, of which the in-process "
@@ -212,14 +215,13 @@ def main(argv=None) -> int:
     orphans = bench.orphans + sum(len(x.survivors) for x in launches)
     for note in bench.notes + transport:
         print(f"note: {note}")
-    # The tail percentile and its sample counts travel with the value.
+    # The tail's percentile and sample count sit next to it in the table;
+    # the JSON line holds only value and unit per metric, as the contract says.
     extra = {}
     if "latency_tail_ms" in metrics:
-        extra["latency_tail_ms"] = {"percentile": bench.tail_pct,
-                                    "samples": bench.latency_samples}
+        extra["latency_tail_ms"] = f"percentile={bench.tail_pct:g} samples={bench.latency_samples}"
     print(table([("metric", "value", "unit", "")]
-                + [(name, fmt(value), unit, " ".join(f"{k}={v}" for k, v in
-                                                     extra.get(name, {}).items()))
+                + [(name, fmt(value), unit, extra.get(name, ""))
                    for name, (value, unit) in metrics.items()]))
     print(f"checked {attempted} responses against the direct solve: {failed} failed; "
           f"service lost {service_lost}, router lost {router_lost}, "
@@ -227,8 +229,7 @@ def main(argv=None) -> int:
     correct = not (failed or service_lost or router_lost or orphans or transport)
     print(json.dumps({
         "correct": correct, "attempted": attempted, "failed": failed,
-        "metrics": {name: {"value": metrics[name][0], "unit": metrics[name][1],
-                           **extra.get(name, {})}
+        "metrics": {name: {"value": metrics[name][0], "unit": metrics[name][1]}
                     for name in contract_metrics(args.trace)},
     }))
     return 0

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from loadgen import Connection, PhaseResult, Sent
-from layers import Recorder, replay, replay_one, service_hits
+from layers import Recorder, kernel_probe, replay, replay_one, service_hits
 from servers import Server, peak_rss_mb
 from workloads import SPECS, Streams, Workload
 
@@ -36,6 +36,8 @@ EXTRA_SETUPS = 3
 WARMUP_BLOCKS = 1
 #: Depth-1 TCP warm hits timed in the traced run.
 SERIAL_HITS = 100
+#: Distinct instances each solver family solves in the traced run's kernel probe.
+KERNEL_PROBES = 3
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -91,6 +93,8 @@ class Bench:
         self.setups: List[float] = []
         #: Servers started and not yet stopped, for cleanup on a signal.
         self.live: List[Server] = []
+        #: Per-layer metrics the traced run took from a probe (see layers.py).
+        self.probed: List[str] = []
 
     # ------------------------------------------------------------------ #
     # inputs, prepared before the clock
@@ -354,7 +358,10 @@ class Bench:
         out.update(replay_info["layers"])
         for family in SPECS:
             values = kernel.get(family)
-            out[f"kernel.ms.{family}"] = (statistics.median(values) * 1e3 if values else 0.0, "ms")
+            if not values:
+                values = replay_info["kernel_probe"][family]
+                self.probed.append(f"kernel.ms.{family}")
+            out[f"kernel.ms.{family}"] = (statistics.median(values) * 1e3, "ms")
         out.update({
             "kernel.busy_share": (busy / (workers * wall) if wall else 0.0, "ratio"),
             "cache.hit_ratio": (hits / (hits + misses) if hits + misses else 0.0, "ratio"),
@@ -383,9 +390,11 @@ class Bench:
         s = self.streams
         routed = self.w.server == "cluster"
         warm_cache = self.workdir / "replay-warm"
-        # Pre-fill with the warm set only, as the server's cache was.
+        # Pre-fill with the warm set only, as the server's cache was; its
+        # puts are the probe for cache.put when the replay below only hits.
+        fill = Recorder(True)
         replay([self.body_line(pid) for pid in s.warm_ids], DiskCache(warm_cache),
-               Recorder(False), routed=False)
+               fill, routed=False)
         open_pids = [x.pid for x in launch.sends("open")]
         lines, started = [], time.perf_counter()
         untraced_dir = self.workdir / "replay-untraced"
@@ -401,6 +410,12 @@ class Bench:
         shutil.copytree(warm_cache, traced_dir)
         self.recorder = Recorder(True)
         traced = replay(lines, DiskCache(traced_dir), self.recorder, routed)
+        # Probes: the same lines again, routed, on the cache the traced pass
+        # left behind (so every get hits), and each solver family's kernel
+        # on a few of their instances.
+        again = Recorder(True)
+        replay(lines, DiskCache(traced_dir), again, routed=True)
+        kernels = kernel_probe(list(dict.fromkeys(lines))[:KERNEL_PROBES], SPECS)
 
         hit_pids = [x.pid for x in launch.sends("serial")]
         requests = [{"instance": s.pairs[pid].instance, "spec": s.pairs[pid].spec}
@@ -409,13 +424,21 @@ class Bench:
 
         self_times = self.recorder.self_times()
         gets = [sp for sp in self.recorder.spans if sp.name == "cache.get" and sp.hit]
-        get_hits = [sp.duration for sp in gets]
         hit_parents = {sp.parent for sp in gets}
         hit_paths = [sp.duration for sp in self.recorder.spans if sp.sid in hit_parents]
+        # Own figures first; a probe fills a layer the traced pass never
+        # called.  cache.get counts hits only.
+        sources = [{**rec.self_times(),
+                    "cache.get": [sp.duration for sp in rec.spans if sp.name == "cache.get" and sp.hit]}
+                   for rec in (self.recorder, fill, again)]
 
         def us(name: str) -> Tuple[float, str]:
-            values = self_times.get(name)
-            return (statistics.median(values) * 1e6 if values else 0.0, "us")
+            for k, source in enumerate(sources):
+                if source.get(name):
+                    if k:
+                        self.probed.append(name)
+                    return (statistics.median(source[name]) * 1e6, "us")
+            raise RuntimeError(f"no {name} span was recorded")
 
         layers = {
             "wire.decode_us": us("wire.decode"),
@@ -424,7 +447,7 @@ class Bench:
             "wire.encode_us": us("wire.encode"),
             "facade.prepare_us": us("facade.prepare"),
             "facade.hash_us": us("facade.hash"),
-            "cache.get_us": (statistics.median(get_hits) * 1e6 if get_hits else 0.0, "us"),
+            "cache.get_us": us("cache.get"),
             "cache.put_us": us("cache.put"),
             "router.key_us": us("router.key"),
             "router.rank_us": us("router.rank"),
@@ -435,6 +458,7 @@ class Bench:
         }
         return {
             "layers": layers,
+            "kernel_probe": kernels,
             "service_hit_us": statistics.median(hits) * 1e6 if hits else 0.0,
             "hit_path_us": statistics.median(hit_paths) * 1e6 if hit_paths else 0.0,
             "self_times": self_times,
