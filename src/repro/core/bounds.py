@@ -19,6 +19,7 @@ approximation ratios when exact optima are out of reach.
 
 from __future__ import annotations
 
+import heapq
 from typing import Union
 
 import networkx as nx
@@ -98,11 +99,13 @@ def sum_ci_lower_bound(instance: Instance) -> float:
     only a lower bound (the same relaxation ignoring precedence).
     """
     tasks = sorted(instance.tasks, key=lambda t: (t.p, str(t.id)))
-    m = instance.m
-    loads = [0.0] * m
+    # A (load, index) heap keeps the least-loaded, lowest-index tie-break of
+    # a linear min scan, so the sum is bit-identical to it.
+    loads = [(0.0, j) for j in range(instance.m)]
     total = 0.0
     for task in tasks:
-        q = min(range(m), key=lambda j: loads[j])
-        loads[q] += task.p
-        total += loads[q]
+        load, q = loads[0]
+        load += task.p
+        total += load
+        heapq.heapreplace(loads, (load, q))
     return total

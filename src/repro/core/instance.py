@@ -207,7 +207,8 @@ class DAGInstance(Instance):
             if u == v:
                 raise ValueError(f"self-loop on task {u!r} is not allowed")
             graph.add_edge(u, v)
-        if not nx.is_directed_acyclic_graph(graph):
+        # An edgeless graph cannot have a cycle; skip the O(n) check for it.
+        if graph.number_of_edges() and not nx.is_directed_acyclic_graph(graph):
             cycle = nx.find_cycle(graph)
             raise ValueError(f"precedence constraints contain a cycle: {cycle}")
         self.graph: nx.DiGraph = graph

@@ -26,8 +26,9 @@ from typing import List, Optional, Tuple, Union
 from repro.core.instance import DAGInstance, Instance
 from repro.core.pareto import ParetoFront
 from repro.core.rls import InfeasibleDeltaError, rls
-from repro.core.sbo import sbo
+from repro.core.sbo import threshold_combine
 from repro.core.schedule import DAGSchedule, Schedule
+from repro.solvers.single import get_single_objective_solver
 
 __all__ = [
     "ApproximateParetoSet",
@@ -126,8 +127,13 @@ def approximate_pareto_set(
     base = instance.as_independent() if isinstance(instance, DAGInstance) else instance
     grid = delta_grid(epsilon, delta_min, delta_max)
     front: ParetoFront[AnySchedule] = ParetoFront(dim=2)
+    # π1 and π2 do not depend on Δ: solve them once, combine per grid point.
+    solve_single = get_single_objective_solver(solver)
+    pi1, _ = solve_single(base, "time")
+    pi2, _ = solve_single(base, "memory")
     for delta in grid:
-        schedule = sbo(base, delta, cmax_solver=solver).schedule
+        assignment, _ = threshold_combine(base, delta, pi1, pi2)
+        schedule = Schedule(base, assignment)
         front.add((schedule.cmax, schedule.mmax), schedule)
     return ApproximateParetoSet(
         front=front, deltas=tuple(grid), epsilon=epsilon, algorithm="sbo"

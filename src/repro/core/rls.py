@@ -27,9 +27,10 @@ but carries no makespan guarantee.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
@@ -47,7 +48,13 @@ __all__ = [
 
 
 class InfeasibleDeltaError(RuntimeError):
-    """Raised when some task cannot fit on any processor under the ``Δ·LB`` budget."""
+    """Raised when some task cannot fit on any processor under the ``Δ·LB`` budget.
+
+    ``task_id`` names a task that fits on no processor at the failing step.
+    On independent tasks it is the largest remaining task, ties broken by
+    the priority rank: the first task to stop fitting.  On a DAG it is some
+    ready task that fits nowhere.
+    """
 
     def __init__(self, task_id: object, delta: float, budget: float) -> None:
         super().__init__(
@@ -140,43 +147,178 @@ def _priority_rank(instance: DAGInstance, order: Union[str, Sequence[object]]) -
     return {t.id: i for i, t in enumerate(ranked)}
 
 
-def rls(
-    instance: Union[Instance, DAGInstance],
-    delta: float,
-    order: Union[str, Sequence[object]] = "arbitrary",
-) -> RLSResult:
-    """Run ``RLS_Δ`` (Algorithm 2) on an instance (independent tasks or DAG).
+_Placement = Tuple[Dict[object, int], Dict[object, float], Set[int]]
 
-    Parameters
-    ----------
-    instance:
-        The instance to schedule; independent-task instances are treated as
-        DAGs with no edges.
-    delta:
-        Memory degradation budget ``Δ``.  Values ``>= 2`` are always
-        feasible; the makespan guarantee requires ``Δ > 2``.
-    order:
-        Tie-breaking total order: ``"arbitrary"`` (instance order),
-        ``"spt"`` (yields Corollary 4 on independent tasks), ``"lpt"``,
-        ``"bottom-level"``, or an explicit sequence of task ids.
 
-    Raises
-    ------
-    InfeasibleDeltaError
-        When ``Δ < 2`` and some ready task fits on no processor.
+def _first_fit(keys: List[Tuple[float, int]], memsize: List[float], size: float,
+               budget_eps: float) -> int:
+    """Position in ``keys`` of the first machine with memory room for ``size``, or -1."""
+    for i, (_, j) in enumerate(keys):
+        if memsize[j] + size <= budget_eps:
+            return i
+    return -1
+
+
+class _RankTree:
+    """Min-rank segment tree over size positions; a removed position holds ``n``."""
+
+    __slots__ = ("width", "tree", "empty")
+
+    def __init__(self, ranks: List[int]) -> None:
+        self.empty = len(ranks)
+        width = 1
+        while width < len(ranks):
+            width *= 2
+        tree = [self.empty] * (2 * width)
+        tree[width:width + len(ranks)] = ranks
+        for i in range(width - 1, 0, -1):
+            a, b = tree[2 * i], tree[2 * i + 1]
+            tree[i] = a if a < b else b
+        self.width = width
+        self.tree = tree
+
+    def best(self) -> int:
+        """Smallest live rank overall."""
+        return self.tree[1]
+
+    def live(self, pos: int) -> bool:
+        return self.tree[pos + self.width] != self.empty
+
+    def min(self, lo: int, hi: int) -> int:
+        """Smallest live rank over positions ``lo..hi`` (inclusive)."""
+        tree = self.tree
+        best = self.empty
+        left, right = lo + self.width, hi + self.width + 1
+        while left < right:
+            if left & 1:
+                if tree[left] < best:
+                    best = tree[left]
+                left += 1
+            if right & 1:
+                right -= 1
+                if tree[right] < best:
+                    best = tree[right]
+            left >>= 1
+            right >>= 1
+        return best
+
+    def remove(self, pos: int) -> None:
+        tree = self.tree
+        i = pos + self.width
+        tree[i] = self.empty
+        i >>= 1
+        while i:
+            a, b = tree[2 * i], tree[2 * i + 1]
+            tree[i] = a if a < b else b
+            i >>= 1
+
+
+def _place_by_size(
+    dag: DAGInstance, rank: Dict[object, int], delta: float, budget: float, eps: float
+) -> _Placement:
+    """The RLS_Δ placement loop on an edgeless graph, through a size-ordered index.
+
+    Every release is 0, so a task starts at the load of its first-fit
+    machine in (load, index) order.  That start is non-decreasing in the
+    task's size: ``memsize[j] + s`` is monotone in ``s``, so a larger task
+    fits a subset of the machines a smaller one fits.  Hence each step only
+    needs the two ends of the size order:
+
+    * the largest remaining task is the first to fit nowhere and sits on
+      the most loaded machine of all, so infeasibility and the Lemma 4
+      marks of the whole ready set come from it alone;
+    * the smallest remaining task fixes the earliest start ``L*``; the tasks
+      starting at ``L*`` are those fitting some machine loaded exactly
+      ``L*``, a prefix of the size order found by binary search, and the
+      one to place is the prefix's minimum rank.
+
+    Placements, starts and marks are bit-identical to :func:`_place_ready_set`.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    dag = instance if isinstance(instance, DAGInstance) else instance.as_dag()
-    rank = _priority_rank(dag, order)
+    m = dag.m
+    p = dag.tasks.processing_times()
+    s = dag.tasks.storage_sizes()
+    budget_eps = budget + eps
+
+    # Equal sizes sort by falling rank, so the last live position is the
+    # largest task with the best rank among its ties.
+    by_size = sorted(dag.tasks.ids, key=lambda t: (s[t], -rank[t]))
+    sizes = [s[t] for t in by_size]
+    ranks = [rank[t] for t in by_size]
+    position = [0] * len(ranks)
+    for i, r in enumerate(ranks):
+        position[r] = i
+    index = _RankTree(ranks)
+
+    load = [0.0] * m
+    memsize = [0.0] * m
+    # Machines in (load, index) order, kept sorted across steps.
+    keys = [(0.0, j) for j in range(m)]
+    marked: Set[int] = set()
+    assignment: Dict[object, int] = {}
+    starts: Dict[object, float] = {}
+    lo, hi = 0, len(ranks) - 1
+
+    while lo <= hi:
+        big = _first_fit(keys, memsize, sizes[hi], budget_eps)
+        if big < 0:
+            raise InfeasibleDeltaError(by_size[hi], delta, budget)
+        # Lemma 4: machines strictly less loaded than the chosen one, all
+        # in the prefix of ``keys`` that the first-fit scan just passed.
+        threshold = keys[big][0] - eps
+        for load_j, j in keys:
+            if load_j >= threshold:
+                break
+            marked.add(j)
+
+        if big == 0:
+            # Every task fits the least-loaded machine: all start there.
+            pos, i = position[index.best()], 0
+        else:
+            small = _first_fit(keys, memsize, sizes[lo], budget_eps)
+            earliest = keys[small][0]
+            # A machine loaded L* ahead of `small` lacks room even for the
+            # smallest task, so the least full one is in the run after it.
+            room = memsize[keys[small][1]]
+            k = small + 1
+            while k < m and keys[k][0] == earliest:
+                if memsize[keys[k][1]] < room:
+                    room = memsize[keys[k][1]]
+                k += 1
+            a, b = lo, hi
+            while a < b:
+                mid = (a + b + 1) // 2
+                if room + sizes[mid] <= budget_eps:
+                    a = mid
+                else:
+                    b = mid - 1
+            pos = position[index.min(lo, a)]
+            i = _first_fit(keys, memsize, sizes[pos], budget_eps)
+
+        tid = by_size[pos]
+        start, proc = keys.pop(i)
+        assignment[tid] = proc
+        starts[tid] = start
+        load[proc] = start + p[tid]
+        memsize[proc] += s[tid]
+        bisect.insort(keys, (load[proc], proc))
+
+        index.remove(pos)
+        while lo <= hi and not index.live(lo):
+            lo += 1
+        while hi >= lo and not index.live(hi):
+            hi -= 1
+
+    return assignment, starts, marked
+
+
+def _place_ready_set(
+    dag: DAGInstance, rank: Dict[object, int], delta: float, budget: float, eps: float
+) -> _Placement:
+    """The RLS_Δ placement loop of Algorithm 2 over the ready set of a DAG."""
     graph = dag.graph
     m = dag.m
     p = dag.tasks.processing_times()
     s = dag.tasks.storage_sizes()
-
-    lb = mmax_lower_bound(dag)
-    budget = delta * lb
-    eps = 1e-12 * max(1.0, budget)
     budget_eps = budget + eps
 
     load = [0.0] * m
@@ -240,8 +382,46 @@ def rls(
                     (completion[u] for u in graph.predecessors(succ)), default=0.0
                 )
 
+    return assignment, starts, marked
+
+
+def rls(
+    instance: Union[Instance, DAGInstance],
+    delta: float,
+    order: Union[str, Sequence[object]] = "arbitrary",
+) -> RLSResult:
+    """Run ``RLS_Δ`` (Algorithm 2) on an instance (independent tasks or DAG).
+
+    Parameters
+    ----------
+    instance:
+        The instance to schedule; independent-task instances are treated as
+        DAGs with no edges.
+    delta:
+        Memory degradation budget ``Δ``.  Values ``>= 2`` are always
+        feasible; the makespan guarantee requires ``Δ > 2``.
+    order:
+        Tie-breaking total order: ``"arbitrary"`` (instance order),
+        ``"spt"`` (yields Corollary 4 on independent tasks), ``"lpt"``,
+        ``"bottom-level"``, or an explicit sequence of task ids.
+
+    Raises
+    ------
+    InfeasibleDeltaError
+        When ``Δ < 2`` and some ready task fits on no processor.
+    """
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    dag = instance if isinstance(instance, DAGInstance) else instance.as_dag()
+    rank = _priority_rank(dag, order)
+    lb = mmax_lower_bound(dag)
+    budget = delta * lb
+    eps = 1e-12 * max(1.0, budget)
+    place = _place_by_size if dag.graph.number_of_edges() == 0 else _place_ready_set
+    assignment, starts, marked = place(dag, rank, delta, budget, eps)
+
     schedule = DAGSchedule(dag, assignment, starts)
-    cmax_g, mmax_g = rls_guarantee(delta, m)
+    cmax_g, mmax_g = rls_guarantee(delta, dag.m)
     order_name = order if isinstance(order, str) else "explicit"
     return RLSResult(
         schedule=schedule,

@@ -34,7 +34,7 @@ from repro.solvers.single import SolverFn, get_single_objective_solver
 from repro.core.instance import DAGInstance, Instance
 from repro.core.schedule import Schedule
 
-__all__ = ["SBOResult", "sbo", "sbo_guarantee", "sbo_tradeoff_curve"]
+__all__ = ["SBOResult", "sbo", "sbo_guarantee", "sbo_tradeoff_curve", "threshold_combine"]
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,42 @@ def _as_independent(instance: Union[Instance, DAGInstance]) -> Instance:
     return instance
 
 
+def threshold_combine(
+    instance: Instance, delta: float, pi1: Schedule, pi2: Schedule
+) -> Tuple[Dict[object, int], List[object]]:
+    """Algorithm 1's per-task choice between ``π1`` and ``π2`` at one ``Δ``.
+
+    Returns the combined assignment and the ids that followed ``π2`` (the
+    set ``S2``).  ``π1``/``π2`` do not depend on ``Δ``, so a Δ sweep solves
+    them once and calls this per grid point.
+    """
+    reference_cmax = pi1.cmax
+    reference_mmax = pi2.mmax
+    assign1 = pi1.assignment
+    assign2 = pi2.assignment
+    # The zero-reference degenerate cases are loop-invariant, so the
+    # per-task work reduces to the cross-multiplied threshold test of
+    # Algorithm 1 (p_i / C < delta * s_i / M, robust to C or M being 0).
+    if reference_cmax == 0.0:
+        if reference_mmax == 0.0:
+            return dict(assign1), []
+        # Every task has zero processing time; memory is the only concern.
+        return dict(assign2), [t.id for t in instance.tasks]
+    if reference_mmax == 0.0:
+        # Every task has zero storage; makespan is the only concern.
+        return dict(assign1), []
+    assignment: Dict[object, int] = {}
+    memory_driven: List[object] = []
+    for task in instance.tasks:
+        tid = task.id
+        if task.p * reference_mmax < delta * task.s * reference_cmax:
+            assignment[tid] = assign2[tid]
+            memory_driven.append(tid)
+        else:
+            assignment[tid] = assign1[tid]
+    return assignment, memory_driven
+
+
 def sbo(
     instance: Union[Instance, DAGInstance],
     delta: float,
@@ -157,32 +193,7 @@ def sbo(
     reference_cmax = pi1.cmax
     reference_mmax = pi2.mmax
 
-    assignment: Dict[object, int] = {}
-    memory_driven: List[object] = []
-    # The zero-reference degenerate cases are loop-invariant, so the
-    # per-task work reduces to the cross-multiplied threshold test of
-    # Algorithm 1 (p_i / C < delta * s_i / M, robust to C or M being 0).
-    assign1 = pi1.assignment
-    assign2 = pi2.assignment
-    if reference_cmax == 0.0:
-        if reference_mmax == 0.0:
-            assignment = dict(assign1)
-        else:
-            # Every task has zero processing time; memory is the only concern.
-            assignment = dict(assign2)
-            memory_driven = [t.id for t in inst.tasks]
-    elif reference_mmax == 0.0:
-        # Every task has zero storage; makespan is the only concern.
-        assignment = dict(assign1)
-    else:
-        for task in inst.tasks:
-            tid = task.id
-            if task.p * reference_mmax < delta * task.s * reference_cmax:
-                assignment[tid] = assign2[tid]
-                memory_driven.append(tid)
-            else:
-                assignment[tid] = assign1[tid]
-
+    assignment, memory_driven = threshold_combine(inst, delta, pi1, pi2)
     schedule = Schedule(inst, assignment)
     cmax_guarantee, mmax_guarantee = sbo_guarantee(delta, rho1, rho2)
     return SBOResult(

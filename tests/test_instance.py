@@ -93,6 +93,17 @@ class TestDAGInstance:
         with pytest.raises(ValueError, match="cycle"):
             DAGInstance.from_lists(p=[1, 1, 1], s=[1, 1, 1], m=1, edges=[(0, 1), (1, 2), (2, 0)])
 
+    def test_edgeless_skips_cycle_check(self, monkeypatch):
+        import networkx as nx
+
+        def fail(graph):
+            raise AssertionError("an edgeless graph needs no acyclicity check")
+
+        monkeypatch.setattr(nx, "is_directed_acyclic_graph", fail)
+        assert DAGInstance.from_lists(p=[1, 2], s=[1, 2], m=2).is_independent()
+        with pytest.raises(AssertionError):
+            DAGInstance.from_lists(p=[1, 2], s=[1, 2], m=2, edges=[(0, 1)])
+
     def test_topological_order_is_valid(self, diamond_dag):
         order = diamond_dag.topological_order()
         pos = {tid: i for i, tid in enumerate(order)}

@@ -1,9 +1,11 @@
 """Byte-identity of the heap-based placement kernels vs the seed kernels.
 
 The kernel fast-path rewrite replaced the O(n*m) ``min(range(m), ...)``
-scans of ``list_schedule`` / ``graham_dag_schedule``, the per-probe FFD
-re-sort of MULTIFIT, the per-ready-task machine sort of ``RLS_delta``,
-and the per-task degenerate-branch checks of ``SBO_delta`` with
+scans of ``list_schedule`` / ``graham_dag_schedule`` / the SPT ``sum Ci``
+bound, the per-probe FFD re-sort of MULTIFIT, the per-ready-task machine
+sort of ``RLS_delta`` (and, on independent tasks, the whole ready-set
+rescan, now a size-ordered index), the per-task degenerate-branch checks
+of ``SBO_delta`` and the per-Δ sub-solves of the SBO Pareto sweep with
 array/heap-backed ledgers and hoisted loop invariants.  Every one of
 those rewrites claims *bit-identical* output — same assignments, same
 processor orders, same start times, same tie-breaks, same floats.
@@ -22,6 +24,8 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.list_scheduling import (
     graham_dag_schedule,
@@ -29,11 +33,14 @@ from repro.algorithms.list_scheduling import (
     resolve_order,
 )
 from repro.algorithms.multifit import ffd_pack, multifit_schedule
-from repro.core.bounds import mmax_lower_bound
+from repro.core.bounds import mmax_lower_bound, sum_ci_lower_bound
 from repro.core.instance import DAGInstance, Instance
-from repro.core.rls import InfeasibleDeltaError, rls
+from repro.core.pareto import ParetoFront
+from repro.core.pareto_approx import approximate_pareto_set, delta_grid
+from repro.core.rls import InfeasibleDeltaError, _priority_rank, rls
 from repro.core.sbo import sbo
 from repro.core.task import Task
+from repro.core.trio import tri_objective_schedule
 
 SEEDS = (0, 1, 2, 3, 4)
 MS = (1, 2, 3, 7)
@@ -217,6 +224,19 @@ def seed_rls(dag, delta, rank):
     return assignment, starts, marked
 
 
+def seed_sum_ci(instance):
+    """The seed SPT ``sum Ci`` bound: naive least-loaded scan per task."""
+    tasks = sorted(instance.tasks, key=lambda t: (t.p, str(t.id)))
+    m = instance.m
+    loads = [0.0] * m
+    total = 0.0
+    for task in tasks:
+        q = min(range(m), key=lambda j: loads[j])
+        loads[q] += task.p
+        total += loads[q]
+    return total
+
+
 def seed_sbo_combine(inst, delta, pi1, pi2):
     """The seed SBO threshold loop (per-task degenerate-branch checks)."""
     reference_cmax = pi1.cmax
@@ -319,8 +339,6 @@ def test_rls_parity(seed, delta):
     dag = make_dag(seed, m=3)
     for order in ("arbitrary", "spt", "lpt", "bottom-level"):
         got = rls(dag, delta, order=order)
-        from repro.core.rls import _priority_rank
-
         rank = _priority_rank(dag, order)
         expected_assignment, expected_starts, expected_marked = seed_rls(
             dag, delta, rank
@@ -328,6 +346,151 @@ def test_rls_parity(seed, delta):
         assert got.schedule.assignment == expected_assignment, (seed, delta, order)
         assert got.schedule.start_times == expected_starts, (seed, delta, order)
         assert got.marked_processors == tuple(sorted(expected_marked)), (seed, delta, order)
+
+
+def assert_rls_matches_seed(instance, delta, order, got=None):
+    """Run ``rls`` and the verbatim seed loop; both raise or agree bit for bit.
+
+    ``got`` is a thunk returning an :class:`RLSResult` for the same
+    (instance, Δ, order); it defaults to ``rls`` itself.
+    """
+    dag = instance.as_dag()
+    rank = _priority_rank(dag, order)
+    try:
+        expected = seed_rls(dag, delta, rank)
+    except InfeasibleDeltaError:
+        expected = None
+    run = got or (lambda: rls(instance, delta, order=order))
+    if expected is None:
+        with pytest.raises(InfeasibleDeltaError):
+            run()
+        return False
+    result = run()
+    expected_assignment, expected_starts, expected_marked = expected
+    assert result.schedule.assignment == expected_assignment
+    assert result.schedule.start_times == expected_starts
+    # Same placement order, not only the same placements.
+    assert list(result.schedule.start_times) == list(expected_starts)
+    assert result.marked_processors == tuple(sorted(expected_marked))
+    return True
+
+
+INDEPENDENT_MS = (1, 2, 3, 7, 16, 32)
+INDEPENDENT_DELTAS = (0.8, 1.05, 1.5, 2.0, 2.5, 4.0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", INDEPENDENT_MS)
+def test_rls_independent_parity(seed, m):
+    """The size-ordered index on edgeless input vs the seed ready-set loop."""
+    instance = make_instance(seed, m=m)
+    explicit = [t.id for t in instance.tasks]
+    random.Random(seed).shuffle(explicit)
+    feasible = 0
+    for delta in INDEPENDENT_DELTAS:
+        for order in ("arbitrary", "spt", "lpt", "bottom-level", explicit):
+            feasible += assert_rls_matches_seed(instance, delta, order)
+        # The tri-objective variant is RLS_delta under the SPT order.
+        feasible += assert_rls_matches_seed(
+            instance, delta, "spt",
+            got=lambda: tri_objective_schedule(instance, delta).rls_result,
+        )
+    assert feasible, "every case was infeasible: the grid checks nothing"
+
+
+@given(
+    data=st.data(),
+    n=st.integers(min_value=0, max_value=14),
+    m=st.integers(min_value=1, max_value=6),
+    delta=st.sampled_from(INDEPENDENT_DELTAS),
+    order=st.sampled_from(("arbitrary", "spt", "lpt", "bottom-level")),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_rls_independent_parity_property(data, n, m, delta, order):
+    weight = st.sampled_from((0.0, 0.5, 1.0, 1.0, 2.0, 3.0)) | st.floats(0.0, 8.0)
+    p = data.draw(st.lists(weight, min_size=n, max_size=n))
+    s = data.draw(st.lists(weight, min_size=n, max_size=n))
+    assert_rls_matches_seed(Instance.from_lists(p=p, s=s, m=m), delta, order)
+
+
+def replay_until_infeasible(instance, delta, rank):
+    """Seed-order RLS replay on independent tasks, stopping at the first
+    step where some remaining task fits nowhere: ``(memsize, remaining)``."""
+    s = instance.tasks.storage_sizes()
+    p = instance.tasks.processing_times()
+    budget = delta * mmax_lower_bound(instance)
+    eps = 1e-12 * max(1.0, budget)
+    load = [0.0] * instance.m
+    memsize = [0.0] * instance.m
+    remaining = set(instance.tasks.ids)
+    while remaining:
+        order = sorted(range(instance.m), key=lambda q: (load[q], q))
+        best = None
+        for tid in remaining:
+            fits = [j for j in order if memsize[j] + s[tid] <= budget + eps]
+            if not fits:
+                return memsize, remaining, budget + eps
+            key = (load[fits[0]], rank[tid], tid, fits[0])
+            best = key if best is None or key[:2] < best[:2] else best
+        _, _, tid, proc = best
+        load[proc] += p[tid]
+        memsize[proc] += s[tid]
+        remaining.discard(tid)
+    return None
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rls_infeasible_reports_largest_task(seed):
+    """The reported task fits on no processor, and it is the largest
+    remaining task, ties broken by rank."""
+    checked = 0
+    for m in (2, 3, 7):
+        instance = make_instance(seed, m=m)
+        s = instance.tasks.storage_sizes()
+        for delta in (0.8, 1.05, 1.5):
+            for order in ("arbitrary", "spt", "lpt"):
+                rank = _priority_rank(instance.as_dag(), order)
+                state = replay_until_infeasible(instance, delta, rank)
+                if state is None:
+                    rls(instance, delta, order=order)
+                    continue
+                memsize, remaining, limit = state
+                with pytest.raises(InfeasibleDeltaError) as exc:
+                    rls(instance, delta, order=order)
+                tid = exc.value.task_id
+                assert tid in remaining
+                assert all(used + s[tid] > limit for used in memsize)
+                largest = max(s[t] for t in remaining)
+                assert s[tid] == largest
+                assert rank[tid] == min(rank[t] for t in remaining if s[t] == largest)
+                assert exc.value.delta == delta
+                checked += 1
+    assert checked, "no infeasible case was exercised"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", INDEPENDENT_MS)
+def test_sum_ci_bound_parity(seed, m):
+    instance = make_instance(seed, n=40, m=m)
+    assert sum_ci_lower_bound(instance) == seed_sum_ci(instance)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("inner", ("lpt", "multifit"))
+def test_pareto_sweep_parity(seed, inner):
+    """Solving pi1/pi2 once gives the front of one full sbo() per grid point."""
+    instance = make_instance(seed, m=3)
+    got = approximate_pareto_set(instance, epsilon=0.5, solver=inner)
+    grid = delta_grid(0.5, 1.0 / 16.0, 16.0)
+    assert got.deltas == tuple(grid)
+    expected = [sbo(instance, delta, cmax_solver=inner).schedule for delta in grid]
+    front = ParetoFront(dim=2)
+    for schedule in expected:
+        front.add((schedule.cmax, schedule.mmax), schedule)
+    assert got.points == [(v[0], v[1]) for v in front.values()]
+    assert [x.assignment for x in got.schedules()] == [
+        x.assignment for x in front.payloads() if x is not None
+    ]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
