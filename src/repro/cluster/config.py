@@ -80,8 +80,10 @@ class ClusterConfig:
         layout for single-box deployments.  Inproc backends always share
         the in-memory cache object (one process *is* one host).
     router_cache:
-        Capacity (entries) of the router's own read-through solve-cache
-        tier, consulted before routing; ``0`` disables it.  With
+        Capacity (entries) of the router's own read-through response
+        tier (:class:`~repro.service.tier.ResponseTier`), consulted
+        before routing; ``0`` disables it.  The tier's summed-assignment
+        budget (:data:`~repro.service.tier.TIER_TASKS`) applies too.  With
         per-host caches this tier plus rendezvous affinity is what makes
         a repeated request cheap no matter which client asks.
     session_journal:

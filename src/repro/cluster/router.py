@@ -89,6 +89,7 @@ from repro.qos.admission import AdmissionController
 from repro.qos.tenants import CLASS_URGENCY, QosError, TenantConfig
 from repro.service.protocol import PROTOCOL_VERSION, error_code_for, solve_request
 from repro.service.server import _metrics_response, _trace_response
+from repro.service.tier import ResponseTier
 
 __all__ = [
     "ClusterRouter",
@@ -190,8 +191,11 @@ class ClusterRouter:
         #: lets a later op on a lost session fail with the typed
         #: ``session_lost`` code instead of a generic unknown-session error.
         self._lost_sessions: "OrderedDict[str, str]" = OrderedDict()
-        #: The router's own read-through solve cache (LRU over request_key).
-        self._solve_cache: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        #: The router's own read-through response tier over request_key
+        #: (``None`` when ``router_cache`` is 0): every ok solve response.
+        self._tier: Optional[ResponseTier] = (
+            ResponseTier(config.router_cache) if config.router_cache > 0 else None
+        )
         self._probe_task: Optional["asyncio.Task"] = None
         #: Cluster-wide QoS admission (``None`` when no tenants configured).
         #: Enforcement lives here, not on the shards: one controller whose
@@ -601,28 +605,6 @@ class ClusterRouter:
         self._qos.finish(cfg, "completed" if response.get("ok") else "failed")
         return response
 
-    def _cache_get(self, key: str) -> Optional[Dict[str, object]]:
-        """The router cache tier's copy of a solve response (LRU touch)."""
-        if self.config.router_cache <= 0:
-            return None
-        entry = self._solve_cache.get(key)
-        if entry is None:
-            self._counters["router_cache_misses"] += 1
-            return None
-        self._solve_cache.move_to_end(key)
-        self._counters["router_cache_hits"] += 1
-        return entry
-
-    def _cache_put(self, key: str, response: Dict[str, object]) -> None:
-        if self.config.router_cache <= 0:
-            return
-        entry = dict(response)
-        entry.pop("id", None)
-        self._solve_cache[key] = entry
-        self._solve_cache.move_to_end(key)
-        while len(self._solve_cache) > self.config.router_cache:
-            self._solve_cache.popitem(last=False)
-
     async def _forward_solve(self, request: Dict[str, object]) -> Dict[str, object]:
         key = request_key(request)
         # Trace context: adopt the client's when the request carries one,
@@ -633,29 +615,21 @@ class ClusterRouter:
         tctx: Optional[Tuple[str, Optional[str]]] = None
         if RECORDER.enabled:
             tctx = parse_wire_trace(request.get("trace")) or (new_trace_id(), None)
-        # Read-through cache tier *before* routing: a hit never touches a
-        # shard (and makes no routing decision, so ``routed`` holds still).
-        # Sound because solvers are deterministic and results
+        # Read-through response tier *before* routing: a hit never touches
+        # a shard (and makes no routing decision, so ``routed`` holds
+        # still).  Sound because solvers are deterministic and results
         # content-addressed by the same key rendezvous routing hashes.
-        cached = self._cache_get(key)
+        cached = self._tier.get(key) if self._tier is not None else None
+        if self._tier is not None:
+            outcome = "misses" if cached is None else "hits"
+            self._counters[f"router_cache_{outcome}"] += 1
         if tctx is not None:
             RECORDER.record(
                 "cache_consult", "router", tctx[0], new_span_id(), tctx[1],
                 time.perf_counter(), 0.0, hit=cached is not None,
             )
         if cached is not None:
-            response = dict(cached)
-            result = response.get("result")
-            if isinstance(result, dict):
-                # Report the serve truthfully: whatever the original shard
-                # computation said, *this* response came from a cache.
-                provenance = result.get("provenance")
-                if isinstance(provenance, dict):
-                    response["result"] = {
-                        **result, "provenance": {**provenance, "cache": "hit"}
-                    }
-            response["id"] = request.get("id")
-            return response
+            return {"id": request.get("id"), "ok": True, "result": dict(cached.payload)}
         inner = dict(request)
         inner.pop("id", None)
         tried: set = set()
@@ -713,8 +687,9 @@ class ClusterRouter:
                     route_at, time.perf_counter() - route_at, shard=name,
                 )
             self._counters["completed"] += 1
-            if response.get("ok"):
-                self._cache_put(key, response)
+            result = response.get("result")
+            if self._tier is not None and response.get("ok") and isinstance(result, dict):
+                self._tier.put(key, result)
             response["id"] = request.get("id")
             return response
 

@@ -2,18 +2,24 @@
 
 Two pieces:
 
-* :func:`request_key` — the *routing key* of a solve request: a SHA-256
-  over the canonicalized wire payload (instance dict, spec string,
-  params), i.e. the content hash of the request as it travels.  Identical
-  requests — same instance content in the same serialized form, same
-  spec — always produce the same key, so they always land on the same
-  shard, which is what lets one shard's in-flight coalescing (PR 3)
-  keep working cluster-wide: N clients racing the same job still cost
-  one pool execution.  (Two *logically* identical instances serialized
-  differently may key apart; each shard still coalesces its own stream,
-  and the shared read-through cache — keyed on the true
-  ``instance.content_hash()`` by the shard — deduplicates the compute
-  across shards, so correctness and most of the savings survive.)
+* :func:`request_key` — the *routing key* of a solve request, the one
+  request digest of :func:`repro.service.protocol.request_key`
+  (re-exported here): a SHA-256 over the canonical form of the routed
+  fields (instance dict, spec string, params).  The service's response
+  tier is keyed by the same function.  Identical requests — same
+  instance content in the same decoded form, same spec — always
+  produce the same key, so they always land on the same shard, which is
+  what lets one shard's in-flight coalescing keep working cluster-wide:
+  N clients racing the same job still cost one pool execution.  (Two
+  *logically* identical instances serialized differently may key
+  apart; each shard still coalesces its own stream, and the shard's
+  read-through cache — keyed on the true ``instance.content_hash()`` —
+  deduplicates the compute, so correctness and most of the savings
+  survive.)  The canonical form is orjson's when orjson is installed
+  and the request survives it losslessly, and the stdlib JSON form
+  otherwise, behind distinct tags: routers with and without orjson key
+  the same request differently, so routing is deterministic per
+  environment, not across mixed ones.
 
 * :func:`route` — rendezvous (highest-random-weight) hashing of a key
   over the live shard names.  Unlike ``hash(key) % n``, adding or
@@ -27,26 +33,11 @@ Two pieces:
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
+
+from repro.service.protocol import request_key
 
 __all__ = ["request_key", "route", "rank"]
-
-
-def request_key(request: Dict[str, object]) -> str:
-    """The content-addressed routing key of one decoded solve request.
-
-    Canonicalizes the routed fields (``instance``, ``spec``, ``params``)
-    with sorted keys and tight separators, so the key is independent of
-    the client's JSON field order, whitespace, and request ``id``.
-    """
-    routed = [
-        request.get("instance"),
-        request.get("spec"),
-        request.get("params") or {},
-    ]
-    blob = json.dumps(routed, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _score(key: str, shard: str) -> int:

@@ -167,7 +167,7 @@ class Instance:
             Task(id=rec["id"], p=rec["p"], s=rec["s"], label=rec.get("label"))
             for rec in data["tasks"]  # type: ignore[index]
         )
-        return cls(tasks, m=int(data["m"]), name=data.get("name"))  # type: ignore[arg-type]
+        return cls(tasks, m=data["m"], name=data.get("name"))  # type: ignore[arg-type]
 
     def to_json(self) -> str:
         """Serialise to a JSON string."""
@@ -331,4 +331,4 @@ class DAGInstance(Instance):
             for rec in data["tasks"]  # type: ignore[index]
         )
         edges = [tuple(e) for e in data.get("edges", [])]  # type: ignore[union-attr]
-        return cls(tasks, m=int(data["m"]), edges=edges, name=data.get("name"))  # type: ignore[arg-type]
+        return cls(tasks, m=data["m"], edges=edges, name=data.get("name"))  # type: ignore[arg-type]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.bounds import mmax_lower_bound
-from repro.core.instance import DAGInstance, Instance
+from repro.core.instance import DAGInstance, Instance, _check_m
 from repro.core.rls import InfeasibleDeltaError
 from repro.core.schedule import DAGSchedule
 from repro.core.task import Task, TaskSet
@@ -97,7 +97,7 @@ class UniformInstance(Instance):
         """Inverse of :meth:`to_dict`; validates ``m`` against the speeds."""
         speeds = [float(v) for v in data["speeds"]]  # type: ignore[union-attr]
         declared_m = data.get("m")
-        if declared_m is not None and int(declared_m) != len(speeds):  # type: ignore[arg-type]
+        if declared_m is not None and _check_m(declared_m) != len(speeds):  # type: ignore[arg-type]
             raise ValueError(
                 f"uniform payload declares m={declared_m} but carries "
                 f"{len(speeds)} speeds"

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.instance import Instance
+from repro.core.instance import Instance, _check_m
 from repro.core.task import Task, TaskSet
 from repro.online.base import OnlineScheduler
 from repro.solvers.result import SolveResult
@@ -149,7 +149,7 @@ class ArrivalTrace:
             )
             for rec in data["events"]  # type: ignore[index]
         ]
-        return cls(events, m=int(data["m"]), name=data.get("name"))  # type: ignore[arg-type]
+        return cls(events, m=_check_m(data["m"]), name=data.get("name"))  # type: ignore[arg-type]
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.instance import _check_m
+
 __all__ = [
     "PeriodicTask",
     "PeriodicJob",
@@ -212,10 +214,7 @@ class PeriodicInstance:
             if task.id in by_id:
                 raise ValueError(f"duplicate periodic task id {task.id!r}")
             by_id[task.id] = task
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise TypeError(f"number of processors m must be an int, got {type(m).__name__}")
-        if m < 1:
-            raise ValueError(f"number of processors m must be >= 1, got {m}")
+        _check_m(m)
         if horizon is not None:
             horizon = float(horizon)
             if not (math.isfinite(horizon) and horizon > 0):
@@ -423,7 +422,7 @@ class PeriodicInstance:
         horizon = data.get("horizon")
         budget = data.get("unroll_budget", DEFAULT_UNROLL_BUDGET)
         return cls(
-            tasks, m=int(data["m"]),  # type: ignore[arg-type]
+            tasks, m=data["m"],  # type: ignore[arg-type]
             horizon=None if horizon is None else float(horizon),  # type: ignore[arg-type]
             unroll_budget=int(budget),  # type: ignore[arg-type]
             name=data.get("name"),  # type: ignore[arg-type]

@@ -114,6 +114,7 @@ service's percentile snapshot is ``nan``-filled, and emitting the
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -134,6 +135,7 @@ __all__ = [
     "error_code_for",
     "encode_message",
     "decode_message",
+    "request_key",
     "sanitize_non_finite",
     "Framing",
     "register_framing",
@@ -288,6 +290,36 @@ def _decode_stdlib(line: str) -> object:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"request line is not valid JSON: {exc}") from None
+
+
+def request_key(request: Dict[str, object]) -> str:
+    """The content digest of one decoded solve request.
+
+    SHA-256 over the canonical form of the fields that determine the
+    answer — ``instance``, ``spec`` and ``params`` — with sorted keys, so
+    the digest ignores the request ``id``, ``trace``, ``tenant``,
+    ``timeout`` and the client's field order.  The router routes and
+    caches by it and the service's response tier is keyed by it.
+
+    The digest is injective over decoded requests.  With ``orjson`` the
+    canonical form is its sorted-keys serialization, used only when it
+    decodes back to an equal value: orjson writes NaN and ±inf as
+    ``null`` and refuses ints beyond 64 bits, and those requests take the
+    stdlib form instead.  Each form hashes behind its own tag, so the two
+    can never collide — but a process with orjson keys a request
+    differently from one without it.
+    """
+    routed = [request.get("instance"), request.get("spec"), request.get("params") or {}]
+    if _orjson is not None:
+        try:
+            blob = _orjson.dumps(routed, option=_orjson.OPT_SORT_KEYS)
+        except TypeError:
+            pass
+        else:
+            if _orjson.loads(blob) == routed:
+                return hashlib.sha256(b"o:" + blob).hexdigest()
+    text = json.dumps(routed, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(b"j:" + text.encode("utf-8")).hexdigest()
 
 
 # ------------------------------------------------------------------------- #

@@ -50,6 +50,7 @@ from repro.service.protocol import (
     result_to_payload,
     instance_from_payload,
     error_code_for,
+    request_key,
     sanitize_non_finite,
     task_from_payload,
 )
@@ -88,6 +89,96 @@ def _tenant_field(request: Dict[str, object]) -> Optional[str]:
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError("'tenant' must be a non-empty tenant name string")
     return tenant
+
+
+def _timeout_field(request: Dict[str, object]) -> Optional[float]:
+    """The optional per-request ``timeout`` in seconds (validated)."""
+    timeout = request.get("timeout")
+    if timeout is None:
+        return None
+    if not isinstance(timeout, (int, float)):
+        raise ProtocolError("'timeout' must be a number of seconds")
+    return float(timeout)
+
+
+def _is_huge(data: object) -> bool:
+    """Whether an instance payload is big enough to process off-loop."""
+    return (
+        isinstance(data, dict)
+        and isinstance(data.get("tasks"), list)
+        and len(data["tasks"]) >= OFFLOAD_TASK_COUNT
+    )
+
+
+async def _solve(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    """The ``solve`` op: the response tier first, the full path on a miss.
+
+    With a result cache configured, the request digest is looked up in
+    the service's response tier before anything else.  An entry exists
+    only for exactly this decoded (instance, spec, params) after a full
+    validated solve whose answer the cache served, so a hit skips the
+    instance rebuild, the content hash and the cache read; the fields the
+    digest leaves out (``timeout``, ``tenant``) are still validated, and
+    the hit is ledgered like a cache hit.
+
+    The digest is computed only where it can pay off: to look up a tier
+    that holds entries, and to admit a response.  A stream of one-off
+    misses leaves the tier empty and never pays for it.
+    """
+    request_id = request.get("id")
+    data = request.get("instance")
+    huge = _is_huge(data)
+    loop = asyncio.get_running_loop()
+
+    async def digest() -> str:
+        if huge:
+            return await loop.run_in_executor(None, request_key, request)
+        return request_key(request)
+
+    tier = service.response_tier
+    key = None
+    if tier is not None and len(tier) > 0:
+        started = time.perf_counter()
+        key = await digest()
+        entry = tier.get(key)
+        if entry is not None:
+            service.count_tier_hit(
+                entry, started,
+                timeout=_timeout_field(request), tenant=_tenant_field(request),
+                trace=request.get("trace"),
+            )
+            return {"id": request_id, "ok": True, "result": dict(entry.payload)}
+    if huge:
+        # Rebuilding a huge instance is CPU work — keep it off the event
+        # loop so other connections stay responsive.
+        instance = await loop.run_in_executor(None, instance_from_payload, data)
+    else:
+        instance = instance_from_payload(data)
+    spec = request.get("spec")
+    if not isinstance(spec, str) or not spec:
+        raise ProtocolError("'spec' must be a non-empty spec string")
+    params = request.get("params") or {}
+    if not isinstance(params, dict):
+        raise ProtocolError("'params' must be a JSON object")
+    timeout = _timeout_field(request)
+    tenant = _tenant_field(request)
+    kwargs: Dict[str, object] = dict(params)
+    if timeout is not None:
+        kwargs["timeout"] = timeout
+    if tenant is not None:
+        kwargs["tenant"] = tenant
+    trace_ctx = request.get("trace")
+    if trace_ctx is not None:
+        kwargs["trace"] = trace_ctx
+    result = await service.solve(instance, spec, **kwargs)
+    payload = result_to_payload(result)
+    if tier is not None and result.provenance.get("cache") == "hit":
+        # Admission: only answers the result cache served, so misses
+        # (one-off requests), coalesced joins and errors cost no memory.
+        if key is None:
+            key = await digest()
+        tier.put(key, payload, family=result.solver)
+    return {"id": request_id, "ok": True, "result": payload}
 
 
 def _session_id(request: Dict[str, object]) -> str:
@@ -172,39 +263,7 @@ async def handle_request(
     op = request.get("op", "solve")
     try:
         if op == "solve":
-            data = request.get("instance")
-            if (
-                isinstance(data, dict)
-                and isinstance(data.get("tasks"), list)
-                and len(data["tasks"]) >= OFFLOAD_TASK_COUNT
-            ):
-                # Rebuilding a huge instance is CPU work — keep it off the
-                # event loop so other connections stay responsive.
-                instance = await asyncio.get_running_loop().run_in_executor(
-                    None, instance_from_payload, data
-                )
-            else:
-                instance = instance_from_payload(data)
-            spec = request.get("spec")
-            if not isinstance(spec, str) or not spec:
-                raise ProtocolError("'spec' must be a non-empty spec string")
-            params = request.get("params") or {}
-            if not isinstance(params, dict):
-                raise ProtocolError("'params' must be a JSON object")
-            timeout = request.get("timeout")
-            if timeout is not None and not isinstance(timeout, (int, float)):
-                raise ProtocolError("'timeout' must be a number of seconds")
-            tenant = _tenant_field(request)
-            kwargs: Dict[str, object] = dict(params)
-            if timeout is not None:
-                kwargs["timeout"] = float(timeout)
-            if tenant is not None:
-                kwargs["tenant"] = tenant
-            trace_ctx = request.get("trace")
-            if trace_ctx is not None:
-                kwargs["trace"] = trace_ctx
-            result = await service.solve(instance, spec, **kwargs)
-            return {"id": request_id, "ok": True, "result": result_to_payload(result)}
+            return await _solve(service, request)
         if op == "session_open":
             spec = request.get("spec")
             if not isinstance(spec, str) or not spec:
@@ -312,12 +371,7 @@ async def handle_request(
                     "framings": available_framings(),
                     "load": service.load_summary()}
         if op == "drain":
-            timeout = request.get("timeout")
-            if timeout is not None and not isinstance(timeout, (int, float)):
-                raise ProtocolError("'timeout' must be a number of seconds")
-            drained = await service.drain(
-                timeout=float(timeout) if timeout is not None else None
-            )
+            drained = await service.drain(timeout=_timeout_field(request))
             return {"id": request_id, "ok": True, "drained": drained,
                     "pending": service.stats().pending}
         if op == "shutdown":

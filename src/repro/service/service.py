@@ -5,7 +5,9 @@ Many concurrent clients share one persistent fleet of solver workers::
     async with SolverService(workers=4, cache=LRUCache()) as svc:
         result = await svc.solve(instance, "sbo(delta=1.0)")
 
-The request path, in order:
+The request path, in order (a wire ``solve`` request first consults the
+digest-keyed response tier, :attr:`SolverService.response_tier`, before
+its instance is even rebuilt — see :func:`repro.service.server.handle_request`):
 
 1. **validate** — :func:`repro.solvers.prepare` parses and binds the spec
    and checks instance capabilities, so malformed requests fail before
@@ -59,6 +61,7 @@ from repro.qos.tenants import QosError, TenantConfig
 from repro.service.config import ServiceConfig
 from repro.service.sessions import Session, SessionManager
 from repro.service.stats import FamilyLatency, LatencyWindow, ServiceStats, merge_latency
+from repro.service.tier import ResponseTier, TierEntry
 from repro.solvers.api import PreparedSolve, prepare, solve
 from repro.solvers.batch import shippable_custom_entries
 from repro.solvers.cache import LRUCache, cache_key, resolve_cache
@@ -168,6 +171,7 @@ class SolverService:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._fallback_pool: Optional[ThreadPoolExecutor] = None
         self._cache = None
+        self._tier: Optional[ResponseTier] = None
         self._admit: Optional[asyncio.Semaphore] = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._inflight: Dict[str, _Job] = {}
@@ -219,6 +223,8 @@ class SolverService:
             max_workers=self.config.workers, mp_context=mp_context
         )
         self._cache = resolve_cache(self.config.cache)
+        if self._cache is not None:
+            self._tier = ResponseTier()
         self._admit = asyncio.Semaphore(self.config.max_pending)
         self._slots = asyncio.Semaphore(self.config.workers)
         if self.config.tenants is not None:
@@ -332,25 +338,9 @@ class SolverService:
         # Validate the timeout before counting the submission, so an invalid
         # request never unbalances the stats ledger (``lost`` stays 0).
         timeout_s = self._effective_timeout(timeout, prepared.entry.name)
-        self._counters["submitted"] += 1
-        tenant_cfg: Optional[TenantConfig] = None
-        if self._qos is not None:
-            try:
-                tenant_cfg = self._qos.begin(tenant)
-            except QosError:
-                # Attribution/rate rejections are real rejections in the
-                # global ledger too — ``lost`` must stay 0.
-                self._counters["rejected"] += 1
-                raise
+        tenant_cfg = self._begin(tenant)
         started = time.perf_counter()
-        # ``tctx`` is ``(trace_id, parent_span_id)`` or None; the single
-        # ``RECORDER.enabled`` check keeps the disabled path at one
-        # attribute read per request.
-        tctx = (
-            parse_wire_trace(trace)
-            if (trace is not None and RECORDER.enabled)
-            else None
-        )
+        tctx = self._trace_context(trace)
 
         if instance.n >= _OFFLOAD_TASK_COUNT:
             # Hashing a very large instance is multi-millisecond CPU work;
@@ -377,10 +367,7 @@ class SolverService:
                     hit=hit is not None, family=prepared.entry.name,
                 )
             if hit is not None:
-                self._counters["cache_hits"] += 1
-                if tenant_cfg is not None:
-                    self._qos.admit_fast(tenant_cfg, "cache_hits")
-                self._record_latency(prepared.entry.name, started, tctx)
+                self._count_hit(prepared.entry.name, tenant_cfg, started, tctx)
                 return replace(hit, provenance={**hit.provenance, "cache": "hit"})
             self._counters["cache_misses"] += 1
 
@@ -409,6 +396,79 @@ class SolverService:
         return await self._await_job(
             job, timeout_s, started, family=prepared.entry.name, tctx=tctx
         )
+
+    # ------------------------------------------------------------------ #
+    # the response tier (answers repeats before the instance is rebuilt)
+    # ------------------------------------------------------------------ #
+    @property
+    def response_tier(self) -> Optional[ResponseTier]:
+        """The digest-keyed response tier, or ``None`` (no cache, or not running).
+
+        Wire front ends consult it with the request digest before
+        rebuilding the instance and admit only responses the result cache
+        served (see :func:`repro.service.server.handle_request`).
+        """
+        return self._tier if self.is_running else None
+
+    def count_tier_hit(
+        self,
+        entry: TierEntry,
+        started: float,
+        *,
+        timeout: Optional[float] = None,
+        tenant: Optional[str] = None,
+        trace: object = None,
+    ) -> None:
+        """Ledger one response served by the tier exactly like a cache hit.
+
+        The entry was stored for this exact (instance, spec, params), so
+        only what the digest leaves out is checked again: the timeout is
+        validated and the tenant passes QoS attribution and rate limits.
+        """
+        self._effective_timeout(timeout, entry.family)
+        tenant_cfg = self._begin(tenant)
+        tctx = self._trace_context(trace)
+        if tctx is not None:
+            RECORDER.record(
+                "cache_consult", "service", tctx[0], new_span_id(), tctx[1],
+                started, time.perf_counter() - started,
+                hit=True, family=entry.family, tier=True,
+            )
+        self._count_hit(entry.family, tenant_cfg, started, tctx)
+
+    def _begin(self, tenant: Optional[str]) -> Optional[TenantConfig]:
+        """Count one submission and attribute it to its tenant (QoS on)."""
+        self._counters["submitted"] += 1
+        if self._qos is None:
+            return None
+        try:
+            return self._qos.begin(tenant)
+        except QosError:
+            # Attribution/rate rejections are real rejections in the
+            # global ledger too — ``lost`` must stay 0.
+            self._counters["rejected"] += 1
+            raise
+
+    @staticmethod
+    def _trace_context(trace: object) -> Optional[tuple]:
+        """``(trace_id, parent_span_id)`` when recording, else ``None``.
+
+        The single ``RECORDER.enabled`` check keeps the disabled path at
+        one attribute read per request.
+        """
+        if trace is None or not RECORDER.enabled:
+            return None
+        return parse_wire_trace(trace)
+
+    def _count_hit(
+        self, family: str, tenant_cfg: Optional[TenantConfig], started: float,
+        tctx: Optional[tuple],
+    ) -> None:
+        """Ledger one request answered from a cache (result cache or tier)."""
+        self._counters["cache_hits"] += 1
+        if tenant_cfg is not None:
+            self._qos.admit_fast(tenant_cfg, "cache_hits")
+        self._record_latency(family, started, tctx)
 
     async def _admit_job(
         self,

@@ -1,0 +1,523 @@
+"""The request digest and the digest-keyed response tier.
+
+* **digest** — :func:`repro.service.protocol.request_key` is injective
+  over decoded requests (property-tested over JSON values, with and
+  without orjson), ignores the fields outside the answer, and is what
+  the cluster's routing module re-exports;
+* **tier** — :class:`repro.service.tier.ResponseTier` honours both of its
+  bounds;
+* **service contract** — over TCP a tier hit is byte-identical to the
+  disk-cache hit it replays, skips the instance rebuild, is ledgered as
+  a cache hit, still passes QoS rate limits, and only cache-served
+  responses are ever admitted;
+* **strict ``m``** — a non-integer processor count is one typed error on
+  the wire and leaves no cache or tier entry behind.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import routing
+from repro.core.instance import DAGInstance, Instance
+from repro.extensions.uniform_machines import UniformInstance
+from repro.online.arrivals import ArrivalTrace
+from repro.periodic.model import PeriodicInstance
+from repro.qos.tenants import TenantConfig, TenantRegistry
+from repro.service import ServiceConfig, SolverService, protocol, server
+from repro.service.protocol import (
+    ProtocolError,
+    encode_message,
+    instance_from_payload,
+    request_key,
+    solve_request,
+)
+from repro.service.server import serve_tcp
+from repro.service.tier import ResponseTier
+from repro.solvers import LRUCache
+
+from make_golden import golden_instances, golden_specs
+
+
+def run(coro):
+    return asyncio.run(coro)
+
+
+@pytest.fixture
+def inst() -> Instance:
+    return Instance.from_lists(p=[4, 3, 2, 2, 1, 6, 5], s=[1, 5, 2, 4, 3, 2, 6], m=3)
+
+
+# --------------------------------------------------------------------------- #
+# digest
+# --------------------------------------------------------------------------- #
+CODECS = ["orjson", "stdlib"]
+
+
+def _with_codec(codec: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    if codec == "stdlib":
+        monkeypatch.setattr(protocol, "_orjson", None)
+    elif protocol._orjson is None:
+        pytest.skip("orjson is not installed")
+
+
+def _tagged(value):
+    """A type-strict structural form: equal exactly when two decoded JSON
+    values are the same value (``1``, ``1.0`` and ``true`` differ, ``-0.0``
+    and ``0.0`` differ, dict key order does not count)."""
+    if value is None or isinstance(value, (bool, str)):
+        return (type(value).__name__, value)
+    if isinstance(value, int):
+        return ("int", value)
+    if isinstance(value, float):
+        return ("float", "nan" if math.isnan(value) else value.hex())
+    if isinstance(value, list):
+        return ("list", tuple(_tagged(v) for v in value))
+    return ("dict", tuple(sorted((k, _tagged(v)) for k, v in value.items())))
+
+
+def _reordered(value):
+    """The same value with every dict's field order reversed."""
+    if isinstance(value, list):
+        return [_reordered(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _reordered(value[k]) for k in reversed(list(value))}
+    return value
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**65)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, 1.0, 1, True, 0, False])
+    | st.text(max_size=6)
+    | st.sampled_from(["é", "e", " ", "日本", "\U0001f600"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _request(instance, params=None, **extra):
+    request = {"op": "solve", "instance": instance, "spec": "lpt", **extra}
+    if params is not None:
+        request["params"] = params
+    return request
+
+
+class TestDigest:
+    @pytest.mark.parametrize("codec", CODECS)
+    @settings(max_examples=300, deadline=None)
+    @given(a=json_values, b=json_values)
+    def test_injective_over_json_values(self, codec, a, b):
+        with pytest.MonkeyPatch.context() as mp:
+            _with_codec(codec, mp)
+            same = _tagged(a) == _tagged(b)
+            assert (request_key(_request(a)) == request_key(_request(b))) == same
+            nested_a, nested_b = {"x": {"y": [a]}}, {"x": {"y": [b]}}
+            assert (request_key(_request(None, nested_a))
+                    == request_key(_request(None, nested_b))) == same
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @settings(max_examples=150, deadline=None)
+    @given(value=json_values)
+    def test_equal_values_give_equal_keys(self, codec, value):
+        with pytest.MonkeyPatch.context() as mp:
+            _with_codec(codec, mp)
+            base = request_key(_request(value, {"p": value}))
+            assert request_key(_request(_reordered(value), _reordered({"p": value}))) == base
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (math.nan, None), (math.inf, None), (-math.inf, None),
+            (math.inf, -math.inf), (-0.0, 0.0), (1, 1.0), (1, True),
+            (1.0, True), (0, False), (None, False), ("é", "e"),
+            (2**64, 2**64 + 1), (2**64, float(2**64)), (2**64, str(2**64)),
+            ([1, 2], [2, 1]), ({"a": 1}, {"a": 1.0}), ([None], [math.nan]),
+        ],
+    )
+    def test_edge_pairs_key_apart(self, codec, a, b, monkeypatch):
+        _with_codec(codec, monkeypatch)
+        assert request_key(_request(a)) != request_key(_request(b))
+        assert request_key(_request(None, {"k": [a]})) != request_key(_request(None, {"k": [b]}))
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_ignores_fields_outside_the_answer(self, codec, inst, monkeypatch):
+        _with_codec(codec, monkeypatch)
+        base = solve_request(inst, "sbo(delta=1.0)", params={"inner": "lpt"})
+        variant = solve_request(
+            inst, "sbo(delta=1.0)", params={"inner": "lpt"}, request_id=99,
+            timeout=3.0, tenant="alice", trace={"id": "t1", "span": "s1"},
+        )
+        variant = _reordered(variant)
+        assert list(variant) != list(base)
+        assert request_key(variant) == request_key(base)
+        assert request_key(solve_request(inst, "sbo(delta=2.0)")) != request_key(
+            solve_request(inst, "sbo(delta=1.0)"))
+
+    def test_forms_are_tagged_apart(self, inst):
+        if protocol._orjson is None:
+            pytest.skip("orjson is not installed")
+        finite = _request(inst.to_dict())
+        fast = request_key(finite)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "_orjson", None)
+            slow = request_key(finite)
+        # The same request keys differently per codec (deterministic per
+        # environment), and a non-finite float takes the tagged stdlib form.
+        assert fast != slow
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "_orjson", None)
+            stdlib_nan = request_key(_request([math.nan]))
+        assert request_key(_request([math.nan])) == stdlib_nan
+
+    def test_routing_reexports_the_one_digest(self):
+        assert routing.request_key is request_key
+
+
+# --------------------------------------------------------------------------- #
+# the tier's bounds
+# --------------------------------------------------------------------------- #
+def _payload(n: int, cache: str = "miss") -> dict:
+    return {"solver": "lpt", "assignment": [[i, 0] for i in range(n)],
+            "provenance": {"solver": "lpt", "cache": cache}}
+
+
+class TestResponseTier:
+    def test_lru_entry_bound(self):
+        tier = ResponseTier(max_entries=2, max_tasks=100)
+        tier.put("a", _payload(1))
+        tier.put("b", _payload(1))
+        assert tier.get("a") is not None  # touch: b is now least recent
+        tier.put("c", _payload(1))
+        assert tier.get("b") is None
+        assert tier.get("a") is not None and tier.get("c") is not None
+        assert len(tier) == 2
+
+    def test_size_budget_is_never_exceeded(self):
+        tier = ResponseTier(max_entries=100, max_tasks=50)
+        for i, n in enumerate([10, 30, 20, 49, 5, 50, 1, 25, 40]):
+            tier.put(str(i), _payload(n))
+            assert tier.get(str(i)) is not None
+            assert tier.tasks == sum(e.size for e in tier._entries.values()) <= 50
+        tier.put("huge", _payload(51))
+        assert tier.get("huge") is None and tier.tasks <= 50
+
+    def test_replacing_a_key_keeps_the_size_exact(self):
+        tier = ResponseTier(max_entries=10, max_tasks=100)
+        tier.put("a", _payload(30))
+        tier.put("a", _payload(10))
+        assert tier.tasks == 10 and len(tier) == 1
+
+    def test_stored_payloads_are_stamped_hit(self):
+        tier = ResponseTier()
+        tier.put("k", _payload(3, cache="miss"), family="lpt")
+        entry = tier.get("k")
+        assert entry.family == "lpt" and entry.payload["provenance"]["cache"] == "hit"
+        served = _payload(3, cache="hit")
+        tier.put("h", served)
+        assert tier.get("h").payload is served
+
+
+# --------------------------------------------------------------------------- #
+# the service's tier over TCP
+# --------------------------------------------------------------------------- #
+class Wire:
+    """One TCP connection to a served :class:`SolverService`."""
+
+    def __init__(self, svc: SolverService) -> None:
+        self.svc = svc
+
+    async def __aenter__(self) -> "Wire":
+        self.server = await serve_tcp(self.svc, port=0)
+        port = self.server.sockets[0].getsockname()[1]
+        self.reader, self.writer = await asyncio.open_connection(
+            "127.0.0.1", port, limit=server.READER_LIMIT)
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        self.writer.close()
+        self.server.close()
+        await self.server.wait_closed()
+
+    async def raw(self, payload: dict) -> bytes:
+        self.writer.write(encode_message(payload))
+        await self.writer.drain()
+        return await asyncio.wait_for(self.reader.readline(), 60)
+
+    async def call(self, payload: dict) -> dict:
+        return json.loads(await self.raw(payload))
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Counts instance rebuilds on the serving path."""
+    calls = []
+
+    def counting(data):
+        calls.append(1)
+        return instance_from_payload(data)
+
+    monkeypatch.setattr(server, "instance_from_payload", counting)
+    return calls
+
+
+class TestServiceTier:
+    def test_tier_hit_is_byte_identical_to_the_disk_hit(self, tmp_path, rebuilds):
+        golden = golden_instances()["small-independent"]
+        specs = golden_specs("small-independent", golden)
+
+        async def scenario():
+            async with SolverService(workers=1, cache=str(tmp_path / "cache")) as svc:
+                async with Wire(svc) as wire:
+                    for spec in specs:
+                        request = solve_request(golden, spec, request_id=7)
+                        miss = await wire.call(request)
+                        assert miss["ok"], (spec, miss)
+                        assert miss["result"]["provenance"]["cache"] == "miss"
+                        before = len(rebuilds)
+                        disk_hit = await wire.raw(request)
+                        assert len(rebuilds) == before + 1
+                        tier_hit = await wire.raw(request)
+                        assert len(rebuilds) == before + 1, spec  # no rebuild
+                        assert tier_hit == disk_hit, spec
+                        assert json.loads(tier_hit)["result"]["provenance"]["cache"] == "hit"
+                    stats = svc.stats()
+                    n = len(specs)
+                    assert len(svc.response_tier) == n
+                    assert stats.submitted == 3 * n and stats.completed == n
+                    assert stats.cache_hits == 2 * n and stats.cache_misses == n
+                    assert stats.lost == 0
+                    lpt_specs = sum(spec.startswith("lpt") for spec in specs)
+                    assert stats.families["lpt"]["count"] == 3 * lpt_specs
+
+        run(scenario())
+
+    def test_tier_hit_checks_the_fields_outside_the_digest(self, inst):
+        async def scenario():
+            async with SolverService(workers=1, cache=LRUCache()) as svc:
+                async with Wire(svc) as wire:
+                    for rid in range(2):
+                        assert (await wire.call(solve_request(inst, "lpt", request_id=rid)))["ok"]
+                    assert len(svc.response_tier) == 1
+                    bad_timeout = await wire.call({**solve_request(inst, "lpt", request_id=3),
+                                                   "timeout": "soon"})
+                    assert bad_timeout["error"]["type"] == "ProtocolError"
+                    negative = await wire.call(solve_request(inst, "lpt", request_id=4,
+                                                             timeout=-1.0))
+                    assert negative["error"]["type"] == "ValueError"
+                    bad_tenant = await wire.call({**solve_request(inst, "lpt", request_id=5),
+                                                  "tenant": ""})
+                    assert bad_tenant["error"]["type"] == "ProtocolError"
+                    ok = await wire.call(solve_request(inst, "lpt", request_id=6, timeout=5.0))
+                    assert ok["ok"] and ok["id"] == 6
+                    stats = svc.stats()
+                    assert stats.submitted == 3 and stats.cache_hits == 2
+                    assert stats.lost == 0
+
+        run(scenario())
+
+    def test_rate_limit_applies_to_hot_requests(self, inst):
+        tenants = TenantRegistry([TenantConfig("t", rate=0.001, burst=2)], default="t")
+
+        async def scenario():
+            config = ServiceConfig(workers=1, cache=LRUCache(), tenants=tenants)
+            async with SolverService(config) as svc:
+                async with Wire(svc) as wire:
+                    for rid in range(2):
+                        response = await wire.call(
+                            solve_request(inst, "lpt", request_id=rid, tenant="t"))
+                        assert response["ok"], response
+                    assert len(svc.response_tier) == 1  # the next one is hot
+                    limited = await wire.call(
+                        solve_request(inst, "lpt", request_id=2, tenant="t"))
+                    assert limited["ok"] is False
+                    assert limited["error"]["code"] == "rate_limited"
+                    unknown = await wire.call(
+                        solve_request(inst, "lpt", request_id=3, tenant="nobody"))
+                    assert unknown["error"]["code"] == "unknown_tenant"
+                    stats = svc.stats()
+                    assert stats.lost == 0 and stats.rejected == 2
+                    snap = stats.tenants["t"]
+                    assert snap["admitted"] + snap["rejected"] == snap["submitted"] == 3
+                    assert snap["lost"] == 0
+
+        run(scenario())
+
+    def test_misses_errors_and_joins_are_never_admitted(self, inst, monkeypatch):
+        digests = []
+
+        def counting(request):
+            digests.append(1)
+            return request_key(request)
+
+        monkeypatch.setattr(server, "request_key", counting)
+
+        def variant(k: int) -> Instance:
+            return Instance.from_lists(p=[k + 1, 2, 3, 4], s=[1, 2, 3, k + 1], m=2)
+
+        async def scenario():
+            async with SolverService(workers=1, cache=LRUCache()) as svc:
+                async with Wire(svc) as wire:
+                    for k in range(6):
+                        response = await wire.call(solve_request(variant(k), "lpt", request_id=k))
+                        assert response["result"]["provenance"]["cache"] == "miss"
+                    errors = [
+                        solve_request(inst, "no_such_solver", request_id=10),
+                        solve_request(inst, "constrained", request_id=11),
+                        {"id": 12, "op": "solve", "instance": {"kind": "nope"}, "spec": "lpt"},
+                        {"id": 13, "op": "solve", "instance": inst.to_dict()},
+                    ]
+                    for request in errors * 2:
+                        assert (await wire.call(request))["ok"] is False
+                    assert len(svc.response_tier) == 0
+                # Coalesced joins carry the job's miss result: not admitted.
+                joined = await asyncio.gather(*(
+                    server.handle_request(svc, solve_request(variant(9), "sbo(delta=1.0)"))
+                    for _ in range(3)))
+                assert all(r["result"]["provenance"]["cache"] == "miss" for r in joined)
+                assert svc.stats().coalesced == 2
+                assert len(svc.response_tier) == 0 and svc.stats().lost == 0
+                assert digests == []  # an empty tier is never consulted
+
+        run(scenario())
+
+    def test_large_payloads_respect_the_size_budget(self):
+        def sized(n: int, seed: int) -> Instance:
+            return Instance.from_lists(p=[(i * seed) % 17 + 1 for i in range(n)],
+                                       s=[(i + seed) % 13 + 1 for i in range(n)], m=4)
+
+        async def scenario():
+            async with SolverService(workers=1, cache=LRUCache()) as svc:
+                tier = svc.response_tier
+                tier.max_tasks = 100
+                for seed, n in enumerate([40, 60, 30, 101, 90, 20, 100], start=1):
+                    request = solve_request(sized(n, seed), "lpt")
+                    for _ in range(3):
+                        response = await server.handle_request(svc, request)
+                        assert response["ok"]
+                        assert tier.tasks <= 100
+                    in_tier = tier.get(request_key(request)) is not None
+                    assert in_tier == (n <= 100)
+                assert svc.stats().lost == 0
+
+        run(scenario())
+
+    def test_no_cache_means_no_tier_and_no_cache_marker(self, inst):
+        async def scenario():
+            async with SolverService(workers=1, cache=False) as svc:
+                assert svc.response_tier is None
+                async with Wire(svc) as wire:
+                    for rid in range(3):
+                        response = await wire.call(solve_request(inst, "lpt", request_id=rid))
+                        assert response["ok"]
+                        assert "cache" not in response["result"]["provenance"]
+                assert svc.stats().cache_hits == 0
+
+        run(scenario())
+
+    def test_closed_service_does_not_serve_from_the_tier(self, inst):
+        async def scenario():
+            svc = SolverService(workers=1, cache=LRUCache())
+            async with svc:
+                request = solve_request(inst, "lpt", request_id=1)
+                for _ in range(2):
+                    await server.handle_request(svc, request)
+            assert svc.response_tier is None
+            response = await server.handle_request(svc, request)
+            assert response["error"]["type"] == "ServiceClosedError"
+
+        run(scenario())
+
+
+class TestRouterTier:
+    def test_router_serves_repeats_from_its_tier(self, inst):
+        from repro.cluster import ClusterConfig, ClusterRouter
+
+        config = ClusterConfig(shards=2, min_shards=1, max_shards=2, backend="inproc",
+                               workers=1, cache=False, session_ttl=None, router_cache=2)
+        others = [Instance.from_lists(p=[k + 1, 2, 3], s=[3, 2, k + 1], m=2) for k in range(2)]
+
+        async def scenario():
+            async with ClusterRouter(config) as router:
+                first = await router.handle(solve_request(inst, "lpt", request_id=1))
+                again = await router.handle(solve_request(inst, "lpt", request_id=2))
+                assert "cache" not in first["result"]["provenance"]
+                assert again["id"] == 2 and again["result"]["provenance"]["cache"] == "hit"
+                assert {**again["result"], "provenance": first["result"]["provenance"]} == first["result"]
+                counters = router.router_counters()
+                assert counters["routed"] == 1
+                assert counters["router_cache_hits"] == 1 and counters["router_cache_misses"] == 1
+                for other in others:  # two newer entries evict the first
+                    await router.handle(solve_request(other, "lpt"))
+                await router.handle(solve_request(inst, "lpt"))
+                assert router.router_counters()["routed"] == 4
+
+        run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# strict integer m
+# --------------------------------------------------------------------------- #
+BAD_M = [2.5, True, "2", 4.0]
+
+
+def _instance_payloads():
+    independent = Instance.from_lists(p=[3, 2, 1], s=[1, 2, 3], m=2)
+    dag = DAGInstance(independent.tasks, m=2, edges=[(0, 1)])
+    uniform = UniformInstance(independent.tasks, speeds=[1.0, 2.0])
+    periodic = PeriodicInstance.from_dict({
+        "kind": "periodic", "m": 2,
+        "tasks": [{"id": 0, "wcet": 1.0, "s": 1.0, "period": 4.0}],
+    })
+    return {"independent": independent.to_dict(), "dag": dag.to_dict(),
+            "uniform": uniform.to_dict(), "periodic": periodic.to_dict()}
+
+
+class TestStrictM:
+    @pytest.mark.parametrize("bad", BAD_M, ids=repr)
+    @pytest.mark.parametrize("kind", ["independent", "dag", "uniform", "periodic"])
+    def test_from_payload_rejects_non_int_m(self, kind, bad):
+        data = {**_instance_payloads()[kind], "m": bad}
+        with pytest.raises(ProtocolError, match="m"):
+            instance_from_payload(data)
+
+    @pytest.mark.parametrize("bad", BAD_M, ids=repr)
+    def test_arrival_trace_rejects_non_int_m(self, bad):
+        data = {"kind": "arrival_trace", "m": bad,
+                "events": [{"time": 0.0, "id": 0, "p": 1.0, "s": 1.0}]}
+        with pytest.raises(TypeError, match="m must be an int"):
+            ArrivalTrace.from_dict(data)
+
+    def test_valid_m_still_parses(self):
+        for kind, data in _instance_payloads().items():
+            assert instance_from_payload(data).m == 2, kind
+
+    def test_rejected_over_tcp_without_cache_or_tier_entries(self, inst):
+        cache = LRUCache()
+
+        async def scenario():
+            async with SolverService(workers=1, cache=cache) as svc:
+                async with Wire(svc) as wire:
+                    for rid, bad in enumerate(BAD_M * 2):
+                        request = solve_request(inst, "lpt", request_id=rid)
+                        request["instance"]["m"] = bad
+                        response = await wire.call(request)
+                        assert response["ok"] is False
+                        assert response["error"]["type"] == "ProtocolError", response
+                        assert "m" in response["error"]["message"]
+                    assert len(cache) == 0 and len(svc.response_tier) == 0
+                    assert svc.stats().submitted == 0
+
+        run(scenario())
