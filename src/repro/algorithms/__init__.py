@@ -45,7 +45,6 @@ from repro.algorithms.baselines import (
     round_robin_schedule,
     random_schedule,
 )
-from repro.algorithms.registry import get_solver, available_solvers
 
 __all__ = [
     "list_schedule",
@@ -62,6 +61,4 @@ __all__ = [
     "makespan_oblivious_schedule",
     "round_robin_schedule",
     "random_schedule",
-    "get_solver",
-    "available_solvers",
 ]

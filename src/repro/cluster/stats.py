@@ -15,11 +15,10 @@ monitoring, not billing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from repro.qos.stats import merge_tenant_snapshots
+from repro.qos.stats import _merge_windows, merge_tenant_snapshots
 
 __all__ = ["ClusterStats", "merge_shard_stats", "merge_families"]
 
@@ -33,9 +32,6 @@ _SUMMED_KEYS = (
     "sessions_rejected", "sessions_restored", "session_tasks",
     "latency_count",
 )
-
-_WEIGHTED_KEYS = ("p50", "p90", "p99", "mean")
-
 
 @dataclass(frozen=True)
 class ClusterStats:
@@ -99,32 +95,11 @@ def merge_families(
     breakdowns: List[Mapping[str, Mapping[str, float]]],
 ) -> Dict[str, Dict[str, float]]:
     """Count-weighted merge of per-shard family latency breakdowns."""
-    merged: Dict[str, Dict[str, float]] = {}
+    windows: Dict[str, List[Mapping[str, float]]] = {}
     for breakdown in breakdowns:
         for family, snap in breakdown.items():
-            bucket = merged.setdefault(
-                family,
-                {"count": 0, "max": -math.inf,
-                 **{key: 0.0 for key in _WEIGHTED_KEYS}},
-            )
-            count = int(snap.get("count", 0))
-            if count <= 0:
-                continue
-            for key in _WEIGHTED_KEYS:
-                value = float(snap.get(key, math.nan))
-                if not math.isnan(value):
-                    bucket[key] += count * value
-            bucket["count"] += count
-            maximum = float(snap.get("max", math.nan))
-            if not math.isnan(maximum):
-                bucket["max"] = max(bucket["max"], maximum)
-    for family, bucket in merged.items():
-        count = bucket["count"]
-        for key in _WEIGHTED_KEYS:
-            bucket[key] = bucket[key] / count if count else math.nan
-        if bucket["max"] == -math.inf:
-            bucket["max"] = math.nan
-    return {family: merged[family] for family in sorted(merged)}
+            windows.setdefault(family, []).append(snap)
+    return {family: _merge_windows(windows[family]) for family in sorted(windows)}
 
 
 def merge_shard_stats(

@@ -11,8 +11,7 @@ paper's theorems):
   memory-budgeted RLS analogue.
 
 The online scheduler that used to live here graduated into the
-first-class streaming subsystem :mod:`repro.online`;
-``repro.extensions.online`` remains as a deprecated shim.
+first-class streaming subsystem :mod:`repro.online`.
 """
 
 from __future__ import annotations
@@ -27,15 +26,5 @@ __all__ = [
     "UniformInstance",
     "uniform_list_schedule",
     "uniform_rls",
-    "OnlineBiObjectiveScheduler",
 ]
 
-
-def __getattr__(name: str):
-    # Lazy so `import repro.extensions` (e.g. for uniform machines) does not
-    # fire the repro.extensions.online deprecation warning.
-    if name == "OnlineBiObjectiveScheduler":
-        from repro.extensions.online import OnlineBiObjectiveScheduler
-
-        return OnlineBiObjectiveScheduler
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,7 @@ One subsystem turns the scattered per-layer stats snapshots
   (kernel vs validation vs hashing vs serialization, per family).
 * :mod:`repro.obs.logging` — structured JSON event log for the things
   that used to vanish silently (shard death, journal replay, autoscale
-  decisions, framing negotiation) plus the slow-request log.
+  decisions) plus the slow-request log.
 
 Everything is **off by default and zero-cost when disabled**: hot paths
 pay one attribute check, the wire format is byte-identical when no

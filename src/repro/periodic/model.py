@@ -420,11 +420,10 @@ class PeriodicInstance:
             for rec in data["tasks"]  # type: ignore[index]
         ]
         horizon = data.get("horizon")
-        budget = data.get("unroll_budget", DEFAULT_UNROLL_BUDGET)
         return cls(
             tasks, m=data["m"],  # type: ignore[arg-type]
             horizon=None if horizon is None else float(horizon),  # type: ignore[arg-type]
-            unroll_budget=int(budget),  # type: ignore[arg-type]
+            unroll_budget=data.get("unroll_budget", DEFAULT_UNROLL_BUDGET),  # type: ignore[arg-type]
             name=data.get("name"),  # type: ignore[arg-type]
         )
 

@@ -37,11 +37,8 @@ from typing import Dict, Optional, Type
 
 from repro.obs.trace import RECORDER, new_span_id, new_trace_id, wire_trace
 from repro.service.protocol import (
-    DEFAULT_FRAMING,
-    FRAME_HEADER,
-    MAX_FRAME_BYTES,
-    get_framing,
-    negotiate_request,
+    decode_message,
+    encode_message,
     session_close_request,
     session_open_request,
     session_result_request,
@@ -138,7 +135,6 @@ class ServiceClient:
         self._writer = writer
         self._ids = itertools.count(1)
         self._pending: Dict[object, "asyncio.Future"] = {}
-        self._framing = get_framing(DEFAULT_FRAMING)
         self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
         self._closed = False
         self._dead = False
@@ -158,45 +154,16 @@ class ServiceClient:
         reader, writer = await asyncio.open_connection(host, port, limit=READER_LIMIT)
         return cls(reader, writer, trace=trace)
 
-    @property
-    def framing(self) -> str:
-        """Name of the wire framing this connection currently speaks."""
-        return self._framing.name
-
-    async def _read_frame(self) -> Optional[Dict[str, object]]:
-        """One response in the current framing, or ``None`` at EOF."""
-        framing = self._framing
-        if framing.line_delimited:
-            line = await self._reader.readline()
-            if not line:
-                return None
-            return framing.decode_body(line)
-        try:
-            header = await self._reader.readexactly(FRAME_HEADER.size)
-        except asyncio.IncompleteReadError:
-            return None
-        (length,) = FRAME_HEADER.unpack(header)
-        if length == 0 or length > MAX_FRAME_BYTES:
-            raise ConnectionError(f"invalid frame length {length} from server")
-        try:
-            body = await self._reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            return None
-        return framing.decode_body(body)
-
     async def _read_loop(self) -> None:
         try:
             while True:
-                response = await self._read_frame()
-                if response is None:
+                line = await self._reader.readline()
+                if not line:
                     break
+                response = decode_message(line)
                 future = self._pending.pop(response.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(response)
-        except asyncio.CancelledError:
-            # negotiate() cancels and restarts the reader mid-connection;
-            # the transport is still good, so don't latch the dead state.
-            return
         except (ConnectionError, OSError, ValueError):
             pass
         # EOF or transport loss: the connection is gone for good.  Fail
@@ -208,36 +175,6 @@ class ServiceClient:
             if not future.done():
                 future.set_exception(ConnectionError("server connection closed"))
         self._pending.clear()
-
-    async def negotiate(self, framings=("msgpack",)) -> str:
-        """Switch the connection to the first framing the server supports.
-
-        Sends a ``negotiate`` request (preference order as given) and —
-        when the server picks something other than the current framing —
-        restarts the reader in the agreed framing.  Returns the name of
-        the framing now in effect; the server keeps line-delimited JSON
-        when it supports none of the requested framings, so this never
-        fails, it degrades.  Do not issue concurrent requests on this
-        connection while a negotiation is in flight: the negotiate
-        response must be the last frame the server writes in the old
-        framing.
-        """
-        response = await self.request(negotiate_request(list(framings)))
-        name = str(response.get("framing", DEFAULT_FRAMING))
-        chosen = get_framing(name)
-        if chosen.name != self._framing.name:
-            # The reader is parked on the old framing's read; no data can
-            # be in flight (responses only follow requests, and the
-            # negotiate response was the last old-framing frame), so a
-            # cancel/restart loses nothing.
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._framing = chosen
-            self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
-        return chosen.name
 
     async def request_raw(self, payload: Dict[str, object]) -> Dict[str, object]:
         """Send one request payload; returns the raw response dict as-is.
@@ -257,7 +194,7 @@ class ServiceClient:
         future = asyncio.get_running_loop().create_future()
         self._pending[payload["id"]] = future
         try:
-            self._writer.write(self._framing.encode(payload))
+            self._writer.write(encode_message(payload))
             await self._writer.drain()
             return await future
         finally:
@@ -297,7 +234,7 @@ class ServiceClient:
             raise ConnectionError("client is closed")
         if self._dead:
             raise ConnectionError("server connection closed")
-        self._writer.write(self._framing.encode(payload))
+        self._writer.write(encode_message(payload))
         await self._writer.drain()
 
     # ------------------------------------------------------------------ #

@@ -108,8 +108,12 @@ tolerate them.  **Exception:** ``stats`` and ``metrics`` payloads are
 sanitized with :func:`sanitize_non_finite` before encoding — an idle
 service's percentile snapshot is ``nan``-filled, and emitting the
 ``NaN`` literal there broke strict-JSON consumers (and round-tripped as
-``null`` on the orjson framing anyway); monitoring payloads use plain
-``null`` on every framing instead.
+``null`` on the orjson fast path anyway); monitoring payloads use plain
+``null`` instead, with or without orjson.
+
+Line-delimited JSON is the only wire format; ``ping`` reports the
+protocol version (:data:`PROTOCOL_VERSION`), and an op outside the list
+above gets an ``unknown op`` error.
 """
 
 from __future__ import annotations
@@ -117,8 +121,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.instance import DAGInstance, Instance
 from repro.solvers.result import SolveResult
@@ -137,14 +140,6 @@ __all__ = [
     "decode_message",
     "request_key",
     "sanitize_non_finite",
-    "Framing",
-    "register_framing",
-    "get_framing",
-    "available_framings",
-    "negotiate_request",
-    "choose_framing",
-    "encode_frame",
-    "FRAME_HEADER",
     "instance_from_payload",
     "task_from_payload",
     "result_to_payload",
@@ -156,7 +151,7 @@ __all__ = [
     "values_from_payload",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Provenance keys surfaced to clients next to the result payload.
 _PROVENANCE_KEYS = ("solver", "spec", "params", "version", "cache")
@@ -225,10 +220,10 @@ def sanitize_non_finite(value: object) -> object:
     Applied to ``stats``/``metrics`` payloads at the protocol boundary:
     an idle service's latency snapshot is legitimately ``nan``-filled,
     but stdlib ``json`` would emit the non-standard ``NaN`` literal
-    while the orjson framing nullifies non-finite floats — the same
-    snapshot serialized differently per framing, and invalid strict
+    while the orjson fast path nullifies non-finite floats — the same
+    snapshot serialized differently per encoder, and invalid strict
     JSON on one of them.  Monitoring consumers read ``null`` instead,
-    identically on every framing.  Containers are copied only as needed;
+    identically with either encoder.  Containers are copied only as needed;
     scalars pass through.
     """
     if isinstance(value, float):
@@ -246,8 +241,8 @@ def encode_message(payload: Dict[str, object]) -> bytes:
     Uses ``orjson`` when installed and the payload is expressible in strict
     JSON (finite floats, string keys); otherwise the stdlib encoder, whose
     output is byte-compatible modulo key-order-preserving compact
-    separators — both emit the same wire format, so the fast path needs no
-    negotiation and is invisible to peers.
+    separators — both emit the same wire format, so the fast path is
+    invisible to peers.
     """
     if _orjson is not None and not _has_non_finite(payload):
         try:
@@ -320,171 +315,6 @@ def request_key(request: Dict[str, object]) -> str:
                 return hashlib.sha256(b"o:" + blob).hexdigest()
     text = json.dumps(routed, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(b"j:" + text.encode("utf-8")).hexdigest()
-
-
-# ------------------------------------------------------------------------- #
-# wire framings and negotiation
-# ------------------------------------------------------------------------- #
-#: 4-byte big-endian body length preceding every non-line-delimited frame.
-FRAME_HEADER = struct.Struct(">I")
-
-#: Upper bound accepted for one length-prefixed frame (matches the spirit
-#: of the server's line-length cap; a corrupt header must not allocate GiB).
-MAX_FRAME_BYTES = 256 * 1024 * 1024
-
-
-class Framing:
-    """One negotiable wire framing.
-
-    A *line-delimited* framing terminates every frame with ``\\n`` — the
-    legacy default any client (or a human with ``nc``) can speak.  All
-    other framings are *length-prefixed*: each frame is a
-    :data:`FRAME_HEADER` (4-byte big-endian body length) followed by the
-    body, so binary encodings whose bodies may contain newline bytes work.
-
-    ``encode_body`` maps a payload dict to one frame body (for
-    line-delimited framings: the full newline-terminated line);
-    ``decode_body`` is its inverse and must raise :class:`ProtocolError`
-    on malformed input.  ``probe`` (optional) reports whether the
-    framing's dependencies are importable — unavailable framings stay
-    registered but are never advertised or negotiated.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        encode_body: Callable[[Dict[str, object]], bytes],
-        decode_body: Callable[[bytes], Dict[str, object]],
-        line_delimited: bool = False,
-        probe: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        self.name = name
-        self._encode_body = encode_body
-        self.decode_body = decode_body
-        self.line_delimited = line_delimited
-        self._probe = probe
-
-    @property
-    def available(self) -> bool:
-        """Whether the framing can actually run in this process."""
-        if self._probe is None:
-            return True
-        try:
-            return bool(self._probe())
-        except Exception:
-            return False
-
-    def encode(self, payload: Dict[str, object]) -> bytes:
-        """Serialize ``payload`` to one complete frame (header included)."""
-        body = self._encode_body(payload)
-        if self.line_delimited:
-            return body
-        return FRAME_HEADER.pack(len(body)) + body
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "line" if self.line_delimited else "length-prefixed"
-        return f"Framing({self.name!r}, {kind}, available={self.available})"
-
-
-_FRAMINGS: "Dict[str, Framing]" = {}
-
-#: Name of the framing every connection starts in.
-DEFAULT_FRAMING = "json"
-
-
-def register_framing(framing: Framing, replace: bool = False) -> Framing:
-    """Register a framing for negotiation (``replace=True`` to override)."""
-    if not replace and framing.name in _FRAMINGS:
-        raise ValueError(f"framing {framing.name!r} is already registered")
-    _FRAMINGS[framing.name] = framing
-    return framing
-
-
-def get_framing(name: str) -> Framing:
-    """Look up a registered framing by name (:class:`ProtocolError` if unknown)."""
-    try:
-        return _FRAMINGS[name]
-    except KeyError:
-        raise ProtocolError(
-            f"unknown framing {name!r}; registered: {sorted(_FRAMINGS)}"
-        ) from None
-
-
-def available_framings() -> List[str]:
-    """Names of the framings this process can speak, default first."""
-    names = [name for name, f in _FRAMINGS.items() if f.available]
-    names.sort(key=lambda name: (name != DEFAULT_FRAMING, name))
-    return names
-
-
-def choose_framing(preferences) -> Framing:
-    """Server-side negotiation: first available framing the client prefers.
-
-    Falls back to the default line-delimited JSON framing when nothing in
-    ``preferences`` is registered and available — negotiation never fails,
-    it degrades.
-    """
-    if isinstance(preferences, (str, bytes)) or not hasattr(preferences, "__iter__"):
-        raise ProtocolError("'framings' must be a list of framing names")
-    for name in preferences:
-        framing = _FRAMINGS.get(name) if isinstance(name, str) else None
-        if framing is not None and framing.available:
-            return framing
-    return _FRAMINGS[DEFAULT_FRAMING]
-
-
-def negotiate_request(framings, request_id: object = None) -> Dict[str, object]:
-    """Build a ``negotiate`` request payload (client's framings, preferred first)."""
-    payload: Dict[str, object] = {"op": "negotiate", "framings": list(framings)}
-    if request_id is not None:
-        payload["id"] = request_id
-    return payload
-
-
-def _msgpack_mod():
-    import msgpack  # type: ignore
-
-    return msgpack
-
-
-def _msgpack_probe() -> bool:
-    try:
-        _msgpack_mod()
-    except ImportError:
-        return False
-    return True
-
-
-def _msgpack_encode(payload: Dict[str, object]) -> bytes:
-    return _msgpack_mod().packb(payload, use_bin_type=True)
-
-
-def _msgpack_decode(body: bytes) -> Dict[str, object]:
-    try:
-        obj = _msgpack_mod().unpackb(body, raw=False, strict_map_key=False)
-    except Exception as exc:
-        raise ProtocolError(f"frame body is not valid msgpack: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"request must decode to a map, got {type(obj).__name__}")
-    return obj
-
-
-register_framing(
-    Framing(
-        DEFAULT_FRAMING,
-        encode_body=encode_message,
-        decode_body=decode_message,
-        line_delimited=True,
-    )
-)
-register_framing(
-    Framing(
-        "msgpack",
-        encode_body=_msgpack_encode,
-        decode_body=_msgpack_decode,
-        probe=_msgpack_probe,
-    )
-)
 
 
 def instance_from_payload(data: object) -> Union[Instance, DAGInstance]:

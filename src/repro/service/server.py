@@ -35,18 +35,12 @@ import time
 from functools import partial
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
-from repro.obs.logging import log_event
 from repro.obs.trace import RECORDER, new_span_id, parse_wire_trace
 from repro.service.protocol import (
-    DEFAULT_FRAMING,
-    FRAME_HEADER,
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    Framing,
     ProtocolError,
-    available_framings,
-    choose_framing,
-    get_framing,
+    decode_message,
+    encode_message,
     result_to_payload,
     instance_from_payload,
     error_code_for,
@@ -63,7 +57,7 @@ __all__ = ["handle_request", "serve_connection", "serve_tcp", "serve_stdio", "Ha
 #: response line (unacknowledged ``session_submit`` ops).  The transports
 #: (:func:`serve_connection` / :func:`serve_tcp` / :func:`serve_stdio`)
 #: default to ``handle_request`` bound to a :class:`SolverService`, but
-#: accept any handler — the cluster layer reuses the exact same framing,
+#: accept any handler — the cluster layer reuses the exact same line protocol,
 #: concurrency, and shutdown machinery with its router's handler.
 Handler = Callable[[Dict[str, object]], Awaitable[Optional[Dict[str, object]]]]
 
@@ -356,7 +350,7 @@ async def handle_request(
             return response
         if op == "stats":
             # Idle windows report nan percentiles; the wire carries null
-            # (identically on every framing) instead of the NaN literal.
+            # (with or without orjson) instead of the NaN literal.
             return {"id": request_id, "ok": True,
                     "stats": sanitize_non_finite(service.stats().to_dict())}
         if op == "metrics":
@@ -368,7 +362,6 @@ async def handle_request(
             # is O(1) gauges, cheap enough to poll every couple of seconds.
             return {"id": request_id, "ok": True, "pong": True,
                     "protocol": PROTOCOL_VERSION,
-                    "framings": available_framings(),
                     "load": service.load_summary()}
         if op == "drain":
             drained = await service.drain(timeout=_timeout_field(request))
@@ -403,17 +396,8 @@ async def serve_connection(
     Requests run concurrently; in-flight ones are awaited before the
     connection closes so no accepted request goes unanswered.  The
     default ``handler`` is :func:`handle_request` bound to ``service``;
-    passing another handler (the cluster router's) reuses this framing
-    and lifecycle unchanged — ``service`` may then be ``None``.
-
-    Every connection starts in the default line-delimited JSON framing.
-    A ``negotiate`` request is handled here at the transport level, not
-    by the handler, because it mutates connection state: in-flight
-    requests are drained, the response (naming the chosen framing) is
-    written in the *old* framing, and only then does the connection
-    switch.  A client must therefore not pipeline requests past an
-    unanswered ``negotiate``.  Clients that never send one stay on
-    line-delimited JSON forever — old clients are unaffected.
+    passing another handler (the cluster router's) reuses this line
+    protocol and lifecycle unchanged — ``service`` may then be ``None``.
     """
     if handler is None:
         if service is None:
@@ -421,7 +405,6 @@ async def serve_connection(
         handler = partial(handle_request, service)
     write_lock = asyncio.Lock()
     tasks: Set["asyncio.Task"] = set()
-    framing: Framing = get_framing(DEFAULT_FRAMING)
 
     async def respond(
         payload: Dict[str, object],
@@ -431,13 +414,13 @@ async def serve_connection(
             try:
                 if tctx is not None:
                     start = time.perf_counter()
-                    data = framing.encode(payload)
+                    data = encode_message(payload)
                     RECORDER.record(
                         "encode", "wire", tctx[0], new_span_id(), tctx[1],
                         start, time.perf_counter() - start, nbytes=len(data),
                     )
                 else:
-                    data = framing.encode(payload)
+                    data = encode_message(payload)
                 writer.write(data)
                 await writer.drain()
             except (ConnectionError, OSError):
@@ -445,31 +428,26 @@ async def serve_connection(
                 # outcome is already recorded in the service stats.
                 pass
 
-    async def process(raw: bytes, frame_framing: Framing) -> None:
+    async def process(raw: bytes) -> None:
         start = time.perf_counter()
         try:
             if len(raw) >= INLINE_DECODE_LIMIT:
                 request = await asyncio.get_running_loop().run_in_executor(
-                    None, frame_framing.decode_body, raw
+                    None, decode_message, raw
                 )
             else:
-                request = frame_framing.decode_body(raw)
+                request = decode_message(raw)
         except ProtocolError as exc:
             await respond({"id": None, "ok": False,
                            "error": {"type": "ProtocolError", "message": str(exc)}})
             return
-        if RECORDER.enabled:
-            tctx = parse_wire_trace(request.get("trace"))
-            if tctx is not None:
-                RECORDER.record(
-                    "recv", "wire", tctx[0], new_span_id(), tctx[1],
-                    start, time.perf_counter() - start, nbytes=len(raw),
-                )
-        await dispatch(request)
-
-    async def dispatch(request: Dict[str, object]) -> None:
         tctx = (parse_wire_trace(request.get("trace"))
                 if RECORDER.enabled else None)
+        if tctx is not None:
+            RECORDER.record(
+                "recv", "wire", tctx[0], new_span_id(), tctx[1],
+                start, time.perf_counter() - start, nbytes=len(raw),
+            )
         response = await handler(request)
         if response is None:  # unacknowledged op: no response line
             return
@@ -477,30 +455,12 @@ async def serve_connection(
         if response.get("shutdown") and shutdown is not None:
             shutdown.set()
 
-    async def read_frame() -> bytes:
-        """One frame body in the connection's current framing (b'' at EOF)."""
-        if framing.line_delimited:
-            return await reader.readline()
-        try:
-            header = await reader.readexactly(FRAME_HEADER.size)
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:  # clean EOF between frames
-                return b""
-            raise ConnectionResetError("connection closed mid-frame-header") from None
-        (length,) = FRAME_HEADER.unpack(header)
-        if length == 0 or length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"invalid frame length {length}")
-        try:
-            return await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise ConnectionResetError("connection closed mid-frame") from None
-
     shutdown_wait: Optional["asyncio.Task"] = (
         asyncio.create_task(shutdown.wait()) if shutdown is not None else None
     )
     try:
         while shutdown_wait is None or not shutdown_wait.done():
-            read = asyncio.create_task(read_frame())
+            read = asyncio.create_task(reader.readline())
             # Race the read against shutdown so a client that keeps the
             # connection open after sending {"op": "shutdown"} cannot park
             # the server in readline() forever.
@@ -515,12 +475,6 @@ async def serve_connection(
                 break
             try:
                 line = read.result()
-            except ProtocolError as exc:
-                # A corrupt length header leaves the stream unframeable.
-                await respond({"id": None, "ok": False,
-                               "error": {"type": "ProtocolError",
-                                         "message": str(exc)}})
-                break
             except ValueError as exc:
                 # A line exceeding READER_LIMIT cannot be framed: report it
                 # on the connection instead of dying silently, then close
@@ -535,43 +489,9 @@ async def serve_connection(
                 break
             if not line:
                 break
-            if framing.line_delimited and not line.strip():
+            if not line.strip():
                 continue
-            # Cheap sniff for the transport-level op.  False positives
-            # (payloads merely containing the word) decode here and fall
-            # through to normal dispatch with the decode already done.
-            if b"negotiate" in line and len(line) < INLINE_DECODE_LIMIT:
-                try:
-                    request = framing.decode_body(line)
-                except ProtocolError:
-                    request = None
-                if isinstance(request, dict) and request.get("op") == "negotiate":
-                    if tasks:
-                        # Drain in-flight requests: their responses must go
-                        # out in the framing their client spoke at the time.
-                        await asyncio.gather(*tasks, return_exceptions=True)
-                    try:
-                        chosen = choose_framing(request.get("framings", []))
-                    except ProtocolError as exc:
-                        await respond({"id": request.get("id"), "ok": False,
-                                       "error": {"type": "ProtocolError",
-                                                 "message": str(exc)}})
-                        continue
-                    await respond({"id": request.get("id"), "ok": True,
-                                   "framing": chosen.name,
-                                   "framings": available_framings(),
-                                   "protocol": PROTOCOL_VERSION})
-                    log_event("framing_negotiated",
-                              requested=request.get("framings"),
-                              chosen=chosen.name, previous=framing.name)
-                    framing = chosen
-                    continue
-                if request is not None:
-                    task = asyncio.create_task(dispatch(request))
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                    continue
-            task = asyncio.create_task(process(line, framing))
+            task = asyncio.create_task(process(line))
             tasks.add(task)
             task.add_done_callback(tasks.discard)
     finally:

@@ -9,9 +9,8 @@ the instance's processor count; the guarantee is what Property 1/2
 multiply by ``(1 + Δ)`` and ``(1 + 1/Δ)``.
 
 This module supersedes the string-keyed registry that used to live in
-``repro.algorithms.registry`` (kept there as a deprecated shim); the
-unified capability-aware registry of :mod:`repro.solvers.registry` builds
-on it.
+``repro.algorithms.registry``; the unified capability-aware registry of
+:mod:`repro.solvers.registry` builds on it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Unit tests for repro.algorithms.baselines and repro.algorithms.registry."""
+"""Unit tests for repro.algorithms.baselines and the single-objective solver table."""
 
 from __future__ import annotations
 
@@ -10,9 +10,12 @@ from repro.algorithms.baselines import (
     random_schedule,
     round_robin_schedule,
 )
-from repro.algorithms.registry import available_solvers, get_solver
 from repro.core.bounds import cmax_lower_bound, mmax_lower_bound
 from repro.core.validation import validate_schedule
+from repro.solvers.single import (
+    available_single_objective_solvers,
+    get_single_objective_solver,
+)
 from repro.workloads.independent import uniform_instance
 
 
@@ -48,17 +51,17 @@ class TestBaselines:
 
 class TestRegistry:
     def test_available_solvers(self):
-        names = available_solvers()
-        for expected in ("list", "lpt", "multifit", "ptas", "exact"):
-            assert expected in names
+        assert available_single_objective_solvers() == sorted(
+            ["list", "lpt", "multifit", "ptas", "ptas-fine", "exact"]
+        )
 
     def test_unknown_solver(self):
         with pytest.raises(KeyError, match="unknown solver"):
-            get_solver("quantum")
+            get_single_objective_solver("quantum")
 
     @pytest.mark.parametrize("name", ["list", "lpt", "multifit", "ptas"])
     def test_solver_contract(self, name, medium_instance):
-        solver = get_solver(name)
+        solver = get_single_objective_solver(name)
         schedule, rho = solver(medium_instance, "time")
         assert rho >= 1.0
         assert validate_schedule(schedule).ok
@@ -66,12 +69,12 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", ["list", "lpt", "multifit", "ptas"])
     def test_solver_contract_memory(self, name, medium_instance):
-        solver = get_solver(name)
+        solver = get_single_objective_solver(name)
         schedule, rho = solver(medium_instance, "memory")
         assert schedule.mmax <= rho * mmax_lower_bound(medium_instance) * (1 + 1e-9)
 
     def test_exact_solver_rho_one(self, medium_instance):
-        schedule, rho = get_solver("exact")(medium_instance, "time")
+        schedule, rho = get_single_objective_solver("exact")(medium_instance, "time")
         assert rho == 1.0
         from repro.algorithms.exact import exact_cmax
 
@@ -82,6 +85,6 @@ class TestRegistry:
         # <= lpt (4/3 - 1/(3m)) <= list (2 - 1/m) for m = 3.
         rhos = {}
         for name in ("exact", "ptas", "multifit", "lpt", "list"):
-            _, rho = get_solver(name)(medium_instance, "time")
+            _, rho = get_single_objective_solver(name)(medium_instance, "time")
             rhos[name] = rho
         assert rhos["exact"] <= rhos["multifit"] <= rhos["ptas"] <= rhos["lpt"] <= rhos["list"]

@@ -36,6 +36,7 @@ from repro.cluster import (
     rank,
     route,
 )
+from repro.cluster.stats import merge_families
 from repro.core.instance import Instance
 from repro.core.task import Task
 from repro.online import create_online, stochastic_trace
@@ -650,6 +651,23 @@ class TestClusterStatsMerge:
         payload = stats.to_dict()
         assert payload["cluster"] is True
         assert payload["router"]["routed"] == 4
+
+    def test_merge_families_count_weighted(self):
+        def window(count, value):
+            return {"count": count, "p50": value, "p90": value, "p99": value,
+                    "mean": value, "max": value}
+
+        merged = merge_families([
+            {"lpt": window(1, 2.0), "sbo": window(3, 1.0)},
+            {"sbo": window(1, 5.0), "rls": window(2, 4.0)},
+        ])
+        assert list(merged) == ["lpt", "rls", "sbo"]
+        assert merged["lpt"] == window(1, 2.0)
+        assert merged["rls"] == window(2, 4.0)
+        shared = merged["sbo"]
+        assert shared["mean"] == shared["p50"] == (3 * 1.0 + 1 * 5.0) / 4
+        assert shared["max"] == 5.0
+        assert shared["count"] == 4
 
 
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,7 @@
 """Unit tests for repro.extensions (uniform machines).
 
 The online scheduler moved to :mod:`repro.online`; its tests live in
-``tests/test_online.py`` and the ``repro.extensions.online`` deprecation
-shim is covered there too.
+``tests/test_online.py``.
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import (
     Instance,
     evaluate,
@@ -96,14 +98,18 @@ class TestEndToEndDAG:
 
 class TestPublicAPI:
     def test_top_level_exports(self):
-        import repro
-
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
-    def test_version(self):
-        import repro
+    @pytest.mark.parametrize(
+        "module",
+        [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")],
+    )
+    def test_star_import(self, module):
+        # Every name a module lists in __all__ must exist.
+        exec(f"from {module} import *", {})
 
+    def test_version(self):
         assert repro.__version__
 
     def test_readme_quickstart_snippet(self):

@@ -3,14 +3,12 @@
 Covers the scheduler protocol and adapters, the online registry, the
 arrival models and trace replay, the competitive-ratio report, the
 pinned EXT-O1 golden table, the ``2 - 1/m`` prefix property tests, and
-the ``repro.extensions.online`` deprecation shim.
+the warning-free import of the remaining ``repro.extensions`` module.
 """
 
 from __future__ import annotations
 
-import importlib
 import json
-import sys
 
 import pytest
 
@@ -434,41 +432,9 @@ class TestOnlineGoldenTable:
 
 
 # --------------------------------------------------------------------------- #
-# the deprecation shim
+# repro.extensions imports cleanly
 # --------------------------------------------------------------------------- #
 class TestExtensionShim:
-    def test_import_warns_deprecation(self):
-        sys.modules.pop("repro.extensions.online", None)
-        with pytest.deprecated_call(match="repro.online"):
-            import repro.extensions.online  # noqa: F401
-
-    def test_reimport_via_reload_warns_again(self):
-        import repro.extensions.online as shim
-
-        with pytest.deprecated_call():
-            importlib.reload(shim)
-
-    def test_shim_class_is_the_moved_class(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sys.modules.pop("repro.extensions.online", None)
-            from repro.extensions.online import OnlineBiObjectiveScheduler as Shimmed
-        assert Shimmed is OnlineBiObjectiveScheduler
-
-    def test_package_getattr_routes_to_shim(self):
-        import warnings
-
-        import repro.extensions as ext
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sys.modules.pop("repro.extensions.online", None)
-            assert ext.OnlineBiObjectiveScheduler is OnlineBiObjectiveScheduler
-        with pytest.raises(AttributeError):
-            ext.no_such_attribute
-
     def test_uniform_machines_import_does_not_warn(self):
         import subprocess
         import sys as _sys

@@ -22,7 +22,7 @@ from repro.core.pareto_approx import approximate_pareto_set
 from repro.core.rls import rls
 from repro.core.task import Task
 from repro.core.validation import validate_schedule
-from repro.extensions.online import OnlineBiObjectiveScheduler
+from repro.online import OnlineBiObjectiveScheduler
 from repro.simulator.executor import simulate_schedule
 
 costs = st.integers(min_value=0, max_value=40)

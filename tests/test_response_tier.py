@@ -494,6 +494,12 @@ class TestStrictM:
             instance_from_payload(data)
 
     @pytest.mark.parametrize("bad", BAD_M, ids=repr)
+    def test_periodic_rejects_non_int_unroll_budget(self, bad):
+        data = {**_instance_payloads()["periodic"], "unroll_budget": bad}
+        with pytest.raises(ProtocolError, match="unroll_budget must be an int"):
+            instance_from_payload(data)
+
+    @pytest.mark.parametrize("bad", BAD_M, ids=repr)
     def test_arrival_trace_rejects_non_int_m(self, bad):
         data = {"kind": "arrival_trace", "m": bad,
                 "events": [{"time": 0.0, "id": 0, "p": 1.0, "s": 1.0}]}

@@ -2,8 +2,7 @@
 
 Covers the spec mini-language (parsing, round-tripping, error messages),
 the capability-aware registry, the solve() facade and its SolveResult
-protocol, the solve_many batch runner (serial/parallel parity), and the
-deprecated repro.algorithms.registry shim.
+protocol, and the solve_many batch runner (serial/parallel parity).
 """
 
 from __future__ import annotations
@@ -346,31 +345,3 @@ class TestSolveMany:
 
     def test_empty(self):
         assert solve_many([], ["lpt"]) == []
-
-
-# --------------------------------------------------------------------------- #
-# Deprecated shim: repro.algorithms.registry
-# --------------------------------------------------------------------------- #
-class TestDeprecatedShim:
-    def test_get_solver_warns_and_matches(self, inst):
-        with pytest.warns(DeprecationWarning):
-            from repro.algorithms.registry import get_solver
-
-            legacy_schedule, legacy_rho = get_solver("lpt")(inst, "time")
-        facade = solve(inst, "lpt(objective=time)")
-        assert legacy_schedule.assignment == facade.schedule.assignment
-        assert facade.guarantee[0] == pytest.approx(legacy_rho)
-
-    def test_available_solvers_warns(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.algorithms.registry import available_solvers as legacy_available
-
-            names = legacy_available()
-        assert names == sorted(["list", "lpt", "multifit", "ptas", "ptas-fine", "exact"])
-
-    def test_shim_unknown_name_keeps_keyerror(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.algorithms.registry import get_solver
-
-            with pytest.raises(KeyError, match="unknown solver"):
-                get_solver("quantum")

@@ -1,6 +1,6 @@
-"""Wire-protocol fast path: JSON safety, orjson gating, framing negotiation.
+"""Wire-protocol fast path: JSON safety, orjson gating, one line format.
 
-Covers the three wire-layer changes of the kernel fast-path PR:
+Covers:
 
 * the deep ``_is_json_safe`` check with the ``provenance_truncated``
   marker (deeply nested provenance used to be *silently* dropped past
@@ -10,10 +10,8 @@ Covers the three wire-layer changes of the kernel fast-path PR:
   containing non-finite floats must take the stdlib path (orjson would
   silently serialize ``inf`` as ``null``), strict payloads may take the
   fast path, and both produce the identical documented wire format;
-* framing negotiation — a test-registered length-prefixed JSON framing
-  drives the whole negotiate/switch machinery over a real TCP server
-  without needing msgpack installed, and clients that never negotiate
-  keep speaking line-delimited JSON untouched.
+* line-delimited JSON as the only wire format — a ``negotiate`` line is
+  an unknown op like any other and leaves the connection usable.
 """
 
 from __future__ import annotations
@@ -27,20 +25,13 @@ import pytest
 
 import repro.service.protocol as protocol
 from repro.core.instance import Instance
-from repro.service.client import ServiceClient
 from repro.service.protocol import (
-    DEFAULT_FRAMING,
-    FRAME_HEADER,
-    Framing,
+    PROTOCOL_VERSION,
     ProtocolError,
-    available_framings,
-    choose_framing,
     decode_message,
     encode_message,
-    get_framing,
-    negotiate_request,
-    register_framing,
     result_to_payload,
+    solve_request,
 )
 from repro.service.server import serve_tcp
 from repro.service.service import SolverService
@@ -199,204 +190,43 @@ class TestOrjsonGate:
 
 
 # --------------------------------------------------------------------------- #
-# framing registry
+# one wire format: line-delimited JSON over a live TCP server
 # --------------------------------------------------------------------------- #
-def _len_json_framing(name="len-json") -> Framing:
-    """Length-prefixed JSON: exercises the binary frame path sans msgpack."""
-
-    def decode_body(body: bytes):
-        try:
-            obj = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"bad len-json body: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ProtocolError("len-json frame must decode to an object")
-        return obj
-
-    return Framing(
-        name,
-        encode_body=lambda payload: json.dumps(payload).encode(),
-        decode_body=decode_body,
-    )
-
-
-@pytest.fixture
-def len_json():
-    framing = register_framing(_len_json_framing())
-    try:
-        yield framing
-    finally:
-        protocol._FRAMINGS.pop(framing.name, None)
-
-
-class TestFramingRegistry:
-    def test_default_framing_always_first(self):
-        names = available_framings()
-        assert names[0] == DEFAULT_FRAMING
-
-    def test_msgpack_advertised_only_when_importable(self):
-        try:
-            import msgpack  # noqa: F401
-
-            assert "msgpack" in available_framings()
-        except ImportError:
-            assert "msgpack" not in available_framings()
-            # Registered but unavailable: negotiation degrades to default.
-            assert choose_framing(["msgpack"]).name == DEFAULT_FRAMING
-
-    def test_duplicate_registration_rejected(self, len_json):
-        with pytest.raises(ValueError, match="already registered"):
-            register_framing(_len_json_framing())
-        register_framing(_len_json_framing(), replace=True)  # explicit override ok
-
-    def test_unknown_framing_lookup(self):
-        with pytest.raises(ProtocolError, match="unknown framing"):
-            get_framing("carrier-pigeon")
-
-    def test_choose_framing_prefers_first_available(self, len_json):
-        assert choose_framing(["carrier-pigeon", "len-json", "json"]).name == "len-json"
-        assert choose_framing([]).name == DEFAULT_FRAMING
-        assert choose_framing([42, None]).name == DEFAULT_FRAMING
-
-    def test_choose_framing_rejects_non_list(self):
-        with pytest.raises(ProtocolError):
-            choose_framing("json")
-
-    def test_length_prefixed_frame_layout(self, len_json):
-        frame = len_json.encode({"a": 1})
-        (length,) = FRAME_HEADER.unpack(frame[: FRAME_HEADER.size])
-        body = frame[FRAME_HEADER.size:]
-        assert length == len(body)
-        assert len_json.decode_body(body) == {"a": 1}
-
-    def test_negotiate_request_builder(self):
-        payload = negotiate_request(["msgpack", "json"], request_id=7)
-        assert payload == {"op": "negotiate", "framings": ["msgpack", "json"], "id": 7}
-
-
-# --------------------------------------------------------------------------- #
-# negotiation over a live TCP server
-# --------------------------------------------------------------------------- #
-class TestNegotiationTCP:
-    def _serve(self):
-        return SolverService(workers=1)
-
-    def test_negotiate_switch_and_solve(self, inst, len_json):
+class TestLineJsonOnly:
+    def test_negotiate_is_an_unknown_op(self, inst):
         async def scenario():
-            async with self._serve() as svc:
+            async with SolverService(workers=1) as svc:
                 server = await serve_tcp(svc, port=0)
                 port = server.sockets[0].getsockname()[1]
-                client = await ServiceClient.connect(port=port)
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+                async def exchange(payload):
+                    writer.write(encode_message(payload))
+                    await writer.drain()
+                    return decode_message(await reader.readline())
+
                 try:
-                    pong = await client.ping()
-                    assert "len-json" in pong["framings"]
-                    assert client.framing == DEFAULT_FRAMING
-
-                    name = await client.negotiate(["len-json"])
-                    assert name == "len-json"
-                    assert client.framing == "len-json"
-
-                    # Full request/response over the binary framing.
-                    payload = await client.solve(inst, "lpt")
-                    direct = solve(inst, "lpt", cache=False)
-                    assert payload["cmax"] == direct.cmax
-                    assert payload["mmax"] == direct.mmax
-                    assert dict(map(tuple, payload["assignment"])) == \
-                        direct.schedule.assignment
-
-                    # Ping flows over the new framing too.
-                    pong = await client.ping()
-                    assert pong["pong"] is True
-
-                    # And the connection can negotiate back down to JSON.
-                    assert await client.negotiate(["json"]) == "json"
-                    assert (await client.ping())["pong"] is True
-                finally:
-                    await client.close()
-                server.close()
-                await server.wait_closed()
-
-        run(scenario())
-
-    def test_unavailable_preference_degrades_to_json(self, inst):
-        async def scenario():
-            async with self._serve() as svc:
-                server = await serve_tcp(svc, port=0)
-                port = server.sockets[0].getsockname()[1]
-                client = await ServiceClient.connect(port=port)
-                try:
-                    name = await client.negotiate(["carrier-pigeon"])
-                    assert name == DEFAULT_FRAMING
-                    assert client.framing == DEFAULT_FRAMING
-                    assert (await client.solve(inst, "lpt"))["feasible"]
-                finally:
-                    await client.close()
-                server.close()
-                await server.wait_closed()
-
-        run(scenario())
-
-    def test_old_client_untouched_by_negotiating_peer(self, inst, len_json):
-        async def scenario():
-            async with self._serve() as svc:
-                server = await serve_tcp(svc, port=0)
-                port = server.sockets[0].getsockname()[1]
-                modern = await ServiceClient.connect(port=port)
-                legacy_reader, legacy_writer = await asyncio.open_connection(
-                    "127.0.0.1", port
-                )
-                try:
-                    await modern.negotiate(["len-json"])
-                    # The legacy connection still speaks raw line JSON.
-                    from repro.service.protocol import solve_request
-
-                    request = solve_request(inst, "lpt", request_id="legacy-1")
-                    legacy_writer.write((json.dumps(request) + "\n").encode())
-                    await legacy_writer.drain()
-                    line = await legacy_reader.readline()
-                    response = json.loads(line)
-                    assert response["ok"] and response["id"] == "legacy-1"
-                    # Meanwhile the negotiated connection works in parallel.
-                    assert (await modern.solve(inst, "lpt"))["feasible"]
-                finally:
-                    legacy_writer.close()
-                    await modern.close()
-                server.close()
-                await server.wait_closed()
-
-        run(scenario())
-
-    def test_solve_payload_with_negotiate_substring_not_intercepted(self, len_json):
-        # A request merely *containing* the word must go to the normal
-        # handler (the sniff is an optimization, not a parser).
-        async def scenario():
-            async with self._serve() as svc:
-                server = await serve_tcp(svc, port=0)
-                port = server.sockets[0].getsockname()[1]
-                client = await ServiceClient.connect(port=port)
-                try:
-                    inst2 = Instance.from_lists(
-                        p=[1, 2], s=[1, 1], m=1, name="negotiate-me"
+                    refused = await exchange(
+                        {"op": "negotiate", "framings": ["msgpack"], "id": "n1"}
                     )
-                    payload = await client.solve(inst2, "lpt")
-                    assert payload["feasible"]
-                    assert client.framing == DEFAULT_FRAMING
+                    assert refused["id"] == "n1" and refused["ok"] is False
+                    assert refused["error"]["type"] == "ProtocolError"
+                    assert "unknown op" in refused["error"]["message"]
+
+                    # Exactly one response: the next line answers the solve.
+                    solved = await exchange(solve_request(inst, "lpt", request_id="s1"))
+                    assert solved["id"] == "s1" and solved["ok"] is True
+                    direct = solve(inst, "lpt", cache=False)
+                    assert solved["result"]["cmax"] == direct.cmax
+                    assert solved["result"]["mmax"] == direct.mmax
+
+                    pong = await exchange({"op": "ping", "id": "p1"})
+                    assert pong["protocol"] == PROTOCOL_VERSION == 3
+                    assert "framings" not in pong
                 finally:
-                    await client.close()
+                    writer.close()
+                    await writer.wait_closed()
                 server.close()
                 await server.wait_closed()
 
         run(scenario())
-
-
-class TestFramingAvailabilityProbe:
-    def test_probe_failure_means_unavailable(self):
-        def boom():
-            raise RuntimeError("probe exploded")
-
-        framing = Framing("probed", lambda p: b"", lambda b: {}, probe=boom)
-        assert framing.available is False
-
-    def test_probe_true_means_available(self):
-        framing = Framing("probed", lambda p: b"", lambda b: {}, probe=lambda: True)
-        assert framing.available is True
