@@ -1,25 +1,28 @@
 """Observability overhead benchmark: the disabled default must be free.
 
-The `repro.obs` layer threads tracing, metrics, and profiling guards
-through the service hot path.  This benchmark pins the contract that
-instrumentation is **zero-cost when disabled** and cheap when enabled:
+The `repro.obs` layer threads tracing and profiling guards through the
+service hot path; the service's latency histograms always record (they
+are its only latency record).  This benchmark pins the contract that
+optional instrumentation is **zero-cost when disabled** and cheap when
+enabled:
 
 1. **Disabled floor** — the warm-path throughput of a cached service
-   (the same access pattern as ``bench_service.py``) with every
-   observability feature off must still clear the service benchmark's
-   warm floor (:data:`bench_service.MIN_WARM_RPS`): shipping the guards
-   does not move the serving floors.
+   (the same access pattern as ``bench_service.py``) with tracing and
+   profiling off, and the latency histograms recording as always, must
+   still clear the service benchmark's warm floor
+   (:data:`bench_service.MIN_WARM_RPS`): shipping the guards does not
+   move the serving floors.
 2. **Guard cost ≤ 2 %** — the measured per-call cost of a disabled
-   guard (an ``enabled`` attribute check on the recorder / registry /
-   profiler — the only thing the hot path executes when observability
-   is off), multiplied by a deliberately pessimistic per-request site
-   count, must stay under :data:`MAX_DISABLED_OVERHEAD` of the measured
-   warm request time.  The disabled ``ProfileScope`` enter/exit cost is
-   reported alongside for reference.
-3. **Enabled overhead bounded** — with tracing *and* metrics recording
-   on, warm throughput stays within :data:`MAX_ENABLED_OVERHEAD` of the
-   disabled passes (interleaved off/on/off/on, best-of-each, so machine
-   noise hits both sides).
+   guard (an ``enabled`` attribute check on the recorder / profiler —
+   the only thing the hot path executes when they are off), multiplied
+   by a deliberately pessimistic per-request site count, must stay
+   under :data:`MAX_DISABLED_OVERHEAD` of the measured warm request
+   time.  The disabled ``ProfileScope`` enter/exit cost is reported
+   alongside for reference.
+3. **Enabled overhead bounded** — with tracing on, warm throughput
+   stays within :data:`MAX_ENABLED_OVERHEAD` of the disabled passes
+   (interleaved off/on/off/on, best-of-each, so machine noise hits both
+   sides).
 4. **Span-ring throughput** — raw ``SpanRecorder.record`` sustains at
    least :data:`MIN_RING_RPS` spans/s (the ring must never be the
    bottleneck of a traced service).
@@ -40,7 +43,6 @@ import platform
 import time
 from pathlib import Path
 
-from repro.obs.metrics import REGISTRY, disable_metrics, enable_metrics
 from repro.obs.profile import PROFILER, ProfileScope, disable_profiling
 from repro.obs.trace import RECORDER, SpanRecorder, disable_tracing, enable_tracing
 from repro.service import ServiceConfig, SolverService
@@ -58,14 +60,14 @@ SMOKE_REQUESTS = 80
 MAX_DISABLED_OVERHEAD = 0.02
 
 #: Pessimistic count of disabled ``enabled``-attribute checks one warm
-#: request crosses (recorder, registry, profiler, slow-request guards;
+#: request crosses (recorder, profiler, slow-request guards;
 #: the real path has fewer — the facade and service skip scope/span
 #: construction entirely when the flags are off).
 GUARD_SITES_PER_REQUEST = 16
 
-#: Enabled tracing+metrics may cost at most this fraction of warm
-#: throughput (span records are dict-append-under-lock; histogram
-#: observes are a bisect + three adds).  Generous for noisy CI boxes.
+#: Enabled tracing may cost at most this fraction of warm throughput
+#: (span records are dict-append-under-lock).  Generous for noisy CI
+#: boxes.
 MAX_ENABLED_OVERHEAD = 0.50
 
 #: Raw span-ring floor: a traced service recording a handful of spans
@@ -75,7 +77,6 @@ MIN_RING_RPS = 150_000.0
 
 def _all_disabled() -> None:
     disable_tracing(clear=True)
-    disable_metrics()
     disable_profiling(reset=True)
 
 
@@ -89,17 +90,15 @@ def measure_guard_ns(iterations: int = 200_000) -> dict:
             pass
     scope_ns = (time.perf_counter() - start) / iterations * 1e9
 
-    recorder, registry = RECORDER, REGISTRY
+    recorder = RECORDER
     start = time.perf_counter()
     hits = 0
     for _ in range(iterations):
         if recorder.enabled:
             hits += 1
-        if registry.enabled:
-            hits += 1
         if PROFILER.enabled:
             hits += 1
-    check_ns = (time.perf_counter() - start) / (3 * iterations) * 1e9
+    check_ns = (time.perf_counter() - start) / (2 * iterations) * 1e9
     assert hits == 0
     return {"profile_scope_ns": scope_ns, "enabled_check_ns": check_ns}
 
@@ -121,7 +120,6 @@ async def _warm_service_pass(requests, instances, enabled: bool) -> float:
     """One fully-warm pass; returns requests/s.  Restores disabled state."""
     if enabled:
         enable_tracing(capacity=SpanRecorder.DEFAULT_CAPACITY)
-        enable_metrics()
     else:
         _all_disabled()
     try:
@@ -196,7 +194,7 @@ def _assert_criteria(report: dict) -> None:
         f"of a warm request (budget {MAX_DISABLED_OVERHEAD * 100:.0f}%)"
     )
     assert report["enabled_overhead"] <= MAX_ENABLED_OVERHEAD, (
-        f"tracing+metrics cost {report['enabled_overhead'] * 100:.1f}% of warm "
+        f"tracing cost {report['enabled_overhead'] * 100:.1f}% of warm "
         f"throughput (budget {MAX_ENABLED_OVERHEAD * 100:.0f}%)"
     )
     assert report["ring_rps"] >= MIN_RING_RPS, (

@@ -401,7 +401,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tenants=args.tenants,
             default_tenant=args.default_tenant,
             trace=args.trace,
-            metrics=args.metrics_port is not None,
             slow_request_threshold=args.slow_request_threshold,
         )
     except (ValueError, OSError) as exc:
@@ -512,9 +511,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 from repro.obs.httpd import start_metrics_server
 
                 async def render_metrics() -> str:
-                    # The `metrics` wire op already merges router counters
-                    # with the per-shard registry fan-out; scrape the same
-                    # path so HTTP and wire expositions cannot diverge.
+                    # Scrape the `metrics` wire op itself, so the HTTP and
+                    # wire expositions cannot diverge.
                     response = await router.handle({"op": "metrics", "id": 0})
                     return str(response.get("text", ""))
 
@@ -995,8 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "dumped via `repro trace dump` or the `trace` wire op)")
     srv.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                      help="serve Prometheus text exposition over HTTP on this "
-                          "port (0 picks a free one) and enable live "
-                          "latency-histogram recording")
+                          "port (0 picks a free one)")
     srv.add_argument("--slow-request-threshold", type=float, default=None,
                      metavar="SECONDS",
                      help="log one structured line for every request slower "
@@ -1071,8 +1068,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(one trace id covers route -> shard -> kernel)")
     clu.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                      help="serve cluster-wide Prometheus text exposition "
-                          "(router counters merged with every shard's "
-                          "registry) over HTTP on this port")
+                          "(router counters and the shard-merged latency "
+                          "histograms) over HTTP on this port")
     clu.set_defaults(func=_cmd_cluster)
 
     sts = sub.add_parser(

@@ -33,7 +33,7 @@ Request paths:
   its shard, surfaced as :class:`SessionLostError` with the stable
   ``error.code`` ``session_lost``.
 * ``stats`` — fanned out and merged (:mod:`repro.cluster.stats`),
-  counters summed and family latency percentiles merged count-weighted,
+  counters summed and family latency histograms merged exactly,
   plus the router's own ledger (routed / retried / handoffs / shard
   lifecycle / journal replays / remote probes).
 
@@ -88,7 +88,7 @@ from repro.obs.trace import (
 from repro.qos.admission import AdmissionController
 from repro.qos.tenants import CLASS_URGENCY, QosError, TenantConfig
 from repro.service.protocol import PROTOCOL_VERSION, error_code_for, solve_request
-from repro.service.server import _metrics_response, _trace_response
+from repro.service.server import _metrics_response, _timeout_field, _trace_response
 from repro.service.tier import ResponseTier
 
 __all__ = [
@@ -518,7 +518,8 @@ class ClusterRouter:
                 stats = await self.stats()
                 return {"id": request.get("id"), "ok": True, "stats": stats.to_dict()}
             if op == "metrics":
-                return await self._metrics(request)
+                stats = await self.stats()
+                return _metrics_response(request, stats.to_dict())
             if op == "trace":
                 return _trace_response(request)
             if op == "ping":
@@ -526,12 +527,7 @@ class ClusterRouter:
                         "protocol": PROTOCOL_VERSION, "cluster": True,
                         "shards": len(self._routable())}
             if op == "drain":
-                timeout = request.get("timeout")
-                if timeout is not None and not isinstance(timeout, (int, float)):
-                    raise ClusterError("'timeout' must be a number of seconds")
-                drained, pending = await self.drain(
-                    timeout=float(timeout) if timeout is not None else None
-                )
+                drained, pending = await self.drain(timeout=_timeout_field(request))
                 return {"id": request.get("id"), "ok": True,
                         "drained": drained, "pending": pending}
             if op == "shutdown":
@@ -575,12 +571,15 @@ class ClusterRouter:
     async def _admit_solve(self, request: Dict[str, object]) -> Dict[str, object]:
         """QoS-gate one solve request, then route it.
 
-        With no tenants configured this is exactly :meth:`_forward_solve`.
+        The ``timeout`` field is validated first, exactly as a shard
+        would, so a router-tier hit cannot accept what a shard rejects.
+        With no tenants configured this is then :meth:`_forward_solve`.
         Otherwise the request passes the cluster-wide admission controller
         first — rate limiter, quota, then a weighted-fair slot — and its
         outcome (completed / failed / abandoned) is ledgered against the
         tenant, keeping per-tenant ``admitted + rejected == submitted``.
         """
+        _timeout_field(request)
         if self._qos is None:
             return await self._forward_solve(request)
         cfg, rejection = self._qos_begin(request)
@@ -1242,32 +1241,4 @@ class ClusterRouter:
             payloads,
             router=self.router_counters(),
             tenants=self._qos.snapshot() if self._qos is not None else None,
-        )
-
-    async def _metrics(self, request: Dict[str, object]) -> Dict[str, object]:
-        """The ``metrics`` op: cluster stats + exact shard histogram merge.
-
-        Shard latency *histograms* are fetched in the mergeable dict form
-        and summed bucket-by-bucket — unlike the count-weighted percentile
-        merge of :func:`repro.cluster.stats.merge_families`, the merged
-        histogram is exactly the histogram of the concatenated samples.
-        """
-        stats = await self.stats()
-        names = self.shard_names()
-        shards = [self._shards[name] for name in names]
-
-        async def one(shard: ShardHandle):
-            try:
-                response = await shard.request({"op": "metrics", "format": "dict"})
-            except (ConnectionError, OSError):
-                await self._mark_dead(shard)
-                return None
-            return response.get("metrics") if response.get("ok") else None
-
-        gathered = await asyncio.gather(*(one(shard) for shard in shards))
-        return _metrics_response(
-            request,
-            stats.to_dict(),
-            router_counters=self.router_counters(),
-            extra_registries=[p for p in gathered if isinstance(p, dict)],
         )

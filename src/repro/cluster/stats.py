@@ -3,14 +3,12 @@
 :func:`merge_shard_stats` folds the per-shard ``stats`` op payloads into
 a single :class:`ClusterStats`: counters and gauges are summed, the
 ``lost`` ledgers are summed (zero on every shard ⇒ zero cluster-wide),
-and the per-solver-family latency breakdowns are merged
-*count-weighted*: percentiles of disjoint windows cannot be combined
-exactly from percentiles alone, so the merged ``p50/p90/p99/mean`` are
-the sample-count-weighted averages of the shard values (``max`` is the
-true max, ``count`` the true sum).  For shards serving the same routed
-traffic mix this tracks the true percentile closely; it is documented
-as an approximation in :meth:`ClusterStats.to_dict` consumers' favor —
-monitoring, not billing.
+and the per-solver-family and per-phase latency summaries are merged
+*exactly*: every shard summary carries its fixed-boundary histogram
+``buckets`` and ``sum``, so the merge adds buckets, sums and counts,
+takes the max of the maxima, and re-summarizes
+(:func:`repro.obs.metrics.merge_summaries`).  The merged summary is the
+summary of the concatenated samples of every shard.
 """
 
 from __future__ import annotations
@@ -18,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from repro.qos.stats import _merge_windows, merge_tenant_snapshots
+from repro.obs.metrics import merge_summaries
+from repro.qos.stats import merge_tenant_snapshots
 
-__all__ = ["ClusterStats", "merge_shard_stats", "merge_families"]
+__all__ = ["ClusterStats", "merge_shard_stats"]
 
 #: Shard counters/gauges that sum into the cluster view.  ``lost`` is
 #: derived on each shard and sums like a counter: zero everywhere ⇒ zero.
@@ -39,8 +38,8 @@ class ClusterStats:
 
     ``totals`` sums every shard counter and gauge (see the shard-level
     :class:`~repro.service.stats.ServiceStats` for their semantics);
-    ``families`` is the count-weighted merge of the per-family latency
-    breakdowns; ``phases`` does the same merge per lifecycle phase
+    ``families`` is the exact merge of the per-family latency summaries;
+    ``phases`` does the same merge per lifecycle phase
     (``queue_wait`` / ``exec``, the split the QoS benchmark bounds);
     ``tenants`` is the cluster-wide per-tenant QoS ledger — the router's
     own admission controller slice merged with any per-shard slices via
@@ -66,8 +65,8 @@ class ClusterStats:
     """
 
     totals: Dict[str, int] = field(default_factory=dict)
-    families: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    phases: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
+    families: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    phases: Dict[str, Dict[str, Dict[str, object]]] = field(default_factory=dict)
     tenants: Dict[str, Dict[str, object]] = field(default_factory=dict)
     shards: Dict[str, Dict[str, object]] = field(default_factory=dict)
     router: Dict[str, int] = field(default_factory=dict)
@@ -91,15 +90,15 @@ class ClusterStats:
         }
 
 
-def merge_families(
-    breakdowns: List[Mapping[str, Mapping[str, float]]],
-) -> Dict[str, Dict[str, float]]:
-    """Count-weighted merge of per-shard family latency breakdowns."""
-    windows: Dict[str, List[Mapping[str, float]]] = {}
+def _merge_breakdowns(
+    breakdowns: List[Mapping[str, Mapping[str, object]]],
+) -> Dict[str, Dict[str, object]]:
+    """Exact per-family merge of per-shard latency summaries."""
+    summaries: Dict[str, List[Mapping[str, object]]] = {}
     for breakdown in breakdowns:
-        for family, snap in breakdown.items():
-            windows.setdefault(family, []).append(snap)
-    return {family: _merge_windows(windows[family]) for family in sorted(windows)}
+        for family, summary in breakdown.items():
+            summaries.setdefault(family, []).append(summary)
+    return {family: merge_summaries(summaries[family]) for family in sorted(summaries)}
 
 
 def merge_shard_stats(
@@ -115,8 +114,8 @@ def merge_shard_stats(
     that does run QoS on its shards still adds up.
     """
     totals: Dict[str, int] = {key: 0 for key in _SUMMED_KEYS}
-    breakdowns: List[Mapping[str, Mapping[str, float]]] = []
-    phase_breakdowns: Dict[str, List[Mapping[str, Mapping[str, float]]]] = {}
+    breakdowns: List[Mapping[str, Mapping[str, object]]] = []
+    phase_breakdowns: Dict[str, List[Mapping[str, Mapping[str, object]]]] = {}
     tenant_slices: List[Mapping[str, Mapping[str, object]]] = []
     if tenants:
         tenant_slices.append(tenants)
@@ -138,8 +137,8 @@ def merge_shard_stats(
             tenant_slices.append(tenant_slice)  # type: ignore[arg-type]
     return ClusterStats(
         totals=totals,
-        families=merge_families(breakdowns),
-        phases={phase: merge_families(phase_breakdowns[phase])
+        families=_merge_breakdowns(breakdowns),
+        phases={phase: _merge_breakdowns(phase_breakdowns[phase])
                 for phase in sorted(phase_breakdowns)},
         tenants=merge_tenant_snapshots(tenant_slices),
         shards={name: dict(payload) for name, payload in shard_payloads.items()},

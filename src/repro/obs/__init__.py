@@ -12,19 +12,23 @@ One subsystem turns the scattered per-layer stats snapshots
 * :mod:`repro.obs.metrics` — typed ``Counter`` / ``Gauge`` /
   ``Histogram`` primitives with *mergeable* fixed-boundary histograms
   (bucket counts add, so a cross-shard merge is exactly the histogram
-  of the concatenated samples), Prometheus text exposition, and a tiny
-  asyncio scrape endpoint (``repro serve --metrics-port``).
-* :mod:`repro.obs.adapters` — populate a registry from the existing
-  stats snapshots without changing them.
+  of the concatenated samples), the latency summaries the ``stats``
+  payloads carry, Prometheus text exposition, and a tiny asyncio
+  scrape endpoint (``repro serve --metrics-port``).  Every service
+  always records its request and phase latencies into its own
+  histograms; they are the single latency record.
+* :mod:`repro.obs.adapters` — render a registry from a ``stats``
+  payload (counters, gauges and the latency histograms it carries).
 * :mod:`repro.obs.profile` — opt-in ``ProfileScope`` phase accounting
   (kernel vs validation vs hashing vs serialization, per family).
 * :mod:`repro.obs.logging` — structured JSON event log for the things
   that used to vanish silently (shard death, journal replay, autoscale
   decisions) plus the slow-request log.
 
-Everything is **off by default and zero-cost when disabled**: hot paths
-pay one attribute check, the wire format is byte-identical when no
-``trace`` field is present, and the bench floors gate the overhead.
+Tracing, profiling and logging are **off by default and zero-cost when
+disabled**: hot paths pay one attribute check, the wire format is
+byte-identical when no ``trace`` field is present, and the bench floors
+gate the overhead.
 """
 
 from __future__ import annotations
@@ -42,10 +46,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    REGISTRY,
-    disable_metrics,
-    enable_metrics,
-    metrics_enabled,
 )
 from repro.obs.profile import PROFILER, ProfileScope, disable_profiling, enable_profiling
 from repro.obs.trace import (
@@ -74,10 +74,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "REGISTRY",
-    "enable_metrics",
-    "disable_metrics",
-    "metrics_enabled",
     "PROFILER",
     "ProfileScope",
     "enable_profiling",

@@ -1,12 +1,13 @@
-"""Adapters: existing stats snapshots → a populated metrics registry.
+"""Adapters: a ``stats`` payload → a populated metrics registry.
 
-The serving layers already expose carefully-specified snapshots
-(:class:`~repro.service.stats.ServiceStats`, the router counter ledger,
+The serving layers expose carefully-specified snapshots
+(:class:`~repro.service.stats.ServiceStats`, the cluster's merged
+:class:`~repro.cluster.stats.ClusterStats`, the router counter ledger,
 per-tenant QoS slices).  These adapters translate those payload dicts
-into typed metrics *without changing the sources* — the `metrics` wire
-op and the ``--metrics-port`` scrape endpoint are built on top of the
-snapshots plus the live histograms in
-:data:`repro.obs.metrics.REGISTRY`.
+into typed metrics — the ``metrics`` wire op and the ``--metrics-port``
+scrape endpoint are built on them.  The latency histograms are rebuilt
+exactly from the ``buckets``/``sum``/``max`` each family and phase
+summary carries, so the exposition and ``stats`` read one record.
 
 Metric naming scheme (documented in DESIGN.md):
 
@@ -14,12 +15,9 @@ Metric naming scheme (documented in DESIGN.md):
   ``completed``, ``cache_hits``, ...);
 * ``repro_<gauge>`` — instantaneous gauges (``queue_depth``,
   ``in_flight``, ``pending``, ``sessions_open``);
-* ``repro_family_latency_seconds{family=...,quantile=...}`` — the
-  windowed per-family percentile snapshot mirrored as gauges (these are
-  window percentiles, not histogram quantiles);
-* ``repro_request_latency_seconds`` / ``repro_phase_latency_seconds`` —
-  live mergeable histograms (only populated while metrics recording is
-  enabled);
+* ``repro_request_latency_seconds{family}`` /
+  ``repro_phase_latency_seconds{phase,family}`` — the latency
+  histograms behind the ``families`` and ``phases`` summaries;
 * ``repro_tenant_*`` — per-tenant QoS slices;
 * ``repro_router_<counter>_total`` / ``repro_shards_alive`` — router
   ledger and shard-set gauges;
@@ -30,9 +28,9 @@ Metric naming scheme (documented in DESIGN.md):
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
-from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profile import PROFILER
 
 __all__ = [
@@ -50,8 +48,6 @@ _STATS_COUNTERS = (
 )
 
 _STATS_GAUGES = ("queue_depth", "in_flight", "pending", "sessions_open")
-
-_FAMILY_QUANTILES = ("p50", "p90", "p99", "mean", "max")
 
 
 def _finite(value: object) -> Optional[float]:
@@ -95,13 +91,12 @@ def registry_from_service_stats(
 
     families = payload.get("families")
     if isinstance(families, Mapping):
-        family_gauge = registry.gauge(
-            "repro_family_latency_seconds",
-            "Windowed per-family latency percentiles (window snapshot, not histogram)",
-            ("family", "quantile"),
-        )
         family_count = registry.counter(
             "repro_family_requests_total", "Requests recorded per family", ("family",)
+        )
+        request_latency = registry.histogram(
+            "repro_request_latency_seconds",
+            "End-to-end request latency by solver family", ("family",),
         )
         for family, snap in families.items():
             if not isinstance(snap, Mapping):
@@ -109,10 +104,20 @@ def registry_from_service_stats(
             count = _finite(snap.get("count"))
             if count is not None:
                 family_count.set_total(count, family)
-            for quantile in _FAMILY_QUANTILES:
-                value = _finite(snap.get(quantile))
-                if value is not None:
-                    family_gauge.set(value, family, quantile)
+            _add_summary(request_latency, (family,), snap)
+
+    phases = payload.get("phases")
+    if isinstance(phases, Mapping):
+        phase_latency = registry.histogram(
+            "repro_phase_latency_seconds",
+            "Unique-job phase latency (queue_wait / exec) by solver family",
+            ("phase", "family"),
+        )
+        for phase, breakdown in phases.items():
+            if isinstance(breakdown, Mapping):
+                for family, snap in breakdown.items():
+                    if isinstance(snap, Mapping):
+                        _add_summary(phase_latency, (phase, family), snap)
 
     tenants = payload.get("tenants")
     if isinstance(tenants, Mapping) and tenants:
@@ -129,6 +134,20 @@ def registry_from_service_stats(
         )
 
     return registry
+
+
+def _add_summary(histogram: Histogram, key: tuple,
+                 summary: Mapping[str, object]) -> None:
+    """Fold one latency summary's histogram series into ``histogram``."""
+    buckets = summary.get("buckets")
+    if not isinstance(buckets, list) or len(buckets) != len(histogram.boundaries) + 1:
+        return
+    maximum = _finite(summary.get("max"))
+    histogram.merge_series(
+        tuple(str(part) for part in key), buckets,
+        _finite(summary.get("sum")) or 0.0, sum(buckets),
+        maximum if maximum is not None else -math.inf,
+    )
 
 
 def _add_tenant_metrics(registry: MetricsRegistry,
@@ -208,21 +227,16 @@ def add_profile_metrics(registry: MetricsRegistry) -> MetricsRegistry:
 
 def build_metrics_registry(
     stats_payload: Optional[Mapping[str, object]] = None,
-    router_counters: Optional[Mapping[str, object]] = None,
 ) -> MetricsRegistry:
-    """One registry combining snapshots, live histograms, and the profiler.
+    """One registry combining a ``stats`` snapshot and the profiler.
 
     This is what the ``metrics`` wire op and the scrape endpoint serve:
-    adapter-mirrored counters/gauges from the given snapshot(s), the
-    live mergeable histograms accumulated in the global
-    :data:`~repro.obs.metrics.REGISTRY` (empty unless metric recording
-    is enabled), and profiler totals (empty unless profiling is on).
+    counters, gauges and latency histograms from the snapshot (a
+    cluster snapshot carries the router ledger too) and profiler totals
+    (empty unless profiling is on).
     """
     registry = MetricsRegistry()
     if stats_payload is not None:
         registry_from_service_stats(stats_payload, registry)
-    if router_counters is not None:
-        registry_from_router(router_counters, registry)
-    registry.merge(REGISTRY.to_dict())
     add_profile_metrics(registry)
     return registry

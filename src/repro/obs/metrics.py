@@ -11,20 +11,22 @@ The registry holds typed metric families, each optionally labelled::
 
 Histograms use **fixed boundaries**, so merging two histograms is exact
 bucket-count addition: the merge of per-shard histograms equals the
-histogram of the concatenated samples — the guarantee the old
-count-weighted percentile merge in :mod:`repro.cluster.stats` could not
-make (that path is kept for the legacy ``stats`` op; the ``metrics`` op
-uses this one).  Quantiles are then *estimated* from bucket boundaries
-(upper-bound-of-bucket rule), which is the standard Prometheus
-trade-off: exact merge, approximate quantile — the reverse of the old
-one.
+histogram of the concatenated samples.  Quantiles are then *estimated*
+from bucket boundaries (upper-bound-of-bucket rule, clamped to the
+series' exact maximum) — the standard Prometheus trade-off: exact
+merge, approximate quantile.
 
-``to_dict`` / ``from_dict`` / ``merge`` give the structured wire form
-the cluster router uses to fold shard registries into one.
+:func:`summarize` turns one series into the latency summary the
+``stats`` payloads carry (``count``, ``p50``/``p90``/``p99``, ``mean``,
+``max`` plus the raw ``buckets`` and ``sum``), and
+:func:`merge_summaries` merges such summaries exactly by adding their
+buckets — the cluster and tenant merges are built on it.
 
-The process-global :data:`REGISTRY` is what live serving code records
-into; it is **disabled by default** and hot paths guard on the single
-``REGISTRY.enabled`` attribute.
+Each serving process owns its histograms (a
+:class:`~repro.service.service.SolverService` records its request and
+phase latencies into private :class:`Histogram` objects); there is no
+process-global registry.  ``to_dict`` / ``from_dict`` / ``merge`` give
+the structured wire form of a registry.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "REGISTRY",
-    "enable_metrics",
-    "disable_metrics",
-    "metrics_enabled",
     "DEFAULT_LATENCY_BUCKETS",
+    "summarize",
+    "merge_summaries",
+    "merge_registry_dicts",
 ]
 
 #: Default latency bucket upper bounds (seconds): 100 µs .. 30 s.
@@ -191,12 +192,78 @@ class Gauge(_Metric):
 
 
 class _HistogramSeries:
-    __slots__ = ("buckets", "total", "count")
+    __slots__ = ("buckets", "total", "count", "max")
 
     def __init__(self, nbuckets: int) -> None:
         self.buckets = [0] * nbuckets   # one per boundary + one overflow
         self.total = 0.0
         self.count = 0
+        self.max = -math.inf            # exact; -inf until the first sample
+
+    def as_dict(self) -> Dict[str, object]:
+        return {"buckets": list(self.buckets), "sum": self.total,
+                "count": self.count, "max": self.max}
+
+
+def _upper_bound_quantile(boundaries: Sequence[float], buckets: Sequence[int],
+                          count: int, q: float) -> float:
+    """Upper bound of the bucket holding the ``q``-quantile rank.
+
+    ``+Inf``-bucket hits report the largest finite boundary (the
+    standard Prometheus convention).
+    """
+    rank = max(1, math.ceil(q * count))
+    cumulative = 0
+    for index, bucket_count in enumerate(buckets):
+        cumulative += bucket_count
+        if cumulative >= rank:
+            return boundaries[min(index, len(boundaries) - 1)]
+    return boundaries[-1]
+
+
+def summarize(buckets: Sequence[int], total: float, maximum: float,
+              boundaries: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> Dict[str, object]:
+    """``{count, p50, p90, p99, mean, max, buckets, sum}`` of one series.
+
+    Percentiles follow the upper-bound rule of :meth:`Histogram.quantile`
+    clamped to the exact ``maximum``, so ``p50 <= p90 <= p99 <= max``;
+    ``mean`` is ``sum / count``.  An empty series reports ``nan``
+    (``null`` on the wire) for every figure but ``count``.
+    """
+    count = sum(buckets)
+    if not count:
+        return {"count": 0, "p50": math.nan, "p90": math.nan, "p99": math.nan,
+                "mean": math.nan, "max": math.nan,
+                "buckets": list(buckets), "sum": 0.0}
+    if not math.isfinite(maximum):  # a merged series that carried no maximum
+        maximum = _upper_bound_quantile(boundaries, buckets, count, 1.0)
+    summary: Dict[str, object] = {"count": count}
+    for name, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+        summary[name] = min(_upper_bound_quantile(boundaries, buckets, count, q), maximum)
+    summary.update(mean=total / count, max=maximum, buckets=list(buckets), sum=total)
+    return summary
+
+
+def merge_summaries(summaries: Iterable[Mapping[str, object]]) -> Dict[str, object]:
+    """Exact merge of :func:`summarize` outputs over the default boundaries.
+
+    Buckets and sums add and the maximum is the max of the maxima, so
+    the result is the summary of the concatenated samples.  Summaries
+    without a well-formed ``buckets`` list contribute nothing.
+    """
+    buckets = [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
+    total, maximum = 0.0, -math.inf
+    for summary in summaries:
+        counts = summary.get("buckets")
+        if not isinstance(counts, list) or len(counts) != len(buckets):
+            continue
+        for index, bucket_count in enumerate(counts):
+            buckets[index] += int(bucket_count)
+        total += float(summary.get("sum") or 0.0)
+        peak = summary.get("max")
+        if isinstance(peak, (int, float)) and peak > maximum:
+            maximum = float(peak)
+    return summarize(buckets, total, maximum)
 
 
 class Histogram(_Metric):
@@ -206,7 +273,13 @@ class Histogram(_Metric):
     (Prometheus ``le`` semantics); one implicit ``+Inf`` bucket catches
     the overflow.  Two histograms with identical boundaries merge by
     adding bucket counts, counts, and sums — exactly the histogram the
-    concatenated sample stream would have produced.
+    concatenated sample stream would have produced; each series also
+    keeps its exact maximum.
+
+    ``max_series`` bounds the number of label sets with
+    least-recently-recorded eviction (``evicted`` counts the series
+    dropped) — for labels a client can influence, such as solver family
+    names from runtime-registered solvers.
     """
 
     kind = "histogram"
@@ -217,6 +290,7 @@ class Histogram(_Metric):
         help: str = "",
         labelnames: Sequence[str] = (),
         boundaries: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
+        max_series: Optional[int] = None,
     ) -> None:
         super().__init__(name, help, labelnames)
         bounds = tuple(float(b) for b in boundaries)
@@ -226,49 +300,76 @@ class Histogram(_Metric):
             raise ValueError(f"{name}: boundaries must be strictly increasing")
         if any(b != b or b == math.inf for b in bounds):
             raise ValueError(f"{name}: boundaries must be finite (got {bounds})")
+        if max_series is not None and max_series < 1:
+            raise ValueError(f"{name}: max_series must be >= 1, got {max_series}")
         self.boundaries: Tuple[float, ...] = bounds
+        self.max_series = max_series
+        self.evicted = 0
         self._series: Dict[_LabelKey, _HistogramSeries] = {}
+
+    def _touch(self, key: _LabelKey) -> _HistogramSeries:
+        """The series for ``key``, moved to most recent (lock held)."""
+        series = self._series.pop(key, None)
+        if series is None:
+            series = _HistogramSeries(len(self.boundaries) + 1)
+            if self.max_series is not None:
+                while len(self._series) >= self.max_series:
+                    del self._series[next(iter(self._series))]
+                    self.evicted += 1
+        # Dict order is recency of record: eviction drops the oldest.
+        self._series[key] = series
+        return series
 
     def observe(self, value: float, *labelvalues: object) -> None:
         key = self._key(labelvalues)
         index = bisect.bisect_left(self.boundaries, value)
         with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.boundaries) + 1)
+            series = self._touch(key)
             series.buckets[index] += 1
             series.total += value
             series.count += 1
+            if value > series.max:
+                series.max = value
 
     def collect(self) -> Dict[_LabelKey, Dict[str, object]]:
         with self._lock:
-            return {
-                key: {"buckets": list(s.buckets), "sum": s.total, "count": s.count}
-                for key, s in self._series.items()
-            }
+            return {key: s.as_dict() for key, s in self._series.items()}
+
+    def summary(self, *labelvalues: object) -> Dict[str, object]:
+        """:func:`summarize` of one series (the empty summary when unseen)."""
+        key = self._key(labelvalues)
+        with self._lock:
+            series = self._series.get(key)
+            if series is None:
+                return summarize([0] * (len(self.boundaries) + 1), 0.0, math.nan,
+                                 self.boundaries)
+            buckets, total, maximum = list(series.buckets), series.total, series.max
+        return summarize(buckets, total, maximum, self.boundaries)
+
+    def summaries(self) -> Dict[_LabelKey, Dict[str, object]]:
+        """``{label key: summary}`` for every recorded series, sorted by key."""
+        return {
+            key: summarize(data["buckets"], data["sum"], data["max"], self.boundaries)
+            for key, data in sorted(self.collect().items())
+        }
 
     def quantile(self, q: float, *labelvalues: object) -> float:
         """Estimated ``q``-quantile (0..1): upper bound of the covering bucket.
 
-        ``nan`` when the series is empty; ``+Inf``-bucket hits report the
-        largest finite boundary (the standard Prometheus convention).
+        ``nan`` when the series is empty; the estimate is clamped to the
+        series' exact maximum, and ``+Inf``-bucket hits otherwise report
+        the largest finite boundary.
         """
         key = self._key(labelvalues)
         with self._lock:
             series = self._series.get(key)
             if series is None or series.count == 0:
                 return math.nan
-            buckets, count = list(series.buckets), series.count
-        rank = max(1, math.ceil(q * count))
-        cumulative = 0
-        for index, bucket_count in enumerate(buckets):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                return self.boundaries[min(index, len(self.boundaries) - 1)]
-        return self.boundaries[-1]
+            buckets, count, maximum = list(series.buckets), series.count, series.max
+        return min(_upper_bound_quantile(self.boundaries, buckets, count, q), maximum)
 
     def merge_series(self, key: _LabelKey, buckets: Sequence[int],
-                     total: float, count: int) -> None:
+                     total: float, count: int, maximum: float = -math.inf) -> None:
         """Fold one external series (same boundaries) into this histogram."""
         if len(buckets) != len(self.boundaries) + 1:
             raise ValueError(
@@ -276,13 +377,13 @@ class Histogram(_Metric):
                 f"into {len(self.boundaries) + 1}"
             )
         with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.boundaries) + 1)
+            series = self._touch(key)
             for index, bucket_count in enumerate(buckets):
                 series.buckets[index] += int(bucket_count)
             series.total += float(total)
             series.count += int(count)
+            if maximum > series.max:
+                series.max = float(maximum)
 
     def render(self) -> List[str]:
         collected = self.collect()
@@ -313,15 +414,9 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """A named collection of metrics with get-or-create accessors.
-
-    ``enabled`` gates *recording* on the process-global instance — the
-    registry object itself always works (adapters build throwaway
-    registries from stats snapshots regardless of the flag).
-    """
+    """A named collection of metrics with get-or-create accessors."""
 
     def __init__(self) -> None:
-        self.enabled = False
         self._metrics: Dict[str, _Metric] = {}
         self._lock = threading.Lock()
 
@@ -429,11 +524,14 @@ class MetricsRegistry:
                     if not isinstance(data, Mapping):
                         continue
                     key = tuple(str(packed).split("\t")) if labelnames else ()
+                    # A non-finite maximum arrives as null on the wire.
+                    peak = data.get("max")
                     metric.merge_series(
                         key,
                         [int(c) for c in data.get("buckets", [])],
                         float(data.get("sum", 0.0)),
                         int(data.get("count", 0)),
+                        float(peak) if isinstance(peak, (int, float)) else -math.inf,
                     )
             elif kind == "gauge":
                 metric = self.gauge(name, help_text, labelnames)
@@ -447,37 +545,6 @@ class MetricsRegistry:
                     metric.inc(float(value), *key)
 
 
-#: The process-wide live registry serving code records into (off by default).
-REGISTRY = MetricsRegistry()
-
-#: Live request-latency histograms recorded by the service hot path when
-#: :data:`REGISTRY` is enabled.  Families are the solver registry entry
-#: names; phases mirror the ``phases`` stats breakdown.
-REQUEST_LATENCY = REGISTRY.histogram(
-    "repro_request_latency_seconds",
-    "End-to-end request latency by solver family",
-    ("family",),
-)
-PHASE_LATENCY = REGISTRY.histogram(
-    "repro_phase_latency_seconds",
-    "Unique-job phase latency (queue_wait / exec) by solver family",
-    ("phase", "family"),
-)
-
-
-def enable_metrics() -> None:
-    """Turn live metric recording on process-wide."""
-    REGISTRY.enabled = True
-
-
-def disable_metrics() -> None:
-    REGISTRY.enabled = False
-
-
-def metrics_enabled() -> bool:
-    return REGISTRY.enabled
-
-
 def merge_registry_dicts(payloads: Iterable[Mapping[str, object]]) -> MetricsRegistry:
     """One registry holding the exact sum of several ``to_dict`` payloads."""
     merged = MetricsRegistry()
@@ -485,6 +552,3 @@ def merge_registry_dicts(payloads: Iterable[Mapping[str, object]]) -> MetricsReg
         merged.merge(payload)
     return merged
 
-
-__all__.append("merge_registry_dicts")
-__all__.extend(["REQUEST_LATENCY", "PHASE_LATENCY"])

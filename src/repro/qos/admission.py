@@ -9,8 +9,8 @@ cluster router).  It owns, per tenant:
 * the **counter ledger** (submitted / admitted / rejected — with a
   per-code rejection breakdown — completed / failed / abandoned /
   cache_hits / coalesced / busy seconds), and
-* a **queue-wait window** (sliding percentiles of time spent waiting
-  for an admission slot — the quantity the fairness benchmark bounds),
+* a **queue-wait histogram series** (time spent waiting for an
+  admission slot — the quantity the fairness benchmark bounds),
 
 plus the shared :class:`~repro.qos.queue.AdmissionQueue` that arbitrates
 slots between tenants.
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import time
 from typing import Callable, Dict, Optional
+
+from repro.obs.metrics import Histogram
 
 from .bucket import TokenBucket
 from .queue import AdmissionQueue
@@ -46,18 +48,12 @@ __all__ = ["AdmissionController"]
 class _TenantState:
     """Mutable per-tenant ledger (controller-internal)."""
 
-    __slots__ = ("cfg", "bucket", "queue_wait", "counters", "rejected_by",
+    __slots__ = ("cfg", "bucket", "counters", "rejected_by",
                  "in_use", "queued", "busy_s")
 
-    def __init__(self, cfg: TenantConfig, clock: Callable[[], float], window: int) -> None:
-        # Imported here, not at module top: repro.service imports this
-        # module, so a top-level import back into repro.service.stats would
-        # make the import order between the two packages matter.
-        from repro.service.stats import LatencyWindow
-
+    def __init__(self, cfg: TenantConfig, clock: Callable[[], float]) -> None:
         self.cfg = cfg
         self.bucket = TokenBucket(cfg.rate, cfg.burst, clock=clock)
-        self.queue_wait = LatencyWindow(window)
         self.counters: Dict[str, int] = {
             name: 0
             for name in ("submitted", "admitted", "rejected", "completed",
@@ -87,14 +83,17 @@ class AdmissionController:
         capacity: int,
         policy: str = "wfq",
         clock: Callable[[], float] = time.monotonic,
-        window: int = 2048,
     ) -> None:
         self.registry = registry
         self._clock = clock
         self._queue = AdmissionQueue(capacity, policy=policy)
         self._states: Dict[str, _TenantState] = {
-            cfg.name: _TenantState(cfg, clock, window) for cfg in registry
+            cfg.name: _TenantState(cfg, clock) for cfg in registry
         }
+        self._queue_wait = Histogram(
+            "repro_tenant_queue_wait_seconds",
+            "Admission-slot wait per tenant", ("tenant",),
+        )
         #: Requests naming no known tenant (they have no ledger row).
         self.unknown_rejected = 0
 
@@ -165,7 +164,7 @@ class AdmissionController:
             state.reject("cancelled")
             raise
         state.queued -= 1
-        state.queue_wait.record(self._clock() - started)
+        self._queue_wait.observe(self._clock() - started, cfg.name)
         state.in_use += 1
         return waited
 
@@ -246,7 +245,7 @@ class AdmissionController:
                 in_use=state.in_use,
                 queued=state.queued,
                 busy_s=state.busy_s,
-                queue_wait=state.queue_wait.snapshot(),
+                queue_wait=self._queue_wait.summary(name),
             )
             for name, state in sorted(self._states.items())
         }

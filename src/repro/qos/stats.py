@@ -3,16 +3,18 @@
 A *tenant snapshot* is the JSON-friendly ledger one serving process
 reports per tenant inside its ``stats()`` payload (the ``tenants`` key):
 cumulative counters, the per-code rejection breakdown, instantaneous
-gauges, accumulated worker-busy seconds, queue-wait percentiles over the
-sliding window, and the tenant's configured entitlements (so a stats
-reader needs no side channel to interpret the numbers).
+gauges, accumulated worker-busy seconds, the queue-wait histogram
+summary (:func:`repro.obs.metrics.summarize`), and the tenant's
+configured entitlements (so a stats reader needs no side channel to
+interpret the numbers).
 
 :func:`merge_tenant_snapshots` folds the per-shard tenant slices into
 cluster-wide ones the same way :mod:`repro.cluster.stats` merges family
-latencies: counters, gauges, and busy seconds sum; queue-wait
-percentiles merge count-weighted (an approximation, in monitoring's
-favor); entitlement fields pass through (identical on every shard by
-construction — the registry is distributed from one file).
+latencies: counters, gauges, and busy seconds sum; queue-wait summaries
+merge exactly by adding their histogram buckets
+(:func:`repro.obs.metrics.merge_summaries`); entitlement fields pass
+through (identical on every shard by construction — the registry is
+distributed from one file).
 
 Each snapshot's ``lost`` is derived exactly like the service-global
 ledger's: a submitted request must end in ``admitted`` or ``rejected``
@@ -23,8 +25,9 @@ shard kills.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping
+
+from repro.obs.metrics import merge_summaries
 
 from .tenants import TenantConfig
 
@@ -38,11 +41,6 @@ COUNTER_KEYS = ("submitted", "admitted", "rejected", "completed", "failed",
 #: in-use count is the sum of its per-shard in-use counts).
 GAUGE_KEYS = ("in_use", "queued")
 
-_WEIGHTED_KEYS = ("p50", "p90", "p99", "mean")
-
-_EMPTY_WINDOW = {"count": 0, "p50": math.nan, "p90": math.nan,
-                 "p99": math.nan, "mean": math.nan, "max": math.nan}
-
 
 def tenant_snapshot(
     cfg: TenantConfig,
@@ -51,7 +49,7 @@ def tenant_snapshot(
     in_use: int,
     queued: int,
     busy_s: float,
-    queue_wait: Mapping[str, float],
+    queue_wait: Mapping[str, object],
 ) -> Dict[str, object]:
     """Assemble one tenant's JSON-friendly ledger snapshot."""
     snap: Dict[str, object] = {key: int(counters.get(key, 0)) for key in COUNTER_KEYS}
@@ -77,37 +75,12 @@ def snapshot_lost(snap: Mapping[str, object]) -> int:
     )
 
 
-def _merge_windows(windows: List[Mapping[str, float]]) -> Dict[str, float]:
-    """Count-weighted merge of queue-wait windows (see module docstring)."""
-    merged: Dict[str, float] = {"count": 0, "max": -math.inf,
-                                **{key: 0.0 for key in _WEIGHTED_KEYS}}
-    for snap in windows:
-        count = int(snap.get("count", 0))
-        if count <= 0:
-            continue
-        for key in _WEIGHTED_KEYS:
-            value = float(snap.get(key, math.nan))
-            if not math.isnan(value):
-                merged[key] += count * value
-        merged["count"] += count
-        maximum = float(snap.get("max", math.nan))
-        if not math.isnan(maximum):
-            merged["max"] = max(merged["max"], maximum)
-    count = merged["count"]
-    for key in _WEIGHTED_KEYS:
-        merged[key] = merged[key] / count if count else math.nan
-    if merged["max"] == -math.inf:
-        merged["max"] = math.nan
-    merged["count"] = int(count)
-    return merged
-
-
 def merge_tenant_snapshots(
     slices: List[Mapping[str, Mapping[str, object]]],
 ) -> Dict[str, Dict[str, object]]:
     """Fold per-process ``{tenant: snapshot}`` slices into cluster-wide ones."""
     merged: Dict[str, Dict[str, object]] = {}
-    windows: Dict[str, List[Mapping[str, float]]] = {}
+    waits: Dict[str, List[Mapping[str, object]]] = {}
     for tenant_slice in slices:
         for name, snap in tenant_slice.items():
             bucket = merged.get(name)
@@ -118,7 +91,7 @@ def merge_tenant_snapshots(
                     "rejected_by": {},
                     "busy_s": 0.0,
                 }
-                windows[name] = []
+                waits[name] = []
             for key in COUNTER_KEYS + GAUGE_KEYS:
                 value = snap.get(key, 0)
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -133,7 +106,7 @@ def merge_tenant_snapshots(
                 bucket["busy_s"] += float(busy)  # type: ignore[operator]
             queue_wait = snap.get("queue_wait")
             if isinstance(queue_wait, Mapping):
-                windows[name].append(queue_wait)  # type: ignore[arg-type]
+                waits[name].append(queue_wait)  # type: ignore[arg-type]
             config = snap.get("config")
             if isinstance(config, Mapping) and "config" not in bucket:
                 bucket["config"] = dict(config)
@@ -142,8 +115,6 @@ def merge_tenant_snapshots(
             code: bucket["rejected_by"][code]  # type: ignore[index]
             for code in sorted(bucket["rejected_by"])  # type: ignore[arg-type]
         }
-        bucket["queue_wait"] = (
-            _merge_windows(windows[name]) if windows[name] else dict(_EMPTY_WINDOW)
-        )
+        bucket["queue_wait"] = merge_summaries(waits[name])
         bucket["lost"] = snapshot_lost(bucket)
     return {name: merged[name] for name in sorted(merged)}

@@ -58,14 +58,12 @@ from repro.service.sessions import (
     SessionManager,
     UnknownSessionError,
 )
-from repro.service.stats import FamilyLatency, LatencyWindow, ServiceStats
+from repro.service.stats import ServiceStats
 
 __all__ = [
     "SolverService",
     "ServiceConfig",
     "ServiceStats",
-    "LatencyWindow",
-    "FamilyLatency",
     "ServiceError",
     "ServiceClosedError",
     "ServiceOverloadedError",

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional
 
+from repro.qos.fairshare import POLICY_NAMES
+from repro.qos.tenants import load_tenants
 from repro.solvers.cache import CacheLike
 
 __all__ = ["ServiceConfig", "BACKPRESSURE_POLICIES"]
@@ -55,7 +57,10 @@ class ServiceConfig:
         while healthy requests sit far below the derived timeout and are
         untouched.  Explicit per-request timeouts and ``spec_timeouts``
         entries always win over the derived value; families without
-        enough history fall back to ``default_timeout``.
+        enough history fall back to ``default_timeout``.  The p99 is the
+        lifetime histogram estimate of the service's latency record (the
+        ``families`` summaries of :meth:`SolverService.stats`), which is
+        always on and needs no configuration.
     auto_timeout_multiplier:
         Headroom factor applied to the family p99 (default 25.0).
     auto_timeout_floor:
@@ -82,10 +87,6 @@ class ServiceConfig:
         Optional multiprocessing start method for the worker pool
         (``"fork"``, ``"spawn"``, ``"forkserver"``); ``None`` uses the
         platform default.
-    latency_window:
-        Number of most-recent request latencies kept for the percentile
-        snapshot in :meth:`SolverService.stats` (also the window of each
-        per-solver-family latency breakdown).
     max_sessions:
         Bound on concurrently open streaming sessions
         (:mod:`repro.service.sessions`); opening one more raises
@@ -111,19 +112,10 @@ class ServiceConfig:
         Dequeue policy arbitrating admission slots between backlogged
         tenants: ``"wfq"`` (weighted-fair, the default) or ``"fifo"``
         (weight-blind baseline).
-    latency_families_max:
-        Bound on distinct solver families tracked by the latency
-        breakdowns (least-recently-recorded eviction beyond it) — family
-        names are client-influenced via runtime-registered solvers, so
-        the breakdown must not be a memory leak.
     trace:
         Enable span recording (:mod:`repro.obs.trace`) in this process
         when the service starts.  Off by default; with it off the wire
         format and hot-path cost are identical to an obs-less build.
-    metrics:
-        Enable live metric recording (:mod:`repro.obs.metrics`) — the
-        mergeable per-family latency histograms behind the ``metrics``
-        op and the Prometheus scrape endpoint.  Off by default.
     slow_request_threshold:
         Seconds above which a completed request emits one structured
         ``slow_request`` log line (with its trace id when traced);
@@ -143,16 +135,13 @@ class ServiceConfig:
     cache: CacheLike = None
     coalesce: bool = True
     start_method: Optional[str] = None
-    latency_window: int = 2048
     max_sessions: int = 64
     max_session_tasks: int = 1_000_000
     session_ttl: Optional[float] = 300.0
     tenants: object = None
     default_tenant: Optional[str] = None
     qos_policy: str = "wfq"
-    latency_families_max: int = 64
     trace: bool = False
-    metrics: bool = False
     slow_request_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -169,8 +158,6 @@ class ServiceConfig:
             raise ValueError(
                 f"default_timeout must be > 0 or None, got {self.default_timeout}"
             )
-        if self.latency_window < 1:
-            raise ValueError(f"latency_window must be >= 1, got {self.latency_window}")
         if self.auto_timeout_multiplier <= 0:
             raise ValueError(
                 f"auto_timeout_multiplier must be > 0, got {self.auto_timeout_multiplier}"
@@ -189,10 +176,6 @@ class ServiceConfig:
         if self.auto_timeout_min_samples < 1:
             raise ValueError(
                 f"auto_timeout_min_samples must be >= 1, got {self.auto_timeout_min_samples}"
-            )
-        if self.latency_families_max < 1:
-            raise ValueError(
-                f"latency_families_max must be >= 1, got {self.latency_families_max}"
             )
         if self.slow_request_threshold is not None and self.slow_request_threshold <= 0:
             raise ValueError(
@@ -221,11 +204,7 @@ class ServiceConfig:
         object.__setattr__(self, "spec_timeouts", timeouts)
         # Normalize the tenants source (path / mapping / registry) into a
         # validated registry once, at construction — bad tenants files fail
-        # here, not mid-serving.  Imported lazily: repro.qos depends on
-        # repro.service.stats, and eager imports would tangle module load.
-        from repro.qos.fairshare import POLICY_NAMES
-        from repro.qos.tenants import load_tenants
-
+        # here, not mid-serving.
         if self.qos_policy not in POLICY_NAMES:
             raise ValueError(
                 f"qos_policy must be one of {POLICY_NAMES}, got {self.qos_policy!r}"

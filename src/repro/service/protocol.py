@@ -13,14 +13,16 @@ the response so clients can multiplex) and an ``op``:
     ``independent``, ``dag``, and ``uniform`` for speed-aware
     :class:`~repro.extensions.uniform_machines.UniformInstance`
     requests), ``params`` are optional spec overrides, ``timeout``
-    optional seconds.
+    optional seconds (a finite number ``> 0``, not a boolean; ``drain``
+    takes the same field).
 ``stats``
     ``{"op": "stats"}`` — returns the service stats snapshot.
 ``metrics``
     ``{"op": "metrics", "format": "text"|"dict"}`` — the unified
     metrics registry (:mod:`repro.obs`): Prometheus text exposition
     (``"text"``, the default) or the structured registry dict
-    (``"dict"``, what the cluster router merges shard registries from).
+    (``"dict"``).  Both are rendered from the ``stats`` snapshot, so
+    their latency histograms hold the same counts as its summaries.
 ``trace``
     ``{"op": "trace", "trace_id": "...", "clear": false}`` — dump the
     process's recorded spans (optionally one trace, optionally clearing

@@ -30,6 +30,7 @@ after the session is sealed, so it never stalls other connections.
 from __future__ import annotations
 
 import asyncio
+import math
 import sys
 import time
 from functools import partial
@@ -86,13 +87,24 @@ def _tenant_field(request: Dict[str, object]) -> Optional[str]:
 
 
 def _timeout_field(request: Dict[str, object]) -> Optional[float]:
-    """The optional per-request ``timeout`` in seconds (validated)."""
+    """The optional ``timeout`` of a ``solve`` or ``drain`` request, in seconds.
+
+    Absent or ``null`` means no timeout; anything else must be a finite
+    JSON number ``> 0`` (booleans are not numbers here).  The router
+    validates with this same function.
+    """
     timeout = request.get("timeout")
     if timeout is None:
         return None
-    if not isinstance(timeout, (int, float)):
-        raise ProtocolError("'timeout' must be a number of seconds")
-    return float(timeout)
+    if not isinstance(timeout, bool) and isinstance(timeout, (int, float)) \
+            and 0 < timeout < math.inf:
+        try:
+            return float(timeout)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ProtocolError(
+        f"'timeout' must be a number of seconds, finite and > 0, got {timeout!r}"
+    )
 
 
 def _is_huge(data: object) -> bool:
@@ -197,17 +209,14 @@ def _submit_tasks(request: Dict[str, object]) -> list:
 
 
 def _metrics_response(
-    request: Dict[str, object],
-    stats_payload: Dict[str, object],
-    router_counters: Optional[Dict[str, object]] = None,
-    extra_registries: Optional[list] = None,
+    request: Dict[str, object], stats_payload: Dict[str, object]
 ) -> Dict[str, object]:
     """Build the ``metrics`` op response (shared by service and router).
 
-    The registry is assembled fresh per request: snapshot-mirrored
-    counters/gauges, the live histograms, the profiler ledger, plus any
-    ``extra_registries`` dict payloads (the router passes its shards'
-    ``metrics`` dicts here — the exact histogram merge).
+    The registry is assembled fresh per request from the ``stats``
+    payload — its counters and gauges, and the latency histograms its
+    family and phase summaries carry (a cluster payload's are already
+    the exact merge over its shards) — plus the profiler ledger.
     """
     from repro.obs.adapters import build_metrics_registry
     from repro.obs.httpd import CONTENT_TYPE
@@ -215,10 +224,7 @@ def _metrics_response(
     fmt = request.get("format", "text")
     if fmt not in ("text", "dict"):
         raise ProtocolError(f"'format' must be 'text' or 'dict', got {fmt!r}")
-    registry = build_metrics_registry(stats_payload, router_counters)
-    for payload in extra_registries or ():
-        if isinstance(payload, dict):
-            registry.merge(payload)
+    registry = build_metrics_registry(stats_payload)
     request_id = request.get("id")
     if fmt == "dict":
         return {"id": request_id, "ok": True,
@@ -349,7 +355,7 @@ async def handle_request(
                 response["window_error"] = window_error
             return response
         if op == "stats":
-            # Idle windows report nan percentiles; the wire carries null
+            # Idle summaries report nan percentiles; the wire carries null
             # (with or without orjson) instead of the NaN literal.
             return {"id": request_id, "ok": True,
                     "stats": sanitize_non_finite(service.stats().to_dict())}

@@ -54,13 +54,13 @@ from typing import Dict, Optional, Set, Union
 from repro.core.instance import DAGInstance, Instance
 from repro.core.task import Task
 from repro.obs.logging import log_event
-from repro.obs.metrics import PHASE_LATENCY, REGISTRY, REQUEST_LATENCY, enable_metrics
+from repro.obs.metrics import Histogram, merge_summaries
 from repro.obs.trace import RECORDER, enable_tracing, new_span_id, parse_wire_trace
 from repro.qos.admission import AdmissionController
 from repro.qos.tenants import QosError, TenantConfig
 from repro.service.config import ServiceConfig
 from repro.service.sessions import Session, SessionManager
-from repro.service.stats import FamilyLatency, LatencyWindow, ServiceStats, merge_latency
+from repro.service.stats import ServiceStats
 from repro.service.tier import ResponseTier, TierEntry
 from repro.solvers.api import PreparedSolve, prepare, solve
 from repro.solvers.batch import shippable_custom_entries
@@ -85,6 +85,13 @@ _UNSET = object()
 #: Instances at or above this task count have their content hash computed
 #: off-loop (shared with the server's request-decoding threshold).
 _OFFLOAD_TASK_COUNT = 10_000
+
+#: Bound on distinct solver families each latency histogram tracks, with
+#: least-recently-recorded eviction beyond it: family names are
+#: client-influenced via runtime-registered solvers, so the breakdown
+#: must not be a memory leak.  The built-in registry has about a dozen
+#: families, so healthy operation never evicts.
+MAX_FAMILIES = 64
 
 
 class ServiceError(RuntimeError):
@@ -113,6 +120,11 @@ def _pool_solve(instance: AnyInstance, spec: SolverSpec, entries: tuple):
     for entry in entries:
         register(entry, replace=True)
     return solve(instance, spec, cache=False)
+
+
+def _by_family(histogram: Histogram) -> Dict[str, Dict[str, object]]:
+    """``{family: summary}`` of a histogram labelled by family alone."""
+    return {key[0]: summary for key, summary in histogram.summaries().items()}
 
 
 class _Job:
@@ -177,19 +189,24 @@ class SolverService:
         self._inflight: Dict[str, _Job] = {}
         self._tasks: Set["asyncio.Task"] = set()
         self._qos: Optional[AdmissionController] = None
-        self._latency = LatencyWindow(config.latency_window)
-        self._family_latency = FamilyLatency(
-            config.latency_window, config.latency_families_max
+        # The one latency record: end-to-end request latency per family,
+        # plus the phase split of unique jobs — time queued for a worker
+        # slot vs time executing in the pool (end-to-end latency alone
+        # cannot show whether a slow family is compute- or queue-bound).
+        # ``stats``, auto-timeouts and the ``metrics`` op all read these.
+        self._latency = Histogram(
+            "repro_request_latency_seconds",
+            "End-to-end request latency by solver family",
+            ("family",), max_series=MAX_FAMILIES,
         )
-        # Phase breakdown of unique jobs: time queued for a worker slot vs
-        # time executing in the pool (end-to-end latency alone cannot show
-        # whether a slow family is compute-bound or queue-bound).
-        self._phase_queue_wait = FamilyLatency(
-            config.latency_window, config.latency_families_max
-        )
-        self._phase_exec = FamilyLatency(
-            config.latency_window, config.latency_families_max
-        )
+        self._phases = {
+            phase: Histogram(
+                "repro_phase_latency_seconds",
+                "Unique-job phase latency (queue_wait / exec) by solver family",
+                ("family",), max_series=MAX_FAMILIES,
+            )
+            for phase in ("queue_wait", "exec")
+        }
         self._sessions = SessionManager(
             max_sessions=config.max_sessions,
             max_session_tasks=config.max_session_tasks,
@@ -232,15 +249,12 @@ class SolverService:
                 self.config.tenants,
                 capacity=self.config.max_pending,
                 policy=self.config.qos_policy,
-                window=self.config.latency_window,
             )
-        # Observability is process-global and opt-in: flip the recorders on
-        # only when this service asked for them (never off — another
-        # service or the CLI may have enabled them first).
+        # Span recording is process-global and opt-in: flip the recorder on
+        # only when this service asked for it (never off — another service
+        # or the CLI may have enabled it first).
         if self.config.trace:
             enable_tracing()
-        if self.config.metrics:
-            enable_metrics()
         self._started = True
         return self
 
@@ -577,12 +591,9 @@ class SolverService:
     def _record_latency(
         self, family: str, started: float, tctx: Optional[tuple] = None
     ) -> None:
-        """Record one successful request latency globally and per family."""
+        """Record one successful request latency in its family's series."""
         elapsed = time.perf_counter() - started
-        self._latency.record(elapsed)
-        self._family_latency.record(family, elapsed)
-        if REGISTRY.enabled:
-            REQUEST_LATENCY.observe(elapsed, family)
+        self._latency.observe(elapsed, family)
         threshold = self.config.slow_request_threshold
         if threshold is not None and elapsed >= threshold:
             log_event(
@@ -592,11 +603,9 @@ class SolverService:
             )
 
     def _record_exec(self, job: _Job, family: str, exec_at: float) -> None:
-        """Record one pool execution: phase percentile + tenant usage."""
+        """Record one pool execution: phase latency + tenant usage."""
         elapsed = time.perf_counter() - exec_at
-        self._phase_exec.record(family, elapsed)
-        if REGISTRY.enabled:
-            PHASE_LATENCY.observe(elapsed, "exec", family)
+        self._phases["exec"].observe(elapsed, family)
         if job.trace is not None:
             RECORDER.record(
                 "kernel", "service", job.trace[0], new_span_id(), job.trace[1],
@@ -666,9 +675,7 @@ class SolverService:
         self._queued -= 1
         self._running += 1
         waited_s = time.perf_counter() - queued_at
-        self._phase_queue_wait.record(prepared.entry.name, waited_s)
-        if REGISTRY.enabled:
-            PHASE_LATENCY.observe(waited_s, "queue_wait", prepared.entry.name)
+        self._phases["queue_wait"].observe(waited_s, prepared.entry.name)
         if job.trace is not None:
             RECORDER.record(
                 "queue_wait", "service", job.trace[0], new_span_id(),
@@ -846,7 +853,7 @@ class SolverService:
             if timeout is None:
                 return None
             seconds = float(timeout)  # type: ignore[arg-type]
-            if seconds <= 0:
+            if not seconds > 0:  # also rejects nan
                 raise ValueError(f"timeout must be > 0 or None, got {seconds}")
             return seconds
         if solver_name in self.config.spec_timeouts:
@@ -866,10 +873,10 @@ class SolverService:
         outlier cannot poison the derived bound.
         """
         config = self.config
-        count, p99 = self._family_latency.tail(solver_name, 99.0)
-        if count < config.auto_timeout_min_samples or not (p99 == p99):  # nan check
+        tail = self._latency.summary(solver_name)
+        if tail["count"] < config.auto_timeout_min_samples:
             return None
-        derived = config.auto_timeout_multiplier * p99
+        derived = config.auto_timeout_multiplier * tail["p99"]
         derived = max(derived, config.auto_timeout_floor)
         if config.auto_timeout_ceiling is not None:
             derived = min(derived, config.auto_timeout_ceiling)
@@ -890,21 +897,24 @@ class SolverService:
         }
 
     def stats(self) -> ServiceStats:
-        """An immutable snapshot of counters, gauges, and latency percentiles."""
-        gauges = {
-            "queue_depth": self._queued,
-            "in_flight": self._running,
-            "pending": self._pending,
-        }
-        return merge_latency(
-            {**self._counters, **gauges, **self._sessions.stats()},
-            self._latency.snapshot(),
-            families=self._family_latency.snapshot(),
-            phases={
-                "queue_wait": self._phase_queue_wait.snapshot(),
-                "exec": self._phase_exec.snapshot(),
-            },
-            tenants=self._qos.snapshot() if self._qos is not None else None,
+        """An immutable snapshot of counters, gauges, and latency summaries."""
+        families = _by_family(self._latency)
+        overall = merge_summaries(families.values())
+        return ServiceStats(
+            **self._counters,
+            **self._sessions.stats(),
+            queue_depth=self._queued,
+            in_flight=self._running,
+            pending=self._pending,
+            latency_count=overall["count"],
+            latency_p50=overall["p50"],
+            latency_p90=overall["p90"],
+            latency_p99=overall["p99"],
+            latency_mean=overall["mean"],
+            latency_max=overall["max"],
+            families=families,
+            phases={phase: _by_family(h) for phase, h in self._phases.items()},
+            tenants=self._qos.snapshot() if self._qos is not None else {},
         )
 
     @property

@@ -2,144 +2,18 @@
 
 :class:`ServiceStats` is an immutable snapshot produced by
 :meth:`SolverService.stats` — safe to hand to monitoring code while the
-service keeps running.  :class:`LatencyWindow` is the small internal
-ring buffer the service records per-request latencies into; percentiles
-are computed over the most recent ``window`` requests (a sliding window,
-so a long-running service reports current behaviour, not lifetime
-averages).
+service keeps running.  Its latency figures are summaries
+(:func:`repro.obs.metrics.summarize`) of the service's own
+fixed-boundary histograms, the one latency record every consumer reads.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping
 
-__all__ = ["ServiceStats", "LatencyWindow", "FamilyLatency"]
-
-
-def _nearest_rank(values: list, p: float) -> float:
-    """Nearest-rank percentile of pre-sorted ``values``; ``nan`` when empty."""
-    if not values:
-        return math.nan
-    rank = max(1, math.ceil(p / 100.0 * len(values)))
-    return values[min(rank, len(values)) - 1]
-
-
-class LatencyWindow:
-    """Thread-safe sliding window of request latencies (seconds)."""
-
-    def __init__(self, window: int = 2048) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self._values: "deque[float]" = deque(maxlen=window)
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self._values.append(seconds)
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        """Total number of recorded latencies (beyond the window)."""
-        return self._count
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0 < p <= 100) of the windowed latencies.
-
-        Nearest-rank definition on the sorted window; ``nan`` when empty.
-        """
-        with self._lock:
-            values = sorted(self._values)
-        return _nearest_rank(values, p)
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            values = sorted(self._values)
-            count = self._count
-        if not values:
-            return {"count": count, "p50": math.nan, "p90": math.nan,
-                    "p99": math.nan, "mean": math.nan, "max": math.nan}
-        return {
-            "count": count,
-            "p50": _nearest_rank(values, 50),
-            "p90": _nearest_rank(values, 90),
-            "p99": _nearest_rank(values, 99),
-            "mean": sum(values) / len(values),
-            "max": values[-1],
-        }
-
-
-class FamilyLatency:
-    """Per-solver-family latency windows (keyed by registry entry name).
-
-    One :class:`LatencyWindow` per *spec family* — the registry entry name
-    of the request's solver (``"sbo"`` for every ``sbo(delta=...)``
-    variant), so the breakdown answers "which solver family is slow"
-    without exploding cardinality across parameterisations.  Thread-safe
-    like the windows it owns; families appear on first use.
-
-    The family *count* is bounded by ``max_families`` with
-    least-recently-recorded eviction: runtime-registered solvers make
-    family names client-controlled, so without a cap a client cycling
-    spec names grows service/router memory without bound.  The built-in
-    registry has ~a dozen families — the default cap of 64 never evicts
-    in healthy operation.
-    """
-
-    DEFAULT_MAX_FAMILIES = 64
-
-    def __init__(self, window: int = 2048,
-                 max_families: int = DEFAULT_MAX_FAMILIES) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if max_families < 1:
-            raise ValueError(f"max_families must be >= 1, got {max_families}")
-        self._window = window
-        self._max_families = max_families
-        self._families: Dict[str, LatencyWindow] = {}
-        self._lock = threading.Lock()
-        self._evicted = 0
-
-    @property
-    def evicted(self) -> int:
-        """Families dropped by the ``max_families`` bound (cumulative)."""
-        return self._evicted
-
-    def record(self, family: str, seconds: float) -> None:
-        with self._lock:
-            bucket = self._families.pop(family, None)
-            if bucket is None:
-                bucket = LatencyWindow(self._window)
-                while len(self._families) >= self._max_families:
-                    self._families.pop(next(iter(self._families)))
-                    self._evicted += 1
-            # Re-insert at the back: dict order is recency-of-record, so
-            # the eviction above always drops the least recently recorded.
-            self._families[family] = bucket
-        bucket.record(seconds)
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """``{family: {count, p50, p90, p99, mean, max}}`` for observed families."""
-        with self._lock:
-            families = dict(self._families)
-        return {name: window.snapshot() for name, window in sorted(families.items())}
-
-    def tail(self, family: str, p: float = 99.0) -> Tuple[int, float]:
-        """``(count, p-th percentile)`` of one family; ``(0, nan)`` when unseen.
-
-        Cheaper than :meth:`snapshot` when only one family's tail is
-        needed — the auto-timeout path calls this per request.
-        """
-        with self._lock:
-            window = self._families.get(family)
-        if window is None:
-            return (0, math.nan)
-        return (window.count, window.percentile(p))
+__all__ = ["ServiceStats"]
 
 
 @dataclass(frozen=True)
@@ -167,11 +41,17 @@ class ServiceStats:
     * ``pending`` — unique unfinished jobs (queued + running), the
       quantity bounded by ``ServiceConfig.max_pending``.
 
-    ``latency_*`` fields summarize end-to-end request latency (submission
-    to result, cache hits included) over the sliding window;
-    ``families`` breaks the same measurement down per solver family
-    (registry entry name), so a slow family is visible even when the
-    global percentiles look healthy.
+    ``families`` summarizes end-to-end request latency (submission to
+    result, cache hits included) per solver family (registry entry
+    name), so a slow family is visible even when the global percentiles
+    look healthy.  Each summary is ``{count, p50, p90, p99, mean, max,
+    buckets, sum}`` over the service's lifetime: percentiles are
+    histogram estimates (the upper bound of the covering bucket, clamped
+    to the exact ``max``), ``mean`` is ``sum / count``, and ``buckets`` /
+    ``sum`` let summaries from several processes merge exactly
+    (:func:`repro.obs.metrics.merge_summaries`).  The ``latency_*``
+    fields are the merge of every family summary; an idle service
+    reports ``nan`` (``null`` on the wire).
 
     ``phases`` splits *unique job* latency into its two phases, each a
     per-family breakdown like ``families``: ``phases["queue_wait"]`` is
@@ -210,8 +90,8 @@ class ServiceStats:
     latency_p99: float = math.nan
     latency_mean: float = math.nan
     latency_max: float = math.nan
-    families: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
-    phases: Mapping[str, Mapping[str, Mapping[str, float]]] = field(default_factory=dict)
+    families: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
+    phases: Mapping[str, Mapping[str, Mapping[str, object]]] = field(default_factory=dict)
     tenants: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     sessions_open: int = 0
     sessions_opened: int = 0
@@ -240,29 +120,3 @@ class ServiceStats:
         payload["lost"] = self.lost
         return payload
 
-
-def merge_latency(
-    stats: Dict[str, int],
-    latency: Optional[Dict[str, float]],
-    families: Optional[Mapping[str, Mapping[str, float]]] = None,
-    phases: Optional[Mapping[str, Mapping[str, Mapping[str, float]]]] = None,
-    tenants: Optional[Mapping[str, Mapping[str, object]]] = None,
-) -> ServiceStats:
-    """Build a :class:`ServiceStats` from raw counters + latency snapshots."""
-    fields = dict(stats)
-    if latency is not None:
-        fields.update(
-            latency_count=int(latency["count"]),
-            latency_p50=latency["p50"],
-            latency_p90=latency["p90"],
-            latency_p99=latency["p99"],
-            latency_mean=latency["mean"],
-            latency_max=latency["max"],
-        )
-    if families is not None:
-        fields["families"] = dict(families)
-    if phases is not None:
-        fields["phases"] = {name: dict(snap) for name, snap in phases.items()}
-    if tenants is not None:
-        fields["tenants"] = {name: dict(snap) for name, snap in tenants.items()}
-    return ServiceStats(**fields)  # type: ignore[arg-type]

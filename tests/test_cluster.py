@@ -36,9 +36,10 @@ from repro.cluster import (
     rank,
     route,
 )
-from repro.cluster.stats import merge_families
+from repro.cluster.stats import merge_shard_stats
 from repro.core.instance import Instance
 from repro.core.task import Task
+from repro.obs.metrics import Histogram
 from repro.online import create_online, stochastic_trace
 from repro.service.client import ServiceClient
 from repro.service.protocol import solve_request
@@ -652,22 +653,66 @@ class TestClusterStatsMerge:
         assert payload["cluster"] is True
         assert payload["router"]["routed"] == 4
 
-    def test_merge_families_count_weighted(self):
-        def window(count, value):
-            return {"count": count, "p50": value, "p90": value, "p99": value,
-                    "mean": value, "max": value}
+    def test_metrics_histogram_count_matches_stats(self):
+        """The cluster `metrics` histograms count each solve exactly once."""
+        instances = [Instance.from_lists(p=[k + 1, 2, 3], s=[3, 2, k + 1], m=2)
+                     for k in range(6)]
 
-        merged = merge_families([
-            {"lpt": window(1, 2.0), "sbo": window(3, 1.0)},
-            {"sbo": window(1, 5.0), "rls": window(2, 4.0)},
-        ])
-        assert list(merged) == ["lpt", "rls", "sbo"]
-        assert merged["lpt"] == window(1, 2.0)
-        assert merged["rls"] == window(2, 4.0)
-        shared = merged["sbo"]
-        assert shared["mean"] == shared["p50"] == (3 * 1.0 + 1 * 5.0) / 4
-        assert shared["max"] == 5.0
-        assert shared["count"] == 4
+        async def scenario():
+            async with ClusterRouter(inproc_config(shards=2)) as router:
+                for instance in instances:
+                    await router.solve(instance, "lpt")
+                metrics = await router.handle({"op": "metrics", "format": "dict", "id": 1})
+                return metrics, await router.stats()
+
+        metrics, stats = run(scenario())
+        assert metrics["ok"], metrics
+        registry = metrics["metrics"]
+        series = registry["repro_request_latency_seconds"]["series"]
+        assert sum(s["count"] for s in series.values()) \
+            == stats.totals["latency_count"] == len(instances)
+        phases = registry["repro_phase_latency_seconds"]["series"]
+        assert phases["exec\tlpt"]["count"] == phases["queue_wait\tlpt"]["count"] == len(instances)
+        assert registry["repro_submitted_total"]["series"][""] == len(instances)
+        # Cluster summaries are the exact bucket sum of the shard series.
+        shard_buckets = [shard["families"]["lpt"]["buckets"]
+                         for shard in stats.shards.values() if shard["families"]]
+        assert stats.families["lpt"]["buckets"] == [sum(b) for b in zip(*shard_buckets)]
+        assert series["lpt"]["buckets"] == stats.families["lpt"]["buckets"]
+
+    def test_merge_families_exact(self):
+        """Shard summaries merge into the summary of the concatenated samples."""
+        samples = {
+            "shard-0": {"lpt": [0.002], "sbo": [0.001, 0.003, 0.004, 0.02]},
+            "shard-1": {"sbo": [0.3, 0.0004, 0.07], "rls": [1.5, 4.0]},
+        }
+        everything = Histogram("lat", labelnames=("family",))
+        payloads = {}
+        for shard, families in samples.items():
+            own = Histogram("lat", labelnames=("family",))
+            for family, values in families.items():
+                for value in values:
+                    own.observe(value, family)
+                    everything.observe(value, family)
+            summaries = {key[0]: summary for key, summary in own.summaries().items()}
+            payloads[shard] = {"families": summaries,
+                               "phases": {"exec": summaries}}
+
+        merged = merge_shard_stats(payloads, router={})
+        assert list(merged.families) == ["lpt", "rls", "sbo"]
+        for family in ("lpt", "rls", "sbo"):
+            want = everything.summary(family)
+            assert merged.families[family] == want
+            assert merged.phases["exec"][family] == want
+        shared = merged.families["sbo"]
+        shard_buckets = [payloads[s]["families"]["sbo"]["buckets"] for s in payloads]
+        assert shared["buckets"] == [a + b for a, b in zip(*shard_buckets)]
+        assert shared["count"] == 7
+        assert shared["max"] == 0.3  # the true max, not an average
+        assert shared["mean"] == pytest.approx(shared["sum"] / 7)
+        assert shared["sum"] == pytest.approx(sum(samples["shard-0"]["sbo"])
+                                              + sum(samples["shard-1"]["sbo"]))
+        assert shared["p99"] == everything.quantile(0.99, "sbo")
 
 
 # --------------------------------------------------------------------------- #

@@ -16,8 +16,10 @@ Covers the `repro.obs` subsystem end to end:
   autoscale decision event;
 * the protocol-boundary NaN sanitisation (idle stats round-trip as
   `null`);
-* the `FamilyLatency` family cap (client-controlled names cannot grow
-  memory without bound);
+* the pinned key sets of the `stats` payload (service idle and busy,
+  cluster, tenant slices);
+* the family cap of the latency histograms (client-controlled names
+  cannot grow memory without bound);
 * the `repro stats` / `repro top` / `repro trace dump` CLI clients.
 """
 
@@ -49,7 +51,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    disable_metrics,
     merge_registry_dicts,
 )
 from repro.obs.profile import (
@@ -74,9 +75,10 @@ from repro.service.protocol import (
     sanitize_non_finite,
     solve_request,
 )
-from repro.service.server import serve_tcp
-from repro.service.service import SolverService
-from repro.service.stats import FamilyLatency
+from repro.service.server import handle_request, serve_tcp
+from repro.service.service import MAX_FAMILIES, SolverService
+
+from _service_helpers import make_sleepy_entry, registered
 
 pytestmark = pytest.mark.obs
 
@@ -92,16 +94,9 @@ def inst():
 
 @pytest.fixture(autouse=True)
 def _reset_obs_state():
-    """Every test leaves the process-global observability state off/empty.
-
-    The global REGISTRY is deliberately *not* cleared: its histogram
-    objects (REQUEST_LATENCY / PHASE_LATENCY) are module-level singletons
-    the serving code holds references to — tests assert on deltas or use
-    private registries instead.
-    """
+    """Every test leaves the process-global observability state off/empty."""
     yield
     disable_tracing(clear=True)
-    disable_metrics()
     disable_profiling(reset=True)
     LOG.enabled = False
     set_log_sink(None)
@@ -332,18 +327,28 @@ class TestRegistryWireForm:
 # --------------------------------------------------------------------------- #
 class TestAdapters:
     def test_flat_service_shape(self):
+        source = Histogram("lat", labelnames=("family",))
+        for value in (0.004, 0.02, 0.02, 0.3):
+            source.observe(value, "lpt")
         payload = {
             "submitted": 10, "completed": 8, "queue_depth": 2,
-            "latency_count": 8,
-            "families": {"lpt": {"count": 8, "p50": 0.01, "p99": float("nan")}},
+            "latency_count": 4,
+            "families": {"lpt": source.summary("lpt"),
+                         "idle": source.summary("idle")},
+            "phases": {"exec": {"lpt": source.summary("lpt")}, "queue_wait": {}},
             "tenants": {"acme": {"admitted": 5, "in_flight": 1, "weight": 2.0}},
         }
         reg = registry_from_service_stats(payload)
         assert reg.get("repro_submitted_total").value() == 10
         assert reg.get("repro_queue_depth").value() == 2
-        assert reg.get("repro_family_latency_seconds").value("lpt", "p50") == 0.01
-        # NaN percentiles are skipped, not exported as NaN samples.
-        assert ("lpt", "p99") not in reg.get("repro_family_latency_seconds").collect()
+        assert reg.get("repro_family_requests_total").value("lpt") == 4
+        # The latency histograms are rebuilt exactly from the summaries.
+        series = reg.get("repro_request_latency_seconds").collect()
+        assert series[("lpt",)] == source.collect()[("lpt",)]
+        assert series[("idle",)]["count"] == 0
+        phase = reg.get("repro_phase_latency_seconds").collect()
+        assert phase[("exec", "lpt")]["buckets"] == source.collect()[("lpt",)]["buckets"]
+        assert reg.get("repro_family_latency_seconds") is None  # no gauge mirror
         assert reg.get("repro_tenant_admitted_total").value("acme") == 5
 
     def test_cluster_shape_reads_nested_keys(self):
@@ -372,6 +377,116 @@ class TestAdapters:
         reg = add_profile_metrics(MetricsRegistry())
         assert reg.get("repro_profile_calls_total").value("sbo", "kernel") == 1
         assert reg.get("repro_profile_seconds_total").value("sbo", "kernel") >= 0
+
+
+# --------------------------------------------------------------------------- #
+# the `stats` wire shape (every key the payload had before the histograms)
+# --------------------------------------------------------------------------- #
+SERVICE_KEYS = {
+    "submitted", "completed", "failed", "rejected", "timed_out", "cancelled",
+    "coalesced", "abandoned", "cache_hits", "cache_misses", "queue_depth",
+    "in_flight", "pending", "lost", "latency_count", "latency_p50",
+    "latency_p90", "latency_p99", "latency_mean", "latency_max", "families",
+    "phases", "tenants", "sessions_open", "sessions_opened", "sessions_closed",
+    "sessions_expired", "sessions_rejected", "sessions_restored", "session_tasks",
+}
+#: A latency summary: the parent's keys plus the mergeable buckets / sum.
+SUMMARY_KEYS = {"count", "p50", "p90", "p99", "mean", "max", "buckets", "sum"}
+TENANT_KEYS = {
+    "submitted", "admitted", "rejected", "completed", "failed", "abandoned",
+    "cache_hits", "coalesced", "rejected_by", "in_use", "queued", "busy_s",
+    "queue_wait", "lost", "config",
+}
+CLUSTER_KEYS = {"cluster", "totals", "families", "phases", "tenants", "router", "shards"}
+CLUSTER_TOTALS_KEYS = (SERVICE_KEYS - {
+    "latency_p50", "latency_p90", "latency_p99", "latency_mean", "latency_max",
+    "families", "phases", "tenants",
+})
+ROUTER_KEYS = {
+    "routed", "completed", "retried", "lost", "router_cache_hits",
+    "router_cache_misses", "handoffs", "handoff_failures", "sessions_lost",
+    "sessions_replayed", "replays_failed", "probes", "probe_failures",
+    "sessions_pinned", "sessions_journaled", "shards_alive", "shards_draining",
+    "shards_started", "shards_attached", "shards_retired", "shards_lost",
+}
+TENANTS = {"default": "a", "tenants": [{"name": "a"}, {"name": "b"}]}
+
+
+def _assert_summary(summary):
+    assert set(summary) == SUMMARY_KEYS
+    if summary["count"]:
+        assert summary["p50"] <= summary["p90"] <= summary["p99"] <= summary["max"]
+        assert sum(summary["buckets"]) == summary["count"]
+
+
+def _assert_breakdowns(stats):
+    assert set(stats["phases"]) == {"queue_wait", "exec"}
+    for breakdown in (stats["families"], *stats["phases"].values()):
+        for summary in breakdown.values():
+            _assert_summary(summary)
+    assert set(stats["tenants"]) == {"a", "b"}
+    for snap in stats["tenants"].values():
+        assert set(snap) == TENANT_KEYS
+        _assert_summary(snap["queue_wait"])
+
+
+def _assert_service_shape(stats):
+    assert set(stats) == SERVICE_KEYS
+    _assert_breakdowns(stats)
+    if stats["latency_count"]:
+        assert stats["latency_p50"] <= stats["latency_p90"] \
+            <= stats["latency_p99"] <= stats["latency_max"]
+
+
+class TestStatsWireShape:
+    def test_service_idle_and_busy(self, inst):
+        async def scenario():
+            with registered(make_sleepy_entry()):
+                config = ServiceConfig(workers=1, tenants=TENANTS)
+                async with SolverService(config) as svc:
+                    idle = (await handle_request(svc, {"op": "stats"}))["stats"]
+                    await svc.solve(inst, "lpt")
+                    slow = asyncio.create_task(svc.solve(inst, "sleepy(seconds=0.3)"))
+                    while svc.load_summary()["in_flight"] == 0:
+                        await asyncio.sleep(0.01)
+                    busy = (await handle_request(svc, {"op": "stats"}))["stats"]
+                    await slow
+            return idle, busy
+
+        idle, busy = run(scenario())
+        _assert_service_shape(idle)
+        assert idle["families"] == {} and idle["latency_count"] == 0
+        _assert_service_shape(busy)
+        assert busy["in_flight"] == 1 and busy["latency_count"] == 1
+        assert busy["families"]["lpt"]["count"] == 1
+        assert busy["tenants"]["a"]["queue_wait"]["count"] == 2
+        assert busy["tenants"]["b"]["queue_wait"]["count"] == 0  # idle slice
+
+    @pytest.mark.cluster
+    def test_cluster_payload(self, inst):
+        from repro.cluster.config import ClusterConfig
+        from repro.cluster.router import ClusterRouter
+
+        async def scenario():
+            config = ClusterConfig(shards=2, backend="inproc", workers=1,
+                                   cache=False, tenants=TENANTS)
+            async with ClusterRouter(config) as router:
+                for spec in ("lpt", "sbo(delta=1.0)", "lpt"):
+                    response = await router.handle(solve_request(inst, spec))
+                    assert response["ok"], response
+                return (await router.handle({"op": "stats", "id": 1}))["stats"]
+
+        stats = run(scenario())
+        assert set(stats) == CLUSTER_KEYS
+        assert set(stats["totals"]) == CLUSTER_TOTALS_KEYS
+        assert set(stats["router"]) == ROUTER_KEYS
+        _assert_breakdowns(stats)
+        # The repeat is answered by the router tier, before any shard.
+        assert stats["families"]["lpt"]["count"] == 1
+        assert stats["router"]["router_cache_hits"] == 1
+        assert stats["tenants"]["a"]["queue_wait"]["count"] == 3
+        for shard in stats["shards"].values():
+            assert set(shard) == SERVICE_KEYS
 
 
 # --------------------------------------------------------------------------- #
@@ -409,35 +524,43 @@ class TestNonFiniteSanitisation:
 
 
 # --------------------------------------------------------------------------- #
-# FamilyLatency cap (satellite: client-controlled family names)
+# family cap of the latency histograms (client-controlled family names)
 # --------------------------------------------------------------------------- #
 class TestFamilyLatencyCap:
     def test_eviction_is_least_recently_recorded(self):
-        fam = FamilyLatency(window=8, max_families=3)
+        fam = Histogram("lat", labelnames=("family",), max_series=3)
         for name in ("a", "b", "c"):
-            fam.record(name, 0.1)
-        fam.record("a", 0.2)   # refresh a → b is now oldest
-        fam.record("d", 0.3)   # evicts b
-        snap = fam.snapshot()
-        assert sorted(snap) == ["a", "c", "d"]
+            fam.observe(0.1, name)
+        fam.observe(0.2, "a")   # refresh a → b is now oldest
+        fam.observe(0.3, "d")   # evicts b
+        snap = fam.summaries()
+        assert sorted(key[0] for key in snap) == ["a", "c", "d"]
         assert fam.evicted == 1
-        assert snap["a"]["count"] == 2  # refreshed family kept its window
+        assert snap[("a",)]["count"] == 2  # refreshed family kept its series
 
     def test_cap_bounds_memory_under_churn(self):
-        fam = FamilyLatency(window=4, max_families=5)
+        fam = Histogram("lat", labelnames=("family",), max_series=5)
         for i in range(100):
-            fam.record(f"family-{i}", 0.01)
-        assert len(fam.snapshot()) == 5
+            fam.observe(0.01, f"family-{i}")
+        assert len(fam.summaries()) == 5
         assert fam.evicted == 95
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FamilyLatency(max_families=0)
+            Histogram("lat", labelnames=("family",), max_series=0)
 
-    def test_service_config_threads_the_cap(self):
-        assert ServiceConfig(latency_families_max=7).latency_families_max == 7
-        with pytest.raises(ValueError):
-            ServiceConfig(latency_families_max=0)
+    def test_service_bounds_families_by_module_cap(self):
+        async def scenario():
+            async with SolverService(ServiceConfig(workers=1)) as svc:
+                for i in range(MAX_FAMILIES + 3):
+                    svc._latency.observe(0.01, f"family-{i}")
+                return svc.stats(), svc._latency.evicted
+
+        stats, evicted = run(scenario())
+        assert MAX_FAMILIES == 64
+        assert len(stats.families) == MAX_FAMILIES
+        assert evicted == 3
+        assert "family-0" not in stats.families  # the oldest went first
 
 
 # --------------------------------------------------------------------------- #
@@ -578,8 +701,9 @@ class TestExposition:
         assert "repro_h_seconds_count 2" in text
 
     def test_build_metrics_registry_combines_sources(self):
-        payload = {"submitted": 2, "families": {}}
-        reg = build_metrics_registry(payload, {"routed": 2})
+        payload = {"cluster": True, "totals": {"submitted": 2}, "families": {},
+                   "router": {"routed": 2}}
+        reg = build_metrics_registry(payload)
         text = reg.render()
         assert_valid_exposition(text)
         assert "repro_submitted_total 2" in text
@@ -646,7 +770,7 @@ class TestMetricsHttpd:
 class TestServiceObservabilityOps:
     def test_traced_solve_metrics_and_trace_dump(self, inst):
         async def scenario():
-            config = ServiceConfig(workers=1, trace=True, metrics=True)
+            config = ServiceConfig(workers=1, trace=True)
             async with SolverService(config) as svc:
                 shutdown = asyncio.Event()
                 server = await serve_tcp(svc, "127.0.0.1", 0, shutdown)
@@ -743,7 +867,7 @@ class TestClusterTracePropagation:
         assert by_name["dispatch"]["parent"] == by_name["route"]["span"]
         assert by_name["kernel"]["parent"] == by_name["dispatch"]["span"]
         assert by_name["admission"]["parent"] == by_name["route"]["span"]
-        # The cluster `metrics` op fans out and merges shard registries.
+        # The cluster `metrics` op renders the merged shard histograms.
         assert metrics["ok"]
         assert_valid_exposition(metrics["text"])
 

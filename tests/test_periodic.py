@@ -31,7 +31,6 @@ Covers the full vertical:
 from __future__ import annotations
 
 import json
-import math
 import pickle
 import subprocess
 import sys

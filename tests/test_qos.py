@@ -48,6 +48,7 @@ from repro.qos import (
     load_tenants,
     merge_tenant_snapshots,
 )
+from repro.obs.metrics import Histogram
 from repro.service import ServiceConfig, SolverService
 from repro.service.client import (
     OverQuotaRejection,
@@ -499,22 +500,28 @@ class TestAdmissionController:
         run(scenario())
 
     def test_snapshot_merge_across_slices(self):
+        def waits(*values):
+            histogram = Histogram("wait", labelnames=("tenant",))
+            for value in values:
+                histogram.observe(value, "a")
+            return histogram.summary("a")
+
         slices = [
             {"a": {"submitted": 3, "admitted": 2, "rejected": 1, "in_use": 1,
                    "busy_s": 1.0, "rejected_by": {"over_quota": 1},
-                   "queue_wait": {"count": 2, "p50": 1.0, "p90": 1.0, "p99": 1.0,
-                                  "mean": 1.0, "max": 1.0},
+                   "queue_wait": waits(1.0, 1.0),
                    "config": {"quota": None, "rate": None, "weight": 1.0,
                               "priority": "batch"}}},
             {"a": {"submitted": 1, "admitted": 1, "rejected": 0, "in_use": 0,
                    "busy_s": 0.5, "rejected_by": {},
-                   "queue_wait": {"count": 2, "p50": 3.0, "p90": 3.0, "p99": 3.0,
-                                  "mean": 3.0, "max": 3.0}}},
+                   "queue_wait": waits(3.0, 3.0)}},
         ]
         merged = merge_tenant_snapshots(slices)["a"]
         assert merged["submitted"] == 4 and merged["in_use"] == 1
         assert merged["busy_s"] == 1.5 and merged["lost"] == 0
-        assert merged["queue_wait"]["mean"] == 2.0  # count-weighted
+        assert merged["queue_wait"] == waits(1.0, 1.0, 3.0, 3.0)  # exact merge
+        assert merged["queue_wait"]["mean"] == 2.0
+        assert merged["queue_wait"]["max"] == 3.0
         assert merged["config"]["priority"] == "batch"
 
 

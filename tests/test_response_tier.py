@@ -11,7 +11,10 @@
   a cache hit, still passes QoS rate limits, and only cache-served
   responses are ever admitted;
 * **strict ``m``** — a non-integer processor count is one typed error on
-  the wire and leaves no cache or tier entry behind.
+  the wire and leaves no cache or tier entry behind;
+* **strict ``timeout``** — a boolean, non-finite or non-positive
+  ``timeout`` is one typed error on ``solve`` and ``drain``, from the
+  service and from the router, and unbalances no ledger.
 """
 
 from __future__ import annotations
@@ -316,7 +319,7 @@ class TestServiceTier:
                     assert bad_timeout["error"]["type"] == "ProtocolError"
                     negative = await wire.call(solve_request(inst, "lpt", request_id=4,
                                                              timeout=-1.0))
-                    assert negative["error"]["type"] == "ValueError"
+                    assert negative["error"]["type"] == "ProtocolError"
                     bad_tenant = await wire.call({**solve_request(inst, "lpt", request_id=5),
                                                   "tenant": ""})
                     assert bad_tenant["error"]["type"] == "ProtocolError"
@@ -525,5 +528,80 @@ class TestStrictM:
                         assert "m" in response["error"]["message"]
                     assert len(cache) == 0 and len(svc.response_tier) == 0
                     assert svc.stats().submitted == 0
+
+        run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# strict timeout
+# --------------------------------------------------------------------------- #
+BAD_TIMEOUT = [True, False, math.nan, math.inf, -math.inf, 0, 0.0, -1, "5", [1],
+               10 ** 400]  # an integer no float can hold
+
+
+def _timeout_id(value) -> str:
+    text = repr(value)
+    return text if len(text) < 20 else "huge-int"
+
+
+def _assert_timeout_rejected(response: dict) -> None:
+    assert response["ok"] is False
+    assert response["error"]["type"] == "ProtocolError", response
+    assert "'timeout'" in response["error"]["message"]
+
+
+class TestStrictTimeout:
+    @pytest.mark.parametrize("bad", BAD_TIMEOUT, ids=_timeout_id)
+    def test_server_rejects_bad_timeout(self, inst, bad):
+        other = Instance.from_lists(p=[2, 1], s=[1, 2], m=2)
+
+        async def scenario():
+            async with SolverService(workers=1, cache=LRUCache()) as svc:
+                good = solve_request(inst, "lpt")
+                for _ in range(2):  # a miss, then a cache hit the tier admits
+                    assert (await server.handle_request(svc, good))["ok"]
+                assert len(svc.response_tier) == 1
+                before = svc.stats()
+                # A tier hit, the full solve path, and drain.
+                for request in ({**good, "timeout": bad},
+                                {**solve_request(other, "lpt"), "timeout": bad},
+                                {"op": "drain", "timeout": bad}):
+                    _assert_timeout_rejected(await server.handle_request(svc, request))
+                after = svc.stats()
+                assert after.submitted == before.submitted
+                assert after.lost == 0
+
+        run(scenario())
+
+    @pytest.mark.parametrize("bad", BAD_TIMEOUT, ids=_timeout_id)
+    def test_router_rejects_bad_timeout(self, inst, bad):
+        from repro.cluster import ClusterConfig, ClusterRouter
+
+        config = ClusterConfig(shards=2, min_shards=1, max_shards=2, backend="inproc",
+                               workers=1, cache=False, session_ttl=None, router_cache=8)
+
+        async def scenario():
+            async with ClusterRouter(config) as router:
+                good = solve_request(inst, "lpt")
+                for _ in range(2):  # routed once, then answered by the router tier
+                    assert (await router.handle(good))["ok"]
+                routed = router.router_counters()["routed"]
+                for request in ({**good, "timeout": bad}, {"op": "drain", "timeout": bad}):
+                    _assert_timeout_rejected(await router.handle(request))
+                assert router.router_counters()["routed"] == routed
+                stats = await router.stats()
+                assert stats.lost == 0 and stats.router["lost"] == 0
+                assert stats.totals["submitted"] == 1
+
+        run(scenario())
+
+    def test_valid_timeouts_still_accepted(self, inst):
+        async def scenario():
+            async with SolverService(workers=1) as svc:
+                for timeout in (None, 5, 2.5):
+                    request = {**solve_request(inst, "lpt"), "timeout": timeout}
+                    assert (await server.handle_request(svc, request))["ok"]
+                drained = await server.handle_request(svc, {"op": "drain", "timeout": 1})
+                assert drained["ok"] and drained["drained"]
 
         run(scenario())

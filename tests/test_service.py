@@ -46,7 +46,7 @@ from repro.service.protocol import (
     solve_request,
 )
 from repro.service.server import serve_tcp
-from repro.service.stats import LatencyWindow
+from repro.obs.metrics import Histogram
 from repro.solvers import LRUCache, SpecError, solve
 from repro.solvers.registry import SolverCapabilityError
 
@@ -102,7 +102,7 @@ class TestServiceConfig:
         {"backpressure": "drop"},
         {"default_timeout": 0.0},
         {"default_timeout": -1.0},
-        {"latency_window": 0},
+        {"slow_request_threshold": 0.0},
         {"spec_timeouts": {"sbo": -2.0}},
     ])
     def test_invalid_values_rejected(self, overrides):
@@ -618,28 +618,36 @@ class TestCancellation:
 # stats plumbing
 # --------------------------------------------------------------------------- #
 class TestStats:
-    def test_latency_window_percentiles(self):
-        window = LatencyWindow(window=100)
+    def test_latency_summary_percentiles(self):
+        histogram = Histogram("lat", labelnames=("family",))
         for ms in range(1, 101):  # 1..100 ms
-            window.record(ms / 1000.0)
-        assert window.percentile(50) == pytest.approx(0.050)
-        assert window.percentile(99) == pytest.approx(0.099)
-        snap = window.snapshot()
+            histogram.observe(ms / 1000.0, "lpt")
+        snap = histogram.summary("lpt")
+        # Upper bound of the covering bucket: the 50th sample (50 ms) sits
+        # exactly on the 0.05 boundary, the 99th in the (0.05, 0.1] bucket.
+        assert snap["p50"] == pytest.approx(0.050)
+        assert snap["p99"] == pytest.approx(0.100)
         assert snap["count"] == 100
         assert snap["max"] == pytest.approx(0.100)
+        assert snap["mean"] == pytest.approx(snap["sum"] / 100)
+        assert sum(snap["buckets"]) == 100
         assert snap["p50"] <= snap["p90"] <= snap["p99"] <= snap["max"]
 
-    def test_latency_window_empty(self):
-        window = LatencyWindow()
-        assert math.isnan(window.percentile(50))
-        assert window.snapshot()["count"] == 0
+    def test_latency_summary_empty(self):
+        snap = Histogram("lat", labelnames=("family",)).summary("lpt")
+        assert snap["count"] == 0 and snap["sum"] == 0.0
+        for key in ("p50", "p90", "p99", "mean", "max"):
+            assert math.isnan(snap[key])
 
-    def test_latency_window_slides(self):
-        window = LatencyWindow(window=4)
-        for value in (1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0):
-            window.record(value)
-        assert window.percentile(50) == 5.0  # old values fell out
-        assert window.count == 8
+    def test_latency_summary_is_lifetime_and_clamped_to_max(self):
+        histogram = Histogram("lat", labelnames=("family",))
+        for value in (1.0, 1.0, 1.0, 1.0, 1.2, 1.2, 1.2, 1.2):
+            histogram.observe(value, "lpt")
+        snap = histogram.summary("lpt")
+        assert snap["count"] == 8  # every sample, no sliding window
+        assert snap["p50"] == 1.0
+        # (1.0, 2.5] covers the tail; the estimate is clamped to the max.
+        assert snap["p99"] == snap["max"] == 1.2
 
     def test_stats_snapshot_serializes(self, inst):
         async def scenario():
@@ -940,18 +948,18 @@ class TestAutoTimeouts:
             async with SolverService(self._config()) as svc:
                 # Below min_samples: no derived timeout.
                 for _ in range(4):
-                    svc._family_latency.record("sbo", 0.01)
+                    svc._latency.observe(0.01, "sbo")
                 assert svc._effective_timeout(_UNSET, "sbo") is None
                 # Enough history: multiplier x p99 clamped by the floor.
-                svc._family_latency.record("sbo", 0.01)
+                svc._latency.observe(0.01, "sbo")
                 assert svc._effective_timeout(_UNSET, "sbo") == 0.5
                 # A slow family derives multiplier x p99 directly.
                 for _ in range(5):
-                    svc._family_latency.record("pareto_approx", 2.0)
+                    svc._latency.observe(2.0, "pareto_approx")
                 assert svc._effective_timeout(_UNSET, "pareto_approx") == 20.0
                 # A pathologically slow family hits the ceiling.
                 for _ in range(5):
-                    svc._family_latency.record("exact", 1000.0)
+                    svc._latency.observe(1000.0, "exact")
                 assert svc._effective_timeout(_UNSET, "exact") == 60.0
                 # Unseen families fall back to the default (None here).
                 assert svc._effective_timeout(_UNSET, "lpt") is None
@@ -965,8 +973,8 @@ class TestAutoTimeouts:
             config = self._config(spec_timeouts={"sbo": 7.0}, default_timeout=9.0)
             async with SolverService(config) as svc:
                 for _ in range(10):
-                    svc._family_latency.record("sbo", 0.01)
-                    svc._family_latency.record("lpt", 0.01)
+                    svc._latency.observe(0.01, "sbo")
+                    svc._latency.observe(0.01, "lpt")
                 assert svc._effective_timeout(3.0, "sbo") == 3.0      # explicit
                 assert svc._effective_timeout(None, "sbo") is None    # explicit off
                 assert svc._effective_timeout(_UNSET, "sbo") == 7.0   # spec_timeouts
@@ -1013,7 +1021,7 @@ class TestAutoTimeouts:
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
                 for _ in range(50):
-                    svc._family_latency.record("sbo", 0.01)
+                    svc._latency.observe(0.01, "sbo")
                 assert svc._effective_timeout(_UNSET, "sbo") is None
 
         run(scenario())
