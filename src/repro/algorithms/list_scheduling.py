@@ -31,36 +31,45 @@ __all__ = ["list_schedule", "list_guarantee", "graham_dag_schedule", "resolve_or
 _ORDERS = ("arbitrary", "spt", "lpt", "sms", "lms", "density")
 
 
+#: Named orders as ``(column, reverse)`` arguments of ``TaskSet.order_by``.
+_NAMED = {
+    "spt": ("p", False), "lpt": ("p", True), "sms": ("s", False),
+    "lms": ("s", True), "density": ("density", False),
+}
+
+
+def _order_positions(
+    instance: Instance,
+    order: Union[str, Sequence[object], None],
+) -> List[int]:
+    """Resolve a priority-order specification into task positions.
+
+    ``order`` may be a named policy (``"arbitrary"`` — instance order,
+    ``"spt"``, ``"lpt"``, ``"sms"`` — smallest memory size first, ``"lms"``
+    — largest memory size first, ``"density"`` — increasing ``p/s``), an
+    explicit sequence of task ids, or ``None`` (instance order).  Ties
+    keep instance order.
+    """
+    if order is None or order == "arbitrary":
+        return list(range(instance.n))
+    if isinstance(order, str):
+        if order in _NAMED:
+            return instance.tasks.order_by(*_NAMED[order])
+        raise ValueError(f"unknown order {order!r}; expected one of {_ORDERS} or a task-id sequence")
+    positions = [instance.tasks.position(tid) for tid in order]
+    if len(positions) != instance.n or len(set(positions)) != instance.n:
+        raise ValueError("explicit order must list every task id exactly once")
+    return positions
+
+
 def resolve_order(
     instance: Instance,
     order: Union[str, Sequence[object], None],
     objective: str = "time",
 ) -> List[Task]:
-    """Resolve a priority-order specification into an explicit task list.
-
-    ``order`` may be a named policy (``"arbitrary"`` — instance order,
-    ``"spt"``, ``"lpt"``, ``"sms"`` — smallest memory size first, ``"lms"``
-    — largest memory size first, ``"density"`` — increasing ``p/s``), an
-    explicit sequence of task ids, or ``None`` (instance order).
-    """
-    if order is None or order == "arbitrary":
-        return instance.tasks.tasks
-    if isinstance(order, str):
-        if order == "spt":
-            return instance.tasks.sorted_by("p")
-        if order == "lpt":
-            return instance.tasks.sorted_by("p", reverse=True)
-        if order == "sms":
-            return instance.tasks.sorted_by("s")
-        if order == "lms":
-            return instance.tasks.sorted_by("s", reverse=True)
-        if order == "density":
-            return instance.tasks.sorted_by("density")
-        raise ValueError(f"unknown order {order!r}; expected one of {_ORDERS} or a task-id sequence")
-    tasks = [instance.task(tid) for tid in order]
-    if len(tasks) != instance.n or len({t.id for t in tasks}) != instance.n:
-        raise ValueError("explicit order must list every task id exactly once")
-    return tasks
+    """The tasks in the priority order of :func:`_order_positions`."""
+    tasks = instance.tasks.tasks
+    return [tasks[i] for i in _order_positions(instance, order)]
 
 
 def _weight(task: Task, objective: str) -> float:
@@ -94,15 +103,16 @@ def list_schedule(
     Guarantee: ``2 - 1/m`` on the chosen objective [Graham 1969]; ``4/3 -
     1/(3m)`` when combined with the LPT/LMS order.
     """
-    tasks = resolve_order(instance, order, objective=objective)
+    positions = _order_positions(instance, order)
+    _, p, s = instance.tasks.columns
     if objective == "time":
-        weights = [t.p for t in tasks]
+        weights = p
     elif objective == "memory":
-        weights = [t.s for t in tasks]
+        weights = s
     else:
         raise ValueError(f"unknown objective {objective!r}; expected 'time' or 'memory'")
-    assignment: Dict[object, int] = {}
-    per_proc: Dict[int, List[object]] = {q: [] for q in range(instance.m)}
+    procs = [0] * instance.n
+    per_proc: List[List[int]] = [[] for _ in range(instance.m)]
     # Machine ledger as a min-heap of (load, q): the root is exactly the
     # ``min(range(m), key=(load, q))`` machine of the naive scan — tuple
     # comparison breaks load ties by processor index — and each machine
@@ -112,12 +122,13 @@ def list_schedule(
     # the scan, hence assignments are bit-identical.
     ledger = [(0.0, q) for q in range(instance.m)]
     heapreplace = heapq.heapreplace
-    for task, w in zip(tasks, weights):
+    for i in positions:
         load, q = ledger[0]
-        assignment[task.id] = q
-        per_proc[q].append(task.id)
-        heapreplace(ledger, (load + w, q))
-    return Schedule._trusted(instance, assignment, per_proc)
+        procs[i] = q
+        per_proc[q].append(i)
+        heapreplace(ledger, (load + weights[i], q))
+    seq = None if order is None or order == "arbitrary" else positions
+    return Schedule._trusted(instance, procs, per_proc, seq)
 
 
 def graham_dag_schedule(
@@ -139,7 +150,8 @@ def graham_dag_schedule(
     """
     if not isinstance(instance, DAGInstance):
         instance = instance.as_dag()
-    rank = {t.id: idx for idx, t in enumerate(resolve_order(instance, priority))}
+    ids = instance.tasks.columns[0]
+    rank = {ids[i]: idx for idx, i in enumerate(_order_positions(instance, priority))}
     graph = instance.graph
     p = instance.tasks.processing_times()
 
@@ -197,4 +209,4 @@ def graham_dag_schedule(
                 rel = max((completion[u] for u in graph.predecessors(succ)), default=0.0)
                 heappush(future, (rel, rank[succ], succ))
 
-    return DAGSchedule(instance, assignment, starts)
+    return DAGSchedule._from_placement(instance, assignment, starts)

@@ -14,7 +14,7 @@ packed weight is the processing time (``Cmax``) or the storage size
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
@@ -128,13 +128,13 @@ def multifit_schedule(
         else:
             best = packed
             upper = mid
-    assignment: Dict[object, int] = {}
-    order: Dict[int, List[object]] = {}
-    for q, ids in enumerate(best):
-        order[q] = ids
-        for tid in ids:
-            assignment[tid] = q
-    return Schedule._trusted(instance, assignment, order)
+    pos = instance.tasks.positions
+    lanes = [[pos[tid] for tid in ids] for ids in best]
+    procs = [0] * instance.n
+    for q, lane in enumerate(lanes):
+        for i in lane:
+            procs[i] = q
+    return Schedule._trusted(instance, procs, lanes, [i for lane in lanes for i in lane])
 
 
 def multifit_guarantee(iterations: int = 40) -> float:

@@ -88,7 +88,9 @@ from repro.obs.trace import (
 from repro.qos.admission import AdmissionController
 from repro.qos.tenants import CLASS_URGENCY, QosError, TenantConfig
 from repro.service.protocol import PROTOCOL_VERSION, error_code_for, solve_request
-from repro.service.server import _metrics_response, _timeout_field, _trace_response
+from repro.service.server import (
+    _metrics_response, _timeout_field, _trace_fields, _trace_response,
+)
 from repro.service.tier import ResponseTier
 
 __all__ = [
@@ -521,7 +523,7 @@ class ClusterRouter:
                 stats = await self.stats()
                 return _metrics_response(request, stats.to_dict())
             if op == "trace":
-                return _trace_response(request)
+                return await self.trace(request)
             if op == "ping":
                 return {"id": request.get("id"), "ok": True, "pong": True,
                         "protocol": PROTOCOL_VERSION, "cluster": True,
@@ -1148,6 +1150,25 @@ class ClusterRouter:
             "mmax": restored.get("mmax"),
         }
 
+    async def _broadcast(
+        self, payload: Dict[str, object]
+    ) -> Tuple[List[str], List[Optional[Dict[str, object]]]]:
+        """Send ``payload`` to every live shard at once; ``(names, responses)``.
+
+        A shard whose transport fails is marked dead and answers ``None``.
+        """
+        names = self.shard_names()
+
+        async def one(shard: ShardHandle):
+            try:
+                return await shard.request(dict(payload))
+            except (ConnectionError, OSError):
+                await self._mark_dead(shard)
+                return None
+
+        responses = await asyncio.gather(*(one(self._shards[name]) for name in names))
+        return names, list(responses)
+
     async def drain(self, timeout: Optional[float] = None) -> Tuple[bool, int]:
         """Fan the ``drain`` op out to every shard; ``(all_drained, pending)``.
 
@@ -1157,17 +1178,7 @@ class ClusterRouter:
         work any more — its jobs were retried elsewhere or salvaged via
         the shared cache).
         """
-        names = self.shard_names()
-        shards = [self._shards[name] for name in names]
-
-        async def one(shard: ShardHandle):
-            try:
-                return await shard.request({"op": "drain", "timeout": timeout})
-            except (ConnectionError, OSError):
-                await self._mark_dead(shard)
-                return None
-
-        responses = await asyncio.gather(*(one(shard) for shard in shards))
+        _names, responses = await self._broadcast({"op": "drain", "timeout": timeout})
         drained = True
         pending = 0
         for response in responses:
@@ -1218,20 +1229,43 @@ class ClusterRouter:
             ),
         }
 
+    async def trace(self, request: Dict[str, object]) -> Dict[str, object]:
+        """The ``trace`` op over the cluster: the router's ring plus every shard's.
+
+        Fans the op out like ``stats``.  Each distinct ring (``ring`` in a
+        response) is taken once, so an in-process shard, whose ring is the
+        router's own, adds no duplicate spans; ``dropped`` sums the
+        distinct rings.  With ``clear`` every ring is cleared after it was
+        read.
+        """
+        trace_id, clear = _trace_fields(request)
+        own = _trace_response(request)
+        forward: Dict[str, object] = {"op": "trace", "clear": clear}
+        if trace_id is not None:
+            forward["trace_id"] = trace_id
+        await self.reap_dead()
+        _names, responses = await self._broadcast(forward)
+        spans = list(own["spans"])  # type: ignore[arg-type]
+        dropped = int(own["dropped"])  # type: ignore[arg-type]
+        enabled = bool(own["enabled"])
+        rings = {own["ring"]}
+        for response in responses:
+            if response is None or not response.get("ok"):
+                continue
+            ring = response.get("ring")
+            if ring is not None and ring in rings:
+                continue
+            rings.add(ring)
+            spans.extend(response.get("spans") or ())
+            dropped += int(response.get("dropped") or 0)
+            enabled = enabled or bool(response.get("enabled"))
+        return {"id": request.get("id"), "ok": True, "spans": spans,
+                "enabled": enabled, "dropped": dropped, "rings": len(rings)}
+
     async def stats(self) -> ClusterStats:
         """Merged cluster snapshot (fans the ``stats`` op out to every shard)."""
         await self.reap_dead()
-        names = self.shard_names()
-        shards = [self._shards[name] for name in names]
-
-        async def one(shard: ShardHandle):
-            try:
-                return await shard.request({"op": "stats"})
-            except (ConnectionError, OSError):
-                await self._mark_dead(shard)
-                return None
-
-        responses = await asyncio.gather(*(one(shard) for shard in shards))
+        names, responses = await self._broadcast({"op": "stats"})
         payloads = {
             name: response["stats"]
             for name, response in zip(names, responses)

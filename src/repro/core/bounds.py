@@ -50,7 +50,7 @@ def mmax_lower_bound(instance: Instance) -> float:
     and DAG instances alike (precedence constraints cannot reduce the
     memory footprint of an assignment).
     """
-    return _area_and_max((t.s for t in instance.tasks), instance.m)
+    return _area_and_max(instance.tasks.columns[2], instance.m)
 
 
 #: Alias matching the paper's terminology for the bound used by RLS_Δ.
@@ -86,7 +86,7 @@ def cmax_lower_bound(instance: Union[Instance, DAGInstance]) -> float:
     ``max(max_i p_i, sum_i p_i / m)`` for independent tasks, additionally
     combined with the critical-path length for DAG instances.
     """
-    area = _area_and_max((t.p for t in instance.tasks), instance.m)
+    area = _area_and_max(instance.tasks.columns[1], instance.m)
     return max(area, critical_path_length(instance))
 
 
@@ -98,14 +98,15 @@ def sum_ci_lower_bound(instance: Instance) -> float:
     reference for the tri-objective experiments.  For DAG instances this is
     only a lower bound (the same relaxation ignoring precedence).
     """
-    tasks = sorted(instance.tasks, key=lambda t: (t.p, str(t.id)))
+    ids, p, _ = instance.tasks.columns
+    spt = sorted(zip(p, map(str, ids)))
     # A (load, index) heap keeps the least-loaded, lowest-index tie-break of
     # a linear min scan, so the sum is bit-identical to it.
     loads = [(0.0, j) for j in range(instance.m)]
     total = 0.0
-    for task in tasks:
+    for pi, _ in spt:
         load, q = loads[0]
-        load += task.p
+        load += pi
         total += load
         heapq.heapreplace(loads, (load, q))
     return total

@@ -7,7 +7,13 @@ Two instance classes mirror the two problems of the paper:
 
 A :class:`DAGInstance` with no edges behaves exactly like an
 :class:`Instance`; :meth:`DAGInstance.as_independent` and
-:meth:`Instance.as_dag` convert between the two.
+:meth:`Instance.as_dag` convert between the two (sharing one
+:class:`~repro.core.task.TaskSet`).
+
+Instances pickle as their flat task columns plus ``m``, the name, the
+memoized content hash and — for subclasses — the precedence edges or the
+processor speeds, so shipping one to a worker process or a disk cache
+costs about as much as its numbers.
 """
 
 from __future__ import annotations
@@ -21,6 +27,17 @@ import networkx as nx
 from repro.core.task import Task, TaskSet
 
 __all__ = ["Instance", "DAGInstance"]
+
+
+def _restore(cls, tasks: TaskSet, m: int, name: Optional[str], digest: Optional[str], extra):
+    """Unpickle an instance from :meth:`Instance.__reduce__` state (no re-validation)."""
+    self = object.__new__(cls)
+    self.tasks = tasks
+    self.m = m
+    self.name = name
+    self._content_hash = digest
+    self._restore_extra(extra)
+    return self
 
 
 def _check_m(m: int) -> int:
@@ -68,6 +85,17 @@ class Instance:
         """Build an instance from parallel ``p`` / ``s`` vectors."""
         return cls(TaskSet.from_lists(p, s, ids=ids), m=m, name=name)
 
+    def __reduce__(self):
+        return (_restore, (type(self), self.tasks, self.m, self.name,
+                           self._content_hash, self._extra_state()))
+
+    def _extra_state(self) -> object:
+        """Subclass state pickled next to the columns (edges, speeds)."""
+        return None
+
+    def _restore_extra(self, extra: object) -> None:
+        """Inverse of :meth:`_extra_state`."""
+
     # ------------------------------------------------------------------ #
     # basic accessors
     # ------------------------------------------------------------------ #
@@ -103,7 +131,8 @@ class Instance:
     def _fingerprint_parts(self) -> List[str]:
         """Canonical lines hashed by :meth:`content_hash` (subclasses extend)."""
         parts = ["kind=independent", f"m={self.m}"]
-        parts.extend(f"task={t.id!r}|{t.p!r}|{t.s!r}" for t in self.tasks)
+        ids, p, s = self.tasks.columns
+        parts.extend([f"task={tid!r}|{pi!r}|{si!r}" for tid, pi, si in zip(ids, p, s)])
         return parts
 
     def content_hash(self) -> str:
@@ -121,8 +150,8 @@ class Instance:
         (:mod:`repro.solvers.cache`).
         """
         # Instances are immutable after construction, so the digest is
-        # computed once and memoized.  ``getattr`` guards objects
-        # unpickled from caches written before the slot existed.
+        # computed once and memoized (and pickled with the instance).
+        # ``getattr`` guards objects whose slot was never set.
         cached = getattr(self, "_content_hash", None)
         if cached is not None:
             return cached
@@ -151,22 +180,21 @@ class Instance:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable dictionary representation."""
+        ids, p, s = self.tasks.columns
         return {
             "kind": "independent",
             "name": self.name,
             "m": self.m,
             "tasks": [
-                {"id": t.id, "p": t.p, "s": t.s, "label": t.label} for t in self.tasks
+                {"id": tid, "p": pi, "s": si, "label": label}
+                for tid, pi, si, label in zip(ids, p, s, self.tasks.labels)
             ],
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Instance":
-        """Inverse of :meth:`to_dict`."""
-        tasks = TaskSet(
-            Task(id=rec["id"], p=rec["p"], s=rec["s"], label=rec.get("label"))
-            for rec in data["tasks"]  # type: ignore[index]
-        )
+        """Inverse of :meth:`to_dict` (the task records are read in one pass)."""
+        tasks = TaskSet.from_records(data["tasks"])  # type: ignore[arg-type]
         return cls(tasks, m=data["m"], name=data.get("name"))  # type: ignore[arg-type]
 
     def to_json(self) -> str:
@@ -185,10 +213,12 @@ class DAGInstance(Instance):
     Precedence constraints are stored as a directed acyclic graph on task
     ids; an edge ``(u, v)`` means task ``v`` cannot start before task ``u``
     completes.  The graph is validated at construction time (all endpoints
-    must be known task ids, no self loops, no cycles).
+    must be known task ids, no self loops, no cycles).  An edgeless
+    instance (and an unpickled one) builds its ``networkx`` graph on first
+    use of :attr:`graph`; the independent-task kernels never need it.
     """
 
-    __slots__ = ("graph",)
+    __slots__ = ("_graph", "_edges")
 
     def __init__(
         self,
@@ -198,9 +228,14 @@ class DAGInstance(Instance):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(tasks, m=m, name=name)
+        edges = list(edges)
+        self._edges: List[Tuple[object, object]] = []
+        self._graph: Optional[nx.DiGraph] = None
+        if not edges:
+            return
         graph = nx.DiGraph()
-        graph.add_nodes_from(self.tasks.ids)
-        known = set(self.tasks.ids)
+        graph.add_nodes_from(self.tasks.columns[0])
+        known = self.tasks.positions
         for u, v in edges:
             if u not in known or v not in known:
                 raise ValueError(f"precedence edge ({u!r}, {v!r}) references an unknown task id")
@@ -211,7 +246,7 @@ class DAGInstance(Instance):
         if graph.number_of_edges() and not nx.is_directed_acyclic_graph(graph):
             cycle = nx.find_cycle(graph)
             raise ValueError(f"precedence constraints contain a cycle: {cycle}")
-        self.graph: nx.DiGraph = graph
+        self._graph = graph
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -249,13 +284,31 @@ class DAGInstance(Instance):
         )
         return cls(tasks, m=m, edges=graph.edges(), name=name)
 
+    def _extra_state(self) -> object:
+        return self._edges if self._graph is None else list(self._graph.edges())
+
+    def _restore_extra(self, extra: object) -> None:
+        self._edges = extra  # type: ignore[assignment]
+        self._graph = None
+
+    @property
+    def graph(self) -> nx.DiGraph:
+        """The precedence DAG on task ids (built on first use)."""
+        graph = self._graph
+        if graph is None:
+            graph = nx.DiGraph()
+            graph.add_nodes_from(self.tasks.columns[0])
+            graph.add_edges_from(self._edges)
+            self._graph = graph
+        return graph
+
     # ------------------------------------------------------------------ #
     # precedence accessors (the paper's pred()/succ())
     # ------------------------------------------------------------------ #
     @property
     def n_edges(self) -> int:
         """Number of precedence edges."""
-        return self.graph.number_of_edges()
+        return len(self._edges) if self._graph is None else self._graph.number_of_edges()
 
     def predecessors(self, task_id: object) -> List[object]:
         """``pred(i)`` — direct predecessors of a task."""
@@ -279,7 +332,7 @@ class DAGInstance(Instance):
 
     def is_independent(self) -> bool:
         """True when there are no precedence constraints."""
-        return self.graph.number_of_edges() == 0
+        return self.n_edges == 0
 
     def as_independent(self) -> Instance:
         """Drop the precedence constraints (only meaningful when independent)."""
@@ -326,9 +379,6 @@ class DAGInstance(Instance):
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DAGInstance":
-        tasks = TaskSet(
-            Task(id=rec["id"], p=rec["p"], s=rec["s"], label=rec.get("label"))
-            for rec in data["tasks"]  # type: ignore[index]
-        )
+        tasks = TaskSet.from_records(data["tasks"])  # type: ignore[arg-type]
         edges = [tuple(e) for e in data.get("edges", [])]  # type: ignore[union-attr]
         return cls(tasks, m=data["m"], edges=edges, name=data.get("name"))  # type: ignore[arg-type]

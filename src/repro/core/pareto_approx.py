@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple, Union
 from repro.core.instance import DAGInstance, Instance
 from repro.core.pareto import ParetoFront
 from repro.core.rls import InfeasibleDeltaError, rls
-from repro.core.sbo import threshold_combine
+from repro.core.sbo import combine_schedules
 from repro.core.schedule import DAGSchedule, Schedule
 from repro.solvers.single import get_single_objective_solver
 
@@ -132,8 +132,7 @@ def approximate_pareto_set(
     pi1, _ = solve_single(base, "time")
     pi2, _ = solve_single(base, "memory")
     for delta in grid:
-        assignment, _ = threshold_combine(base, delta, pi1, pi2)
-        schedule = Schedule(base, assignment)
+        schedule, _ = combine_schedules(base, delta, pi1, pi2)
         front.add((schedule.cmax, schedule.mmax), schedule)
     return ApproximateParetoSet(
         front=front, deltas=tuple(grid), epsilon=epsilon, algorithm="sbo"

@@ -119,32 +119,34 @@ def rls_guarantee(delta: float, m: int) -> Tuple[float, float]:
 
 def _priority_rank(instance: DAGInstance, order: Union[str, Sequence[object]]) -> Dict[object, int]:
     """Total order on tasks used to break ties (smaller rank = higher priority)."""
+    ids, p, _ = instance.tasks.columns
     if not isinstance(order, str):
-        ids = list(order)
-        if set(ids) != set(instance.tasks.ids) or len(ids) != instance.n:
+        explicit = list(order)
+        if set(explicit) != set(ids) or len(explicit) != instance.n:
             raise ValueError("explicit order must list every task id exactly once")
-        return {tid: i for i, tid in enumerate(ids)}
+        return {tid: i for i, tid in enumerate(explicit)}
     if order == "arbitrary":
-        return {t.id: i for i, t in enumerate(instance.tasks)}
+        return dict(zip(ids, range(len(ids))))
     if order == "spt":
-        ranked = sorted(instance.tasks, key=lambda t: (t.p, str(t.id)))
+        key = [(pi, str(tid)) for tid, pi in zip(ids, p)]
     elif order == "lpt":
-        ranked = sorted(instance.tasks, key=lambda t: (-t.p, str(t.id)))
+        key = [(-pi, str(tid)) for tid, pi in zip(ids, p)]
     elif order == "bottom-level":
         # Longest path (in processing time) from the task to any sink,
         # including the task itself — the classic critical-path priority.
         levels: Dict[object, float] = {}
-        p = instance.tasks.processing_times()
+        p_of = instance.tasks.processing_times()
         for node in reversed(list(nx.topological_sort(instance.graph))):
             succ_best = max((levels[v] for v in instance.graph.successors(node)), default=0.0)
-            levels[node] = p[node] + succ_best
-        ranked = sorted(instance.tasks, key=lambda t: (-levels[t.id], str(t.id)))
+            levels[node] = p_of[node] + succ_best
+        key = [(-levels[tid], str(tid)) for tid in ids]
     else:
         raise ValueError(
             f"unknown order {order!r}; expected 'arbitrary', 'spt', 'lpt', 'bottom-level' "
             "or an explicit task-id sequence"
         )
-    return {t.id: i for i, t in enumerate(ranked)}
+    ranked = sorted(range(len(ids)), key=key.__getitem__)
+    return {ids[i]: r for r, i in enumerate(ranked)}
 
 
 _Placement = Tuple[Dict[object, int], Dict[object, float], Set[int]]
@@ -417,10 +419,10 @@ def rls(
     lb = mmax_lower_bound(dag)
     budget = delta * lb
     eps = 1e-12 * max(1.0, budget)
-    place = _place_by_size if dag.graph.number_of_edges() == 0 else _place_ready_set
+    place = _place_by_size if dag.is_independent() else _place_ready_set
     assignment, starts, marked = place(dag, rank, delta, budget, eps)
 
-    schedule = DAGSchedule(dag, assignment, starts)
+    schedule = DAGSchedule._from_placement(dag, assignment, starts)
     cmax_g, mmax_g = rls_guarantee(delta, dag.m)
     order_name = order if isinstance(order, str) else "explicit"
     return RLSResult(
@@ -453,7 +455,7 @@ def minimum_feasible_delta(
     if lb == 0:
         return 0.0
     # The largest single task must fit: delta >= max_i s_i / LB.
-    lo = max((t.s for t in instance.tasks), default=0.0) / lb
+    lo = instance.tasks.max_s / lb
     hi = 2.0
 
     def feasible(d: float) -> bool:

@@ -28,13 +28,17 @@ The algorithm only works for independent tasks: feeding it a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.solvers.single import SolverFn, get_single_objective_solver
 from repro.core.instance import DAGInstance, Instance
 from repro.core.schedule import Schedule
 
-__all__ = ["SBOResult", "sbo", "sbo_guarantee", "sbo_tradeoff_curve", "threshold_combine"]
+__all__ = [
+    "SBOResult", "sbo", "sbo_guarantee", "sbo_tradeoff_curve", "combine_schedules",
+    "threshold_combine",
+]
 
 
 @dataclass(frozen=True)
@@ -115,40 +119,60 @@ def _as_independent(instance: Union[Instance, DAGInstance]) -> Instance:
     return instance
 
 
-def threshold_combine(
+def _on(instance: Instance, schedule: Schedule) -> Schedule:
+    """``schedule`` with its processor vector aligned to ``instance``'s task positions."""
+    if schedule.instance.tasks.columns[0] == instance.tasks.columns[0]:
+        return schedule
+    return Schedule(instance, schedule.assignment)
+
+
+def _follow(instance: Instance, schedule: Schedule) -> Schedule:
+    """``schedule``'s assignment on ``instance``, run in instance order."""
+    return Schedule._trusted(instance, list(schedule._procs), None, schedule._seq)
+
+
+def combine_schedules(
     instance: Instance, delta: float, pi1: Schedule, pi2: Schedule
-) -> Tuple[Dict[object, int], List[object]]:
+) -> Tuple[Schedule, List[int]]:
     """Algorithm 1's per-task choice between ``π1`` and ``π2`` at one ``Δ``.
 
-    Returns the combined assignment and the ids that followed ``π2`` (the
-    set ``S2``).  ``π1``/``π2`` do not depend on ``Δ``, so a Δ sweep solves
-    them once and calls this per grid point.
+    Returns the combined schedule and the task positions that followed
+    ``π2`` (the set ``S2``).  ``π1``/``π2`` do not depend on ``Δ``, so a Δ
+    sweep solves them once and calls this per grid point.  The choice runs
+    over the processor vectors, so no mapping is built per point.
     """
     reference_cmax = pi1.cmax
     reference_mmax = pi2.mmax
-    assign1 = pi1.assignment
-    assign2 = pi2.assignment
+    pi1, pi2 = _on(instance, pi1), _on(instance, pi2)
     # The zero-reference degenerate cases are loop-invariant, so the
     # per-task work reduces to the cross-multiplied threshold test of
     # Algorithm 1 (p_i / C < delta * s_i / M, robust to C or M being 0).
+    # A degenerate case copies one schedule whole, keeping its key order.
     if reference_cmax == 0.0:
         if reference_mmax == 0.0:
-            return dict(assign1), []
+            return _follow(instance, pi1), []
         # Every task has zero processing time; memory is the only concern.
-        return dict(assign2), [t.id for t in instance.tasks]
+        return _follow(instance, pi2), list(range(instance.n))
     if reference_mmax == 0.0:
         # Every task has zero storage; makespan is the only concern.
-        return dict(assign1), []
-    assignment: Dict[object, int] = {}
-    memory_driven: List[object] = []
-    for task in instance.tasks:
-        tid = task.id
-        if task.p * reference_mmax < delta * task.s * reference_cmax:
-            assignment[tid] = assign2[tid]
-            memory_driven.append(tid)
-        else:
-            assignment[tid] = assign1[tid]
-    return assignment, memory_driven
+        return _follow(instance, pi1), []
+    _, p, s = instance.tasks.columns
+    follow2 = [
+        pi * reference_mmax < delta * si * reference_cmax for pi, si in zip(p, s)
+    ]
+    procs = [
+        q2 if second else q1 for second, q1, q2 in zip(follow2, pi1._procs, pi2._procs)
+    ]
+    return Schedule._trusted(instance, procs), list(compress(range(len(procs)), follow2))
+
+
+def threshold_combine(
+    instance: Instance, delta: float, pi1: Schedule, pi2: Schedule
+) -> Tuple[Dict[object, int], List[object]]:
+    """:func:`combine_schedules` as an id-keyed assignment and the ids of ``S2``."""
+    schedule, memory_driven = combine_schedules(instance, delta, pi1, pi2)
+    ids = instance.tasks.columns[0]
+    return schedule.assignment, [ids[i] for i in memory_driven]
 
 
 def sbo(
@@ -193,8 +217,8 @@ def sbo(
     reference_cmax = pi1.cmax
     reference_mmax = pi2.mmax
 
-    assignment, memory_driven = threshold_combine(inst, delta, pi1, pi2)
-    schedule = Schedule(inst, assignment)
+    schedule, memory_driven = combine_schedules(inst, delta, pi1, pi2)
+    ids = inst.tasks.columns[0]
     cmax_guarantee, mmax_guarantee = sbo_guarantee(delta, rho1, rho2)
     return SBOResult(
         schedule=schedule,
@@ -207,5 +231,5 @@ def sbo(
         rho2=rho2,
         cmax_guarantee=cmax_guarantee,
         mmax_guarantee=mmax_guarantee,
-        memory_driven_tasks=tuple(memory_driven),
+        memory_driven_tasks=tuple(ids[i] for i in memory_driven),
     )

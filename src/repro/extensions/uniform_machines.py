@@ -27,7 +27,7 @@ from repro.core.bounds import mmax_lower_bound
 from repro.core.instance import DAGInstance, Instance, _check_m
 from repro.core.rls import InfeasibleDeltaError
 from repro.core.schedule import DAGSchedule
-from repro.core.task import Task, TaskSet
+from repro.core.task import TaskSet
 
 __all__ = ["UniformInstance", "uniform_list_schedule", "uniform_rls", "uniform_cmax_lower_bound"]
 
@@ -68,6 +68,12 @@ class UniformInstance(Instance):
         """Build a uniform-machines instance from parallel lists."""
         return cls(TaskSet.from_lists(p, s, ids=ids), speeds=speeds, name=name)
 
+    def _extra_state(self) -> object:
+        return self.speeds
+
+    def _restore_extra(self, extra: object) -> None:
+        self.speeds = extra  # type: ignore[assignment]
+
     def _fingerprint_parts(self) -> List[str]:
         parts = super()._fingerprint_parts()
         parts[0] = "kind=uniform"
@@ -102,10 +108,7 @@ class UniformInstance(Instance):
                 f"uniform payload declares m={declared_m} but carries "
                 f"{len(speeds)} speeds"
             )
-        tasks = TaskSet(
-            Task(id=rec["id"], p=rec["p"], s=rec["s"], label=rec.get("label"))
-            for rec in data["tasks"]  # type: ignore[index]
-        )
+        tasks = TaskSet.from_records(data["tasks"])  # type: ignore[arg-type]
         return cls(tasks, speeds=speeds, name=data.get("name"))  # type: ignore[arg-type]
 
 

@@ -103,6 +103,9 @@ class SpanRecorder:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.enabled = False
+        #: Identity of this ring: in-process cluster shards share their
+        #: router's ring, so a cluster merge takes each ring once.
+        self.ring = os.urandom(8).hex()
         self._capacity = capacity
         self._spans: "deque[Dict[str, object]]" = deque(maxlen=capacity)
         self._lock = threading.Lock()

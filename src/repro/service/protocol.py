@@ -94,9 +94,10 @@ Responses: ``{"id": ..., "ok": true, "result": {...}}`` on success, or
 ``{"id": ..., "ok": false, "error": {"type": "SpecError", "message":
 "..."}}``.  Rejections with a stable meaning additionally carry
 ``"code"`` in the error object — one of ``over_quota``,
-``rate_limited``, ``backpressure``, ``timeout``, ``unknown_tenant``
-(:func:`error_code_for`); the free-text ``message`` and exception-class
-``type`` are unchanged, so pre-QoS clients keep working.  The solve
+``rate_limited``, ``backpressure``, ``timeout``, ``unknown_tenant``,
+``session_lost``, ``too_large`` (:func:`error_code_for`); the free-text
+``message`` and exception-class ``type`` are unchanged, so pre-QoS
+clients keep working.  The solve
 result payload carries everything a client needs to
 reconstruct the outcome: objectives, guarantee tuple, feasibility,
 canonical spec, provenance extras, wall time, and the schedule as a
@@ -112,6 +113,11 @@ service's percentile snapshot is ``nan``-filled, and emitting the
 ``NaN`` literal there broke strict-JSON consumers (and round-tripped as
 ``null`` on the orjson fast path anyway); monitoring payloads use plain
 ``null`` instead, with or without orjson.
+
+Size caps: an instance (any kind), a ``session_open`` or a
+``session_restore`` export asking for more than :data:`MAX_PROCESSORS`
+processors is refused up front with a ``ProtocolError`` whose code is
+``too_large`` — before anything is allocated per processor.
 
 Line-delimited JSON is the only wire format; ``ping`` reports the
 protocol version (:data:`PROTOCOL_VERSION`), and an op outside the list
@@ -136,6 +142,8 @@ except ImportError:  # pragma: no cover - exercised via stub injection in tests
 __all__ = [
     "PROTOCOL_VERSION",
     "ERROR_CODES",
+    "MAX_PROCESSORS",
+    "check_processors",
     "ProtocolError",
     "error_code_for",
     "encode_message",
@@ -159,8 +167,22 @@ PROTOCOL_VERSION = 3
 _PROVENANCE_KEYS = ("solver", "spec", "params", "version", "cache")
 
 
+#: The largest processor count a request may ask for.  Every kernel
+#: allocates per-processor state, so a 100-byte request with a huge ``m``
+#: would otherwise run out of memory instead of failing fast.
+MAX_PROCESSORS = 65536
+
+
 class ProtocolError(ValueError):
-    """A request line that cannot be parsed or is structurally invalid."""
+    """A request line that cannot be parsed or is structurally invalid.
+
+    ``code``, when set, is the stable wire code of the rejection (one of
+    :data:`ERROR_CODES`).
+    """
+
+    def __init__(self, message: str, code: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 #: The stable machine-readable rejection codes an error response may
@@ -168,7 +190,7 @@ class ProtocolError(ValueError):
 #: meaning, e.g. solver errors).
 ERROR_CODES = (
     "over_quota", "rate_limited", "backpressure", "timeout", "unknown_tenant",
-    "session_lost",
+    "session_lost", "too_large",
 )
 
 
@@ -319,13 +341,35 @@ def request_key(request: Dict[str, object]) -> str:
     return hashlib.sha256(b"j:" + text.encode("utf-8")).hexdigest()
 
 
+def check_processors(m: object, what: str = "'m'") -> None:
+    """Refuse a processor count above :data:`MAX_PROCESSORS` (code ``too_large``).
+
+    Only the cap is checked here; the type and sign checks stay with the
+    constructors, so their messages are unchanged.
+    """
+    if isinstance(m, int) and not isinstance(m, bool) and m > MAX_PROCESSORS:
+        raise ProtocolError(
+            f"{what} asks for {m} processors; this server accepts at most "
+            f"{MAX_PROCESSORS}",
+            code="too_large",
+        )
+
+
 def instance_from_payload(data: object) -> Union[Instance, DAGInstance]:
-    """Rebuild an instance from its ``to_dict()`` JSON form."""
+    """Rebuild an instance from its ``to_dict()`` JSON form.
+
+    The processor count is capped at :data:`MAX_PROCESSORS` for every
+    kind; a ``uniform`` instance's count is its number of speeds.
+    """
     if not isinstance(data, dict):
         raise ProtocolError(
             f"'instance' must be a JSON object (Instance.to_dict() form), "
             f"got {type(data).__name__}"
         )
+    check_processors(data.get("m"), "instance 'm'")
+    speeds = data.get("speeds")
+    if isinstance(speeds, list):
+        check_processors(len(speeds), "instance 'speeds'")
     kind = data.get("kind", "independent")
     try:
         if kind == "dag":
@@ -397,7 +441,7 @@ def result_to_payload(result: SolveResult) -> Dict[str, object]:
             truncated.append(key)
     assignment = None
     if result.schedule is not None:
-        assignment = [[tid, proc] for tid, proc in result.schedule.assignment.items()]
+        assignment = [[tid, proc] for tid, proc in result.schedule.assignment_items()]
     payload: Dict[str, object] = {
         "solver": result.solver,
         "spec": result.spec,

@@ -40,6 +40,7 @@ from repro.obs.trace import RECORDER, new_span_id, parse_wire_trace
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    check_processors,
     decode_message,
     encode_message,
     result_to_payload,
@@ -233,20 +234,30 @@ def _metrics_response(
             "text": registry.render()}
 
 
-def _trace_response(request: Dict[str, object]) -> Dict[str, object]:
-    """Build the ``trace`` op response: this process's span ring as JSON."""
+def _trace_fields(request: Dict[str, object]) -> Tuple[Optional[str], bool]:
+    """The ``(trace_id, clear)`` fields of a ``trace`` request, checked."""
     trace_id = request.get("trace_id")
     if trace_id is not None and not isinstance(trace_id, str):
         raise ProtocolError("'trace_id' must be a string when given")
     clear = request.get("clear", False)
     if not isinstance(clear, bool):
         raise ProtocolError("'clear' must be a JSON boolean when given")
+    return trace_id, clear
+
+
+def _trace_response(request: Dict[str, object]) -> Dict[str, object]:
+    """Build the ``trace`` op response: this process's span ring as JSON.
+
+    ``ring`` identifies the ring, so a router that merges its shards'
+    answers counts a ring it shares with an in-process shard once.
+    """
+    trace_id, clear = _trace_fields(request)
     dropped = RECORDER.dropped
     spans = RECORDER.snapshot(trace_id)
     if clear:
         RECORDER.clear()
     return {"id": request.get("id"), "ok": True, "spans": spans,
-            "enabled": RECORDER.enabled, "dropped": dropped}
+            "enabled": RECORDER.enabled, "dropped": dropped, "ring": RECORDER.ring}
 
 
 async def handle_request(
@@ -271,6 +282,7 @@ async def handle_request(
             m = request.get("m")
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ProtocolError("'m' must be a positive integer processor count")
+            check_processors(m)
             params = request.get("params") or {}
             if not isinstance(params, dict):
                 raise ProtocolError("'params' must be a JSON object")
@@ -341,6 +353,9 @@ async def handle_request(
                 raise ProtocolError(
                     "'export' must be the JSON object produced by session_export"
                 )
+            state = export.get("state")
+            if isinstance(state, dict):
+                check_processors(state.get("m"), "export 'm'")
             session = service.session_restore(export)
             return {"id": request_id, "ok": True, **session.describe()}
         if op == "session_close":

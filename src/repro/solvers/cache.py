@@ -23,6 +23,15 @@ backends implement the same small interface:
   written atomically, surviving process restarts; corrupt or truncated
   entries degrade to misses.
 
+A stored entry is the pickled :class:`SolveResult`.  Its instance pickles
+as flat task columns (ids, ``p``, ``s``, labels, plus edges or speeds)
+and its schedules as processor and start-time vectors, so an entry holds
+no per-task objects and a put or a hit costs about as much as the
+numbers.  An entry written in the older per-task layout fails to
+unpickle; it is counted as ``corrupt``, removed and treated as a miss,
+and the next solve stores a fresh entry under the same key (the keys are
+unchanged).
+
 Caching is enabled three ways:
 
 * **per call** — ``solve(inst, spec, cache=my_cache)`` (a cache object or
@@ -281,9 +290,11 @@ class DiskCache(ResultCache):
             except FileNotFoundError:
                 continue
             except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-                # Corrupt / truncated / stale entry: degrade to a miss and
-                # remove it so every future lookup doesn't re-pay the failed
-                # read (and the dead file doesn't occupy max_bytes budget).
+                # Corrupt / truncated / stale entry (an older object layout
+                # fails with UnpicklingError or AttributeError): degrade to
+                # a miss and remove it so every future lookup doesn't re-pay
+                # the failed read (and the dead file doesn't occupy
+                # max_bytes budget).
                 self._unlink(path)
                 self._note_corrupt()
                 continue

@@ -23,6 +23,7 @@ Coverage map:
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -42,7 +43,12 @@ from repro.core.task import Task
 from repro.obs.metrics import Histogram
 from repro.online import create_online, stochastic_trace
 from repro.service.client import ServiceClient
-from repro.service.protocol import solve_request
+from repro.service.protocol import (
+    ERROR_CODES,
+    MAX_PROCESSORS,
+    instance_from_payload,
+    solve_request,
+)
 from repro.service.server import serve_tcp
 from repro.solvers import LRUCache, solve
 from repro.workloads.independent import workload_suite
@@ -1066,3 +1072,68 @@ class TestReviewRegressionsRoundTwo:
         assert response["ok"] and response["drained"] is True
         assert response["pending"] == 0
         assert not bad["ok"] and "'timeout'" in bad["error"]["message"]
+
+
+class TestProcessorCap:
+    """A hostile ``m`` is one typed ``too_large`` response, not an allocation.
+
+    The cases sit just above the cap: were the cap ever lost, they would
+    still allocate only megabytes.
+    """
+
+    HOSTILE = [
+        {"op": "solve", "spec": "lpt",
+         "instance": {"kind": "independent", "m": MAX_PROCESSORS + 1,
+                      "tasks": [{"id": 0, "p": 1, "s": 1}]}},
+        {"op": "solve", "spec": "rls(delta=3.0)",
+         "instance": {"kind": "dag", "m": MAX_PROCESSORS + 1,
+                      "tasks": [{"id": 0, "p": 1, "s": 1}], "edges": []}},
+        {"op": "solve", "spec": "uniform_list",
+         "instance": {"kind": "uniform", "speeds": [1.0] * (MAX_PROCESSORS + 1),
+                      "tasks": [{"id": 0, "p": 1, "s": 1}]}},
+        {"op": "session_open", "spec": "online_greedy", "m": MAX_PROCESSORS + 1},
+        {"op": "session_restore", "export": {
+            "state": {"spec": "online_greedy", "name": "online_greedy", "m": MAX_PROCESSORS + 1,
+                      "params": {}, "tasks": [], "placements": [], "sealed": False},
+            "submitted": 0}},
+    ]
+
+    def assert_too_large(self, responses, elapsed):
+        assert elapsed < 1.0, elapsed
+        for response in responses:
+            assert not response["ok"], response
+            assert response["error"]["code"] == "too_large", response
+            assert response["error"]["type"] == "ProtocolError"
+            assert str(MAX_PROCESSORS) in response["error"]["message"]
+
+    def test_service_rejects_before_building(self):
+        from repro.service import ServiceConfig, SolverService
+        from repro.service.server import handle_request
+
+        async def scenario():
+            async with SolverService(ServiceConfig(workers=1)) as svc:
+                start = time.perf_counter()
+                responses = [await handle_request(svc, dict(r)) for r in self.HOSTILE]
+                elapsed = time.perf_counter() - start
+                # The cap is exactly MAX_PROCESSORS: the largest allowed m still works.
+                edge = await handle_request(svc, {
+                    "op": "session_open", "spec": "online_greedy", "m": MAX_PROCESSORS})
+                return responses, elapsed, edge
+
+        responses, elapsed, edge = run(scenario())
+        self.assert_too_large(responses, elapsed)
+        assert edge["ok"] and edge["m"] == MAX_PROCESSORS
+
+    def test_router_passes_the_typed_rejection_through(self):
+        async def scenario():
+            async with ClusterRouter(inproc_config()) as router:
+                start = time.perf_counter()
+                responses = [await router.handle(dict(r)) for r in self.HOSTILE]
+                return responses, time.perf_counter() - start
+
+        responses, elapsed = run(scenario())
+        self.assert_too_large(responses, elapsed)
+
+    def test_code_is_registered(self):
+        assert "too_large" in ERROR_CODES
+        assert instance_from_payload({"m": MAX_PROCESSORS, "tasks": []}).m == MAX_PROCESSORS

@@ -8,7 +8,11 @@ rescan, now a size-ordered index), the per-task degenerate-branch checks
 of ``SBO_delta`` and the per-Δ sub-solves of the SBO Pareto sweep with
 array/heap-backed ledgers and hoisted loop invariants.  Every one of
 those rewrites claims *bit-identical* output — same assignments, same
-processor orders, same start times, same tie-breaks, same floats.
+processor orders, same start times, same tie-breaks, same floats.  So
+does the columnar layout, which computes the schedule objectives
+(loads, memories, completion times, ``Cmax``/``Mmax``/``sum Ci``), the
+SBO threshold choice and the Pareto Δ sweep over processor vectors
+instead of per-task id lookups.
 
 This module pins that claim property-style: the **seed implementations
 are copied here verbatim** (naive scans and all) and both versions run
@@ -37,8 +41,10 @@ from repro.core.bounds import mmax_lower_bound, sum_ci_lower_bound
 from repro.core.instance import DAGInstance, Instance
 from repro.core.pareto import ParetoFront
 from repro.core.pareto_approx import approximate_pareto_set, delta_grid
+from repro.solvers.single import get_single_objective_solver
 from repro.core.rls import InfeasibleDeltaError, _priority_rank, rls
-from repro.core.sbo import sbo
+from repro.core.sbo import sbo, threshold_combine
+from repro.core.schedule import DAGSchedule, Schedule
 from repro.core.task import Task
 from repro.core.trio import tri_objective_schedule
 
@@ -522,3 +528,213 @@ def test_list_schedule_rejects_bad_objective():
     instance = make_instance(0, n=3, m=2)
     with pytest.raises(ValueError, match="unknown objective"):
         list_schedule(instance, objective="latency")
+
+
+# --------------------------------------------------------------------------- #
+# columnar schedules vs the per-task seed objectives
+# --------------------------------------------------------------------------- #
+def seed_loads(instance, assignment):
+    """The seed ``Schedule.loads`` (and ``DAGSchedule.loads``): per-task lookups."""
+    loads = [0.0] * instance.m
+    for task in instance.tasks:
+        loads[assignment[task.id]] += task.p
+    return loads
+
+
+def seed_memories(instance, assignment):
+    """The seed ``Schedule.memories`` / ``DAGSchedule.memories``."""
+    mems = [0.0] * instance.m
+    for task in instance.tasks:
+        mems[assignment[task.id]] += task.s
+    return mems
+
+
+def seed_completion_times(instance, order):
+    """The seed ``Schedule.completion_times`` over a per-processor id order."""
+    completion: Dict[object, float] = {}
+    for proc in range(instance.m):
+        clock = 0.0
+        for tid in order[proc]:
+            clock += instance.task(tid).p
+            completion[tid] = clock
+    return completion
+
+
+def seed_default_order(instance, assignment):
+    """The seed ``_normalise_order(None)``: instance order on each processor."""
+    per_proc: Dict[int, List[object]] = {q: [] for q in range(instance.m)}
+    for task in instance.tasks:
+        per_proc[assignment[task.id]].append(task.id)
+    return per_proc
+
+
+def seed_dag_objectives(instance, assignment, starts):
+    """The seed ``DAGSchedule`` objectives: one lookup per task per call."""
+    def completion_of(tid):
+        return starts[tid] + instance.task(tid).p
+
+    completion = {t.id: completion_of(t.id) for t in instance.tasks}
+    cmax = 0.0 if instance.n == 0 else max(completion_of(t.id) for t in instance.tasks)
+    memories = seed_memories(instance, assignment)
+    tasks_on = {
+        proc: sorted(
+            [t.id for t in instance.tasks if assignment[t.id] == proc],
+            key=lambda tid: (starts[tid], str(tid)),
+        )
+        for proc in range(instance.m)
+    }
+    return {
+        "cmax": cmax,
+        "mmax": max(memories) if instance.m else 0.0,
+        "sum_ci": sum(completion.values()),
+        "loads": seed_loads(instance, assignment),
+        "memories": memories,
+        "completion": completion,
+        "tasks_on": tasks_on,
+        "idle": instance.m * cmax - sum(t.p for t in instance.tasks),
+    }
+
+
+def seed_threshold_combine(instance, delta, pi1, pi2):
+    """The per-Task ``threshold_combine`` the vector version replaced (verbatim)."""
+    reference_cmax = pi1.cmax
+    reference_mmax = pi2.mmax
+    assign1 = pi1.assignment
+    assign2 = pi2.assignment
+    if reference_cmax == 0.0:
+        if reference_mmax == 0.0:
+            return dict(assign1), []
+        return dict(assign2), [t.id for t in instance.tasks]
+    if reference_mmax == 0.0:
+        return dict(assign1), []
+    assignment: Dict[object, int] = {}
+    memory_driven: List[object] = []
+    for task in instance.tasks:
+        tid = task.id
+        if task.p * reference_mmax < delta * task.s * reference_cmax:
+            assignment[tid] = assign2[tid]
+            memory_driven.append(tid)
+        else:
+            assignment[tid] = assign1[tid]
+    return assignment, memory_driven
+
+
+def seed_approximate_pareto_set(instance, epsilon, solver, delta_min=1.0 / 16.0,
+                                delta_max=16.0):
+    """The per-Task SBO Δ sweep, with seed objectives per grid point."""
+    base = instance.as_independent() if isinstance(instance, DAGInstance) else instance
+    grid = delta_grid(epsilon, delta_min, delta_max)
+    front = ParetoFront(dim=2)
+    solve_single = get_single_objective_solver(solver)
+    pi1, _ = solve_single(base, "time")
+    pi2, _ = solve_single(base, "memory")
+    for delta in grid:
+        assignment, _ = seed_threshold_combine(base, delta, pi1, pi2)
+        cmax = max(seed_loads(base, assignment)) if base.m else 0.0
+        mmax = max(seed_memories(base, assignment)) if base.m else 0.0
+        front.add((cmax, mmax), assignment)
+    return front
+
+
+def assert_schedule_matches_seed(schedule, instance, assignment, order):
+    loads = seed_loads(instance, assignment)
+    memories = seed_memories(instance, assignment)
+    completion = seed_completion_times(instance, order)
+    assert schedule.loads == loads
+    assert schedule.memories == memories
+    assert schedule.cmax == max(loads)
+    assert schedule.mmax == max(memories)
+    assert list(schedule.completion_times().items()) == list(completion.items())
+    assert schedule.sum_ci == sum(completion.values())
+    assert list(schedule.assignment.items()) == list(assignment.items())
+    assert [schedule.tasks_on(q) for q in range(instance.m)] == [order[q] for q in range(instance.m)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", MS)
+def test_schedule_objectives_parity(seed, m):
+    instance = make_instance(seed, m=m)
+    for order in ORDERS:
+        for objective in OBJECTIVES:
+            assignment, per_proc = seed_list_schedule(instance, order, objective)
+            got = list_schedule(instance, order=order, objective=objective)
+            assert_schedule_matches_seed(got, instance, assignment, per_proc)
+            # The public constructor: default (instance) order and an explicit one.
+            public = Schedule(instance, assignment)
+            assert_schedule_matches_seed(
+                public, instance, assignment, seed_default_order(instance, assignment))
+            explicit = Schedule(instance, assignment, order=per_proc)
+            assert_schedule_matches_seed(explicit, instance, assignment, per_proc)
+            assert explicit == got
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", MS)
+def test_dag_schedule_objectives_parity(seed, m):
+    checked = 0
+    for instance in (make_dag(seed, m=m), make_instance(seed, m=m).as_dag()):
+        for order in ("arbitrary", "spt", "bottom-level"):
+            for delta in (2.0, 3.0):
+                rank = _priority_rank(instance, order)
+                assignment, starts, _ = seed_rls(instance, delta, rank)
+                expected = seed_dag_objectives(instance, assignment, starts)
+                for schedule in (rls(instance, delta, order=order).schedule,
+                                 DAGSchedule(instance, assignment, starts)):
+                    assert schedule.cmax == expected["cmax"]
+                    assert schedule.mmax == expected["mmax"]
+                    assert schedule.sum_ci == expected["sum_ci"]
+                    assert schedule.loads == expected["loads"]
+                    assert schedule.memories == expected["memories"]
+                    assert list(schedule.completion_times().items()) == list(
+                        expected["completion"].items())
+                    assert {q: schedule.tasks_on(q) for q in range(m)} == expected["tasks_on"]
+                    assert schedule.idle_time() == expected["idle"]
+                    assert list(schedule.assignment.items()) == list(assignment.items())
+                    assert schedule.start_times == starts
+                    checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", MS)
+def test_threshold_combine_parity(seed, m):
+    instance = make_instance(seed, m=m)
+    zero_p = Instance([Task(id=i, p=0.0, s=t.s) for i, t in enumerate(instance.tasks)], m=m)
+    zero_s = Instance([Task(id=i, p=t.p, s=0.0) for i, t in enumerate(instance.tasks)], m=m)
+    for inst in (instance, zero_p, zero_s):
+        for inner in ("lpt", "list", "multifit"):
+            solve_single = get_single_objective_solver(inner)
+            pi1, _ = solve_single(inst, "time")
+            pi2, _ = solve_single(inst, "memory")
+            for delta in (1.0 / 16.0, 0.5, 1.0, 2.0, 16.0):
+                got_assignment, got_driven = threshold_combine(inst, delta, pi1, pi2)
+                want_assignment, want_driven = seed_threshold_combine(inst, delta, pi1, pi2)
+                assert list(got_assignment.items()) == list(want_assignment.items())
+                assert got_driven == want_driven
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", MS)
+def test_pareto_approx_columnar_parity(seed, m):
+    for inner in ("lpt", "multifit"):
+        instance = make_instance(seed, m=m)
+        got = approximate_pareto_set(instance, epsilon=0.25, solver=inner)
+        want = seed_approximate_pareto_set(instance, 0.25, inner)
+        assert got.points == [(v[0], v[1]) for v in want.values()]
+        assert [list(x.assignment.items()) for x in got.schedules()] == [
+            list(x.items()) for x in want.payloads() if x is not None
+        ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_threshold_combine_parity_across_task_orders(seed):
+    """π1/π2 built on the same tasks in another order still combine by id."""
+    instance = make_instance(seed, m=3)
+    reordered = Instance(list(reversed(instance.tasks.tasks)), m=3)
+    solve_single = get_single_objective_solver("lpt")
+    pi1, _ = solve_single(reordered, "time")
+    pi2, _ = solve_single(reordered, "memory")
+    for delta in (0.5, 1.0, 2.0):
+        got = threshold_combine(instance, delta, pi1, pi2)
+        assert got == seed_threshold_combine(instance, delta, pi1, pi2)
+        assert list(got[0]) == list(seed_threshold_combine(instance, delta, pi1, pi2)[0])

@@ -885,6 +885,87 @@ class TestClusterTracePropagation:
 
         assert run(scenario()) == 0
 
+    @staticmethod
+    def _spy(shard, seen, trace_answer=None):
+        """Record the ops ``shard`` is sent; optionally rewrite its trace answers."""
+        real = shard.request
+
+        async def request(payload):
+            seen.append((shard.name, dict(payload)))
+            response = await real(payload)
+            if payload.get("op") == "trace" and trace_answer is not None:
+                response = trace_answer(response)
+            return response
+
+        shard.request = request
+
+    def test_trace_op_fans_out_to_shards(self, inst):
+        """The cluster trace op asks every shard; a shared ring counts once."""
+        from repro.cluster.config import ClusterConfig
+        from repro.cluster.router import ClusterRouter
+
+        async def scenario():
+            config = ClusterConfig(shards=2, max_shards=4, backend="inproc",
+                                   workers=1, cache=False, trace=True)
+            async with ClusterRouter(config) as router:
+                RECORDER.clear()
+                tid = new_trace_id()
+                response = await router.handle(solve_request(
+                    inst, "lpt", trace=wire_trace(tid, new_span_id())))
+                assert response["ok"], response
+                seen = []
+                for name in router.shard_names():
+                    self._spy(router._shards[name], seen)
+                dump = await router.handle({"op": "trace", "trace_id": tid, "id": 3})
+                cleared = await router.handle({"op": "trace", "clear": True})
+                after = await router.handle({"op": "trace", "trace_id": tid})
+                return tid, router.shard_names(), seen, dump, cleared, after
+
+        tid, names, seen, dump, cleared, after = run(scenario())
+        traced = [(name, payload) for name, payload in seen if payload["op"] == "trace"]
+        assert sorted(name for name, _ in traced[:2]) == sorted(names)
+        assert traced[0][1] == {"op": "trace", "clear": False, "trace_id": tid}
+        assert dump["ok"] and dump["id"] == 3 and dump["enabled"] is True
+        spans = dump["spans"]
+        assert {s["trace"] for s in spans} == {tid}
+        assert {"route", "admission", "dispatch", "kernel"} <= {s["name"] for s in spans}
+        # In-process shards share the router's ring: no span comes back twice.
+        assert len({s["span"] for s in spans}) == len(spans)
+        assert dump["rings"] == 1
+        assert cleared["ok"] and after["spans"] == []
+
+    def test_trace_op_merges_a_separate_shard_ring(self, inst):
+        """A shard with a ring of its own (a process shard) adds its spans."""
+        from repro.cluster.config import ClusterConfig
+        from repro.cluster.router import ClusterRouter
+
+        foreign = {"trace": None, "span": "remote-kernel", "parent": None,
+                   "name": "kernel", "component": "service", "start": 0.0, "dur": 0.5}
+
+        async def scenario():
+            config = ClusterConfig(shards=2, max_shards=4, backend="inproc",
+                                   workers=1, cache=False, trace=True)
+            async with ClusterRouter(config) as router:
+                RECORDER.clear()
+                tid = new_trace_id()
+                response = await router.handle(solve_request(
+                    inst, "lpt", trace=wire_trace(tid, new_span_id())))
+                assert response["ok"], response
+                foreign["trace"] = tid
+                seen = []
+                remote = router._shards[router.shard_names()[0]]
+                self._spy(remote, seen, lambda answer: {
+                    **answer, "ring": "elsewhere", "spans": [dict(foreign)], "dropped": 2})
+                local = len(RECORDER.snapshot(tid))
+                dump = await router.handle({"op": "trace", "trace_id": tid})
+                return local, dump
+
+        local, dump = run(scenario())
+        assert dump["rings"] == 2
+        assert len(dump["spans"]) == local + 1
+        assert dump["spans"][-1] == foreign
+        assert dump["dropped"] == 2
+
 
 # --------------------------------------------------------------------------- #
 # the CLI clients: repro stats / top / trace dump
