@@ -36,7 +36,7 @@ import asyncio
 import os
 import re
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.obs.logging import log_event
 
@@ -136,7 +136,7 @@ class InprocShard(ShardHandle):
             and self._service.is_running
         )
 
-    async def request(self, payload: Dict[str, object]) -> Dict[str, object]:
+    async def request(self, payload: Dict[str, object]) -> Mapping[str, object]:
         from repro.service.server import handle_request
 
         if not self.alive:

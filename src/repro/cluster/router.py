@@ -63,7 +63,7 @@ import itertools
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.backend import (
     InprocShard,
@@ -87,7 +87,9 @@ from repro.obs.trace import (
 )
 from repro.qos.admission import AdmissionController
 from repro.qos.tenants import CLASS_URGENCY, QosError, TenantConfig
-from repro.service.protocol import PROTOCOL_VERSION, error_code_for, solve_request
+from repro.service.protocol import (
+    PROTOCOL_VERSION, error_code_for, result_response, solve_request,
+)
 from repro.service.server import (
     _metrics_response, _timeout_field, _trace_fields, _trace_response,
 )
@@ -490,7 +492,7 @@ class ClusterRouter:
     # ------------------------------------------------------------------ #
     # the wire front end
     # ------------------------------------------------------------------ #
-    async def handle(self, request: Dict[str, object]) -> Optional[Dict[str, object]]:
+    async def handle(self, request: Dict[str, object]) -> Optional[Mapping[str, object]]:
         """One decoded request in, one response payload (or ``None``) out.
 
         Plug-compatible with :data:`repro.service.server.Handler` — pass
@@ -570,7 +572,7 @@ class ClusterRouter:
             return None, _error_response(request, type(exc).__name__, str(exc),
                                          code=exc.code)
 
-    async def _admit_solve(self, request: Dict[str, object]) -> Dict[str, object]:
+    async def _admit_solve(self, request: Dict[str, object]) -> Mapping[str, object]:
         """QoS-gate one solve request, then route it.
 
         The ``timeout`` field is validated first, exactly as a shard
@@ -606,7 +608,7 @@ class ClusterRouter:
         self._qos.finish(cfg, "completed" if response.get("ok") else "failed")
         return response
 
-    async def _forward_solve(self, request: Dict[str, object]) -> Dict[str, object]:
+    async def _forward_solve(self, request: Dict[str, object]) -> Mapping[str, object]:
         key = request_key(request)
         # Trace context: adopt the client's when the request carries one,
         # otherwise — the router being the ingress — mint a fresh trace id.
@@ -630,7 +632,7 @@ class ClusterRouter:
                 time.perf_counter(), 0.0, hit=cached is not None,
             )
         if cached is not None:
-            return {"id": request.get("id"), "ok": True, "result": dict(cached.payload)}
+            return result_response(request.get("id"), cached.body)
         inner = dict(request)
         inner.pop("id", None)
         tried: set = set()
@@ -688,6 +690,9 @@ class ClusterRouter:
                     route_at, time.perf_counter() - route_at, shard=name,
                 )
             self._counters["completed"] += 1
+            # A copy: an in-process shard may answer from its own tier
+            # with a spliced response, which is read-only.
+            response = dict(response)
             result = response.get("result")
             if self._tier is not None and response.get("ok") and isinstance(result, dict):
                 self._tier.put(key, result)

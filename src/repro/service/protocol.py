@@ -129,7 +129,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Dict, Optional, Tuple, Union
+from collections.abc import Mapping
+from itertools import chain
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.core.instance import DAGInstance, Instance
 from repro.solvers.result import SolveResult
@@ -147,7 +149,11 @@ __all__ = [
     "ProtocolError",
     "error_code_for",
     "encode_message",
+    "encode_json",
     "decode_message",
+    "decode_json",
+    "EncodedResponse",
+    "result_response",
     "request_key",
     "sanitize_non_finite",
     "instance_from_payload",
@@ -219,6 +225,11 @@ def error_code_for(exc: BaseException) -> Optional[str]:
     return None
 
 
+#: Types a container scan can pass over: never a float, never a container.
+_PLAIN = frozenset({int, str, bool, type(None)})
+_PLAIN_OR_FLOAT = _PLAIN | {float}
+
+
 def _has_non_finite(value: object) -> bool:
     """True when ``value`` contains a float ``orjson`` cannot round-trip.
 
@@ -226,16 +237,25 @@ def _has_non_finite(value: object) -> bool:
     the ``Infinity`` literal on parse), while this protocol's documented
     wire form uses the JSON-extension literals stdlib ``json`` emits.  Any
     payload containing a non-finite float must therefore take the stdlib
-    path; this scan is cheap (C-level isinstance checks) next to the
-    serialization it guards.
+    path.  Each container is first screened by the set of its members'
+    types (C-level), so a list of plain scalars, or of lists of them (a
+    solve result's ``[task_id, processor]`` pairs), costs no Python call
+    per member.
     """
     if isinstance(value, float):
         return not math.isfinite(value)
     if isinstance(value, dict):
-        return any(_has_non_finite(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return any(_has_non_finite(v) for v in value)
-    return False
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    kinds = set(map(type, value))
+    if kinds <= _PLAIN:
+        return False
+    if kinds == {list}:
+        return _has_non_finite(list(chain.from_iterable(value)))
+    if kinds <= _PLAIN_OR_FLOAT:
+        return not all(map(math.isfinite, (v for v in value if type(v) is float)))
+    return any(map(_has_non_finite, value))
 
 
 def sanitize_non_finite(value: object) -> object:
@@ -259,56 +279,169 @@ def sanitize_non_finite(value: object) -> object:
     return value
 
 
-def encode_message(payload: Dict[str, object]) -> bytes:
-    """Serialize one message to a single ``\\n``-terminated line.
+def encode_json(value: object) -> bytes:
+    """``value`` as compact JSON bytes, under the one encoder rule.
 
-    Uses ``orjson`` when installed and the payload is expressible in strict
-    JSON (finite floats, string keys); otherwise the stdlib encoder, whose
-    output is byte-compatible modulo key-order-preserving compact
-    separators — both emit the same wire format, so the fast path is
-    invisible to peers.
+    ``orjson`` when installed and ``value`` is expressible in strict JSON
+    (finite floats, string keys, integers within 64 bits); otherwise the
+    stdlib encoder.  Both write the same wire format, so the fast path is
+    invisible to peers.  A response tier stores a solve result in this
+    form (:func:`result_response`).
     """
-    if _orjson is not None and not _has_non_finite(payload):
+    if _orjson is not None and not _has_non_finite(value):
         try:
-            return _orjson.dumps(payload) + b"\n"
+            return _orjson.dumps(value)
         except TypeError:
             # Non-string keys and exotic types: stdlib json coerces more
             # (e.g. int dict keys become strings) — fall through.
             pass
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+def encode_message(payload: Union[Dict[str, object], EncodedResponse]) -> bytes:
+    """Serialize one message to a single ``\\n``-terminated line.
+
+    An :class:`EncodedResponse` is already its line.
+    """
+    if type(payload) is EncodedResponse:
+        return payload.line()
+    return encode_json(payload) + b"\n"
+
+
+def _splice_id(request_id: object) -> Optional[bytes]:
+    """The JSON of ``request_id`` when it cannot change the line's encoder.
+
+    ``null``, an integer within orjson's range and a printable-ASCII
+    string are written byte for byte alike by both encoders; any other id
+    (a float, a bool, a big integer, non-ASCII text) may not be.
+    """
+    if request_id is None:
+        return b"null"
+    if type(request_id) is int and -(2 ** 63) <= request_id < 2 ** 64:
+        return str(request_id).encode("ascii")
+    if type(request_id) is str and request_id.isascii() and request_id.isprintable():
+        return json.dumps(request_id).encode("ascii")
+    return None
+
+
+class EncodedResponse(Mapping):
+    """A successful solve response whose ``result`` is already encoded.
+
+    The transport writes :meth:`line` as is: the id spliced in front of
+    the stored result bytes, with no dict built and no encoder run over
+    the result.  In-process callers read it as the response mapping
+    (``id``, ``ok``, ``result``), with ``result`` decoded from the bytes.
+    Built by :func:`result_response` only for ids :func:`_splice_id`
+    accepts.
+    """
+
+    __slots__ = ("id", "_head", "body")
+
+    def __init__(self, request_id: object, head: bytes, body: bytes) -> None:
+        self.id = request_id
+        self._head = head
+        self.body = body
+
+    def line(self) -> bytes:
+        return b'{"id":' + self._head + b',"ok":true,"result":' + self.body + b"}\n"
+
+    def __getitem__(self, key: str) -> object:
+        if key == "id":
+            return self.id
+        if key == "ok":
+            return True
+        if key == "result":
+            return decode_json(self.body)
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(("id", "ok", "result"))
+
+    def __len__(self) -> int:
+        return 3
+
+
+def result_response(
+    request_id: object, body: bytes
+) -> Union[EncodedResponse, Dict[str, object]]:
+    """The ``solve`` response carrying the result ``body`` (:func:`encode_json`).
+
+    Spliced (:class:`EncodedResponse`) when the id allows it: the id then
+    cannot change which encoder ``encode_message`` picks for the whole
+    response, so ``{"id":<id>,"ok":true,"result":`` + ``body`` + ``}`` is
+    exactly its output.  Otherwise the response dict with the result
+    decoded, which the transport then encodes whole.
+    """
+    head = _splice_id(request_id)
+    if head is None:
+        return {"id": request_id, "ok": True, "result": decode_json(body)}
+    return EncodedResponse(request_id, head, body)
+
+
+#: Run of digits that may be an integer literal orjson cannot hold: it
+#: parses integers past its 64-bit range (-2**63 .. 2**64 - 1) as floats.
+#: Every such literal has at least 19 digits; digits are mapped to ``0``
+#: first, so one substring search finds any run.
+_LONG_DIGITS = b"0" * 19
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+
+
+class _OrjsonDecoded(dict):
+    """A request :func:`decode_message` parsed with orjson.
+
+    orjson refuses ``NaN``/``Infinity`` literals and numbers that overflow
+    a double, and lines holding a long integer literal never reach it, so
+    the value holds no non-finite float and no integer past 64 bits:
+    exactly what :func:`request_key`'s round-trip check guards against.
+    That holds while the request is not modified in place, which the
+    serving paths never do (the router forwards a copy).
+    """
+
+    __slots__ = ()
+
+
+def _loads(data: Union[str, bytes], raw: bytes) -> Tuple[object, bool]:
+    """Parse one JSON document: ``(value, parsed_by_orjson)``.
+
+    ``raw`` is ``data`` as bytes.  orjson parses it unless it holds a long
+    digit run or is not strict JSON (``Infinity``/``NaN`` literals, which
+    the stdlib parser accepts).
+    """
+    if _orjson is not None and _LONG_DIGITS not in raw.translate(_DIGITS_TO_ZERO):
+        try:
+            return _orjson.loads(data), True
+        except _orjson.JSONDecodeError:
+            pass
+    try:
+        return json.loads(data), False
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(f"request line is not valid JSON: {exc}") from None
 
 
 def decode_message(line: Union[str, bytes]) -> Dict[str, object]:
     """Parse one request line; raises :class:`ProtocolError` with a reason."""
     if isinstance(line, bytes):
+        raw = line
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"request line is not valid UTF-8: {exc}") from None
+    else:
+        raw = line.encode("utf-8", "surrogatepass")
     line = line.strip()
     if not line:
         raise ProtocolError("empty request line")
-    if _orjson is not None:
-        try:
-            payload = _orjson.loads(line)
-        except _orjson.JSONDecodeError:
-            # Not strict JSON — possibly Infinity/NaN literals, which the
-            # stdlib parser accepts; retry there before reporting.
-            payload = _decode_stdlib(line)
-    else:
-        payload = _decode_stdlib(line)
+    payload, strict = _loads(line, raw)
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"request must be a JSON object, got {type(payload).__name__}"
         )
-    return payload
+    return _OrjsonDecoded(payload) if strict else payload
 
 
-def _decode_stdlib(line: str) -> object:
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"request line is not valid JSON: {exc}") from None
+def decode_json(body: bytes) -> Dict[str, object]:
+    """The value of :func:`encode_json` bytes (a fresh copy)."""
+    return _loads(body, body)[0]  # type: ignore[return-value]
 
 
 def request_key(request: Dict[str, object]) -> str:
@@ -324,7 +457,9 @@ def request_key(request: Dict[str, object]) -> str:
     canonical form is its sorted-keys serialization, used only when it
     decodes back to an equal value: orjson writes NaN and ±inf as
     ``null`` and refuses ints beyond 64 bits, and those requests take the
-    stdlib form instead.  Each form hashes behind its own tag, so the two
+    stdlib form instead.  A request :func:`decode_message` parsed with
+    orjson holds neither, so its serialization is used without the
+    round-trip parse.  Each form hashes behind its own tag, so the two
     can never collide — but a process with orjson keys a request
     differently from one without it.
     """
@@ -335,7 +470,7 @@ def request_key(request: Dict[str, object]) -> str:
         except TypeError:
             pass
         else:
-            if _orjson.loads(blob) == routed:
+            if type(request) is _OrjsonDecoded or _orjson.loads(blob) == routed:
                 return hashlib.sha256(b"o:" + blob).hexdigest()
     text = json.dumps(routed, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(b"j:" + text.encode("utf-8")).hexdigest()

@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from functools import partial
-from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.obs.trace import RECORDER, new_span_id, parse_wire_trace
 from repro.service.protocol import (
@@ -47,6 +47,7 @@ from repro.service.protocol import (
     instance_from_payload,
     error_code_for,
     request_key,
+    result_response,
     sanitize_non_finite,
     task_from_payload,
 )
@@ -55,13 +56,15 @@ from repro.service.service import SolverService
 __all__ = ["handle_request", "serve_connection", "serve_tcp", "serve_stdio", "Handler"]
 
 #: A request handler: one decoded request in, one response payload out —
-#: or ``None`` for fire-and-forget requests that must not produce a
-#: response line (unacknowledged ``session_submit`` ops).  The transports
+#: a dict, or an :class:`~repro.service.protocol.EncodedResponse` for a
+#: solve answered from a response tier — or ``None`` for fire-and-forget
+#: requests that must not produce a response line (unacknowledged
+#: ``session_submit`` ops).  The transports
 #: (:func:`serve_connection` / :func:`serve_tcp` / :func:`serve_stdio`)
 #: default to ``handle_request`` bound to a :class:`SolverService`, but
 #: accept any handler — the cluster layer reuses the exact same line protocol,
 #: concurrency, and shutdown machinery with its router's handler.
-Handler = Callable[[Dict[str, object]], Awaitable[Optional[Dict[str, object]]]]
+Handler = Callable[[Dict[str, object]], Awaitable[Optional[Mapping[str, object]]]]
 
 #: Per-line buffer limit for the stream readers.  The default asyncio limit
 #: (64 KiB) is far too small for a solve request carrying a few thousand
@@ -117,7 +120,7 @@ def _is_huge(data: object) -> bool:
     )
 
 
-async def _solve(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+async def _solve(service: SolverService, request: Dict[str, object]) -> Mapping[str, object]:
     """The ``solve`` op: the response tier first, the full path on a miss.
 
     With a result cache configured, the request digest is looked up in
@@ -126,7 +129,9 @@ async def _solve(service: SolverService, request: Dict[str, object]) -> Dict[str
     validated solve whose answer the cache served, so a hit skips the
     instance rebuild, the content hash and the cache read; the fields the
     digest leaves out (``timeout``, ``tenant``) are still validated, and
-    the hit is ledgered like a cache hit.
+    the hit is ledgered like a cache hit.  The response splices the
+    tier's stored result bytes behind the request id
+    (:func:`~repro.service.protocol.result_response`).
 
     The digest is computed only where it can pay off: to look up a tier
     that holds entries, and to admit a response.  A stream of one-off
@@ -154,7 +159,7 @@ async def _solve(service: SolverService, request: Dict[str, object]) -> Dict[str
                 timeout=_timeout_field(request), tenant=_tenant_field(request),
                 trace=request.get("trace"),
             )
-            return {"id": request_id, "ok": True, "result": dict(entry.payload)}
+            return result_response(request_id, entry.body)
     if huge:
         # Rebuilding a huge instance is CPU work — keep it off the event
         # loop so other connections stay responsive.
@@ -262,7 +267,7 @@ def _trace_response(request: Dict[str, object]) -> Dict[str, object]:
 
 async def handle_request(
     service: SolverService, request: Dict[str, object]
-) -> Optional[Dict[str, object]]:
+) -> Optional[Mapping[str, object]]:
     """Execute one decoded request and build the response payload.
 
     ``shutdown`` is acknowledged here; actually stopping the loop is the
@@ -428,7 +433,7 @@ async def serve_connection(
     tasks: Set["asyncio.Task"] = set()
 
     async def respond(
-        payload: Dict[str, object],
+        payload: Mapping[str, object],
         tctx: Optional[Tuple[str, Optional[str]]] = None,
     ) -> None:
         async with write_lock:

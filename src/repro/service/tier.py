@@ -1,10 +1,16 @@
 """The response tier: solve responses keyed by request digest.
 
 A bounded LRU from a request digest (:func:`repro.service.protocol.request_key`)
-to the ``result`` payload of a solve response.  The solvers are
+to the encoded ``result`` of a solve response.  The solvers are
 deterministic, so a repeated (instance, spec, params) request has exactly
 one right answer and the tier can give it back from the decoded request
 alone — no instance rebuild, no content hash, no cache read.
+
+An entry holds bytes, not a payload dict: :meth:`ResponseTier.put`
+encodes the result once, at admission, under the encoder rule of
+:func:`~repro.service.protocol.encode_message`, and a hit splices those
+bytes behind the request's id (:func:`~repro.service.protocol.result_response`),
+so serving a repeat builds no dict and runs no encoder.
 
 Two owners, one class, different admission rules (the owner decides what
 to :meth:`ResponseTier.put`):
@@ -15,7 +21,7 @@ to :meth:`ResponseTier.put`):
 * :class:`~repro.cluster.router.ClusterRouter` admits every ``ok`` solve
   response, bounded by ``ClusterConfig.router_cache`` entries.
 
-Stored payloads are stamped ``provenance.cache = "hit"``: whatever the
+Stored results are stamped ``provenance.cache = "hit"``: whatever the
 original computation said, a response served from here came from a cache.
 """
 
@@ -24,23 +30,26 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, NamedTuple, Optional
 
+from repro.service.protocol import encode_json
+
 __all__ = ["ResponseTier", "TierEntry", "TIER_ENTRIES", "TIER_TASKS"]
 
 #: Most entries the service's response tier holds.
 TIER_ENTRIES = 1024
 
 #: Most assignment pairs the tier holds, summed over its entries.  A
-#: payload's size is dominated by its ``[task_id, processor]`` list, so
-#: this bounds the tier's memory (about 100 bytes a pair, ~10 MB here)
-#: however large the instances of a hot stream are.
+#: result's size is dominated by its ``[task_id, processor]`` list, so
+#: this bounds the tier's memory however large the instances of a hot
+#: stream are: stored as encoded bytes, an entry costs 11-21 bytes a pair
+#: (tracemalloc, n = 60-400), so ~2 MB at this bound.
 TIER_TASKS = 100_000
 
 
 class TierEntry(NamedTuple):
-    """One stored response: its solver family, result payload and size."""
+    """One stored response: its solver family, encoded result and size."""
 
     family: Optional[str]
-    payload: Dict[str, object]
+    body: bytes
     size: int
 
 
@@ -52,11 +61,7 @@ def _stamp_hit(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 class ResponseTier:
-    """LRU of result payloads bounded by entry count and summed size.
-
-    Payloads are shared, not copied: owners hand out a shallow copy per
-    hit and never mutate a stored payload.
-    """
+    """LRU of encoded results bounded by entry count and summed size."""
 
     def __init__(self, max_entries: int = TIER_ENTRIES, max_tasks: int = TIER_TASKS) -> None:
         self.max_entries = max_entries
@@ -76,9 +81,10 @@ class ResponseTier:
         return entry
 
     def put(self, key: str, payload: Dict[str, object], family: Optional[str] = None) -> None:
-        """Store ``payload`` under ``key``, unless it alone exceeds the budget.
+        """Store ``payload``, stamped and encoded, under ``key``.
 
-        Least recently used entries are evicted until both bounds hold.
+        Nothing is stored when the payload alone exceeds the budget.  Least
+        recently used entries are evicted until both bounds hold.
         """
         size = len(payload.get("assignment") or ())
         if size > self.max_tasks:
@@ -86,7 +92,7 @@ class ResponseTier:
         old = self._entries.pop(key, None)
         if old is not None:
             self.tasks -= old.size
-        self._entries[key] = TierEntry(family, _stamp_hit(payload), size)
+        self._entries[key] = TierEntry(family, encode_json(_stamp_hit(payload)), size)
         self.tasks += size
         while len(self._entries) > self.max_entries or self.tasks > self.max_tasks:
             _, evicted = self._entries.popitem(last=False)

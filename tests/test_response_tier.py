@@ -5,7 +5,12 @@
   without orjson), ignores the fields outside the answer, and is what
   the cluster's routing module re-exports;
 * **tier** — :class:`repro.service.tier.ResponseTier` honours both of its
-  bounds;
+  bounds and stores each result as its encoded bytes;
+* **splice** — a tier hit, from the service and from the router, writes
+  the stored bytes behind the request id, byte-identical to encoding the
+  whole response, for every JSON id type, with and without non-finite
+  floats, with and without orjson; a request orjson decoded gets the
+  same digest without the round-trip parse;
 * **service contract** — over TCP a tier hit is byte-identical to the
   disk-cache hit it replays, skips the instance rebuild, is ledgered as
   a cache hit, still passes QoS rate limits, and only cache-served
@@ -35,7 +40,10 @@ from repro.periodic.model import PeriodicInstance
 from repro.qos.tenants import TenantConfig, TenantRegistry
 from repro.service import ServiceConfig, SolverService, protocol, server
 from repro.service.protocol import (
+    EncodedResponse,
     ProtocolError,
+    decode_message,
+    decode_json,
     encode_message,
     instance_from_payload,
     request_key,
@@ -189,6 +197,46 @@ class TestDigest:
         assert routing.request_key is request_key
 
 
+class TestDigestWithoutReparse:
+    @settings(max_examples=300, deadline=None)
+    @given(instance=json_values, params=json_values, rid=json_scalars)
+    def test_same_digest_with_and_without_the_reparse(self, instance, params, rid):
+        request = {"id": rid, "op": "solve", "instance": instance, "spec": "lpt",
+                   "params": params}
+        decoded = decode_message(encode_message(request))
+        # A plain copy is not marked as orjson-decoded: it takes the check.
+        assert request_key(decoded) == request_key(dict(decoded))
+        assert request_key(decoded) == request_key(request)
+
+    def test_an_orjson_decoded_request_is_not_parsed_again(self, inst, monkeypatch):
+        if protocol._orjson is None:
+            pytest.skip("orjson is not installed")
+        real = protocol._orjson
+        loads = []
+
+        class Counting:
+            JSONDecodeError = real.JSONDecodeError
+            OPT_SORT_KEYS = real.OPT_SORT_KEYS
+            dumps = staticmethod(real.dumps)
+
+            @staticmethod
+            def loads(data):
+                loads.append(1)
+                return real.loads(data)
+
+        monkeypatch.setattr(protocol, "_orjson", Counting)
+        decoded = decode_message(encode_message(solve_request(inst, "lpt", request_id=1)))
+        assert loads == [1]
+        key = request_key(decoded)
+        assert loads == [1]
+        assert request_key(dict(decoded)) == key and loads == [1, 1]
+
+    def test_a_long_integer_literal_is_parsed_exactly(self):
+        for value in (2**70, -(2**64), 2**64 - 1, -(2**63)):
+            decoded = decode_message(f'{{"instance": [{value}], "spec": "lpt"}}'.encode())
+            assert decoded["instance"] == [value] and type(decoded["instance"][0]) is int
+
+
 # --------------------------------------------------------------------------- #
 # the tier's bounds
 # --------------------------------------------------------------------------- #
@@ -227,10 +275,165 @@ class TestResponseTier:
         tier = ResponseTier()
         tier.put("k", _payload(3, cache="miss"), family="lpt")
         entry = tier.get("k")
-        assert entry.family == "lpt" and entry.payload["provenance"]["cache"] == "hit"
+        assert entry.family == "lpt"
+        assert entry.body == encode_message(_payload(3, cache="hit"))[:-1]
+        assert decode_json(entry.body)["provenance"]["cache"] == "hit"
         served = _payload(3, cache="hit")
         tier.put("h", served)
-        assert tier.get("h").payload is served
+        assert tier.get("h").body == encode_message(served)[:-1]
+
+
+# --------------------------------------------------------------------------- #
+# spliced tier hits: byte identity with the full encode
+# --------------------------------------------------------------------------- #
+request_ids = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**65)
+    | st.integers(min_value=-(2**65), max_value=-(2**63) + 2)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+    | st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6)
+    | st.sampled_from(['"', "\\", "\x7f", "\n", "é", "a/b", "</s>"])
+    | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+finite_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def result_payloads(draw, non_finite: bool) -> dict:
+    """A solve result payload; with ``non_finite`` one float in it is not."""
+    task_ids = (st.integers(min_value=0, max_value=2**70) | st.text(max_size=3)
+                | finite_floats)
+    payload = {
+        "solver": "lpt", "spec": "lpt", "feasible": draw(st.booleans()),
+        "cmax": draw(finite_floats), "mmax": draw(finite_floats),
+        "sum_ci": draw(finite_floats),
+        "guarantee": draw(st.lists(finite_floats, min_size=1, max_size=3)),
+        "wall_time": draw(finite_floats),
+        "assignment": draw(st.lists(st.tuples(task_ids, st.integers(0, 64)).map(list),
+                                    max_size=10)),
+        "provenance": {"solver": "lpt", "spec": "lpt",
+                       "params": draw(st.dictionaries(st.text(max_size=3), finite_values,
+                                                      max_size=2)),
+                       "cache": draw(st.sampled_from(["miss", "hit"]))},
+        "extras": draw(st.dictionaries(st.text(max_size=4), finite_values, max_size=3)),
+    }
+    if non_finite:
+        bad = draw(st.sampled_from(NON_FINITE))
+        where = draw(st.sampled_from(["guarantee", "cmax", "extras", "assignment"]))
+        if where == "guarantee":
+            payload["guarantee"].append(bad)
+        elif where == "cmax":
+            payload["cmax"] = bad
+        elif where == "extras":
+            payload["extras"]["bad"] = [1, {"x": bad}]
+        else:
+            payload["assignment"].append([bad, 0])
+    return payload
+
+
+def _stamped(payload: dict) -> dict:
+    return {**payload, "provenance": {**payload["provenance"], "cache": "hit"}}
+
+
+async def _service_tier_hit(request: dict, payload: dict):
+    async with SolverService(workers=1, cache=LRUCache()) as svc:
+        # The service admits only what its cache served: stamped payloads.
+        svc.response_tier.put(request_key(request), _stamped(payload), family="lpt")
+        return await server.handle_request(svc, request)
+
+
+async def _router_tier_hit(request: dict, payload: dict):
+    from repro.cluster import ClusterConfig, ClusterRouter
+
+    config = ClusterConfig(shards=1, min_shards=1, max_shards=1, backend="inproc",
+                           workers=1, cache=False, session_ttl=None, router_cache=8)
+    async with ClusterRouter(config) as router:
+        router._tier.put(request_key(request), payload)
+        return await router.handle(request)
+
+
+TIER_HITS = {"service": _service_tier_hit, "router": _router_tier_hit}
+
+
+class TestSplicedHits:
+    @pytest.mark.parametrize("owner", sorted(TIER_HITS))
+    @pytest.mark.parametrize("non_finite", [False, True], ids=["finite", "non-finite"])
+    @pytest.mark.parametrize("codec", CODECS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_spliced_line_equals_the_full_encode(self, owner, non_finite, codec, data):
+        rid = data.draw(request_ids, label="id")
+        payload = data.draw(result_payloads(non_finite), label="payload")
+        request = {"id": rid, "op": "solve", "instance": {"m": 1}, "spec": "lpt"}
+        with pytest.MonkeyPatch.context() as mp:
+            _with_codec(codec, mp)
+            response = run(TIER_HITS[owner](request, payload))
+            expected = encode_message({"id": rid, "ok": True, "result": _stamped(payload)})
+            assert encode_message(response) == expected
+            spliced = isinstance(response, EncodedResponse)
+            assert spliced == (rid is None or type(rid) is int and -(2**63) <= rid < 2**64
+                               or type(rid) is str and rid.isascii() and rid.isprintable())
+            # In-process callers read the same response the line carries.
+            assert _tagged(json.loads(encode_message(dict(response)))) == _tagged(
+                json.loads(expected))
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("spec", ["lpt", "sbo(delta=1.0)"])  # inf / finite guarantee
+    def test_served_hits_over_tcp_match_the_full_path(self, codec, spec, inst, tmp_path,
+                                                      monkeypatch):
+        from repro.cluster import ClusterConfig, ClusterRouter
+
+        _with_codec(codec, monkeypatch)
+        ids = [None, 0, -5, 2**64 - 1, 2**64, -(2**63) - 1, 1.5, math.inf, True,
+               "q-1", 'say "hi" \\', "é", "\x7f", [1], {"a": 1}]
+        config = ClusterConfig(shards=2, min_shards=1, max_shards=2, backend="inproc",
+                               workers=1, cache=False, session_ttl=None, router_cache=8)
+
+        async def scenario():
+            async with SolverService(workers=1, cache=str(tmp_path / "cache")) as svc:
+                async with Wire(svc) as wire:
+                    assert (await wire.call(solve_request(inst, spec)))["ok"]
+                    for rid in ids:
+                        request = solve_request(inst, spec, request_id=rid)
+                        # The first repeat is a disk hit the tier admits;
+                        # every later one is a tier hit.
+                        full = await wire.raw(request)
+                        assert await wire.raw(request) == full, rid
+                    assert svc.stats().cache_hits == 2 * len(ids)
+            async with ClusterRouter(config) as router:
+                front = await serve_tcp(None, port=0, handler=router.handle)
+                port = front.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+                async def raw(request: dict) -> bytes:
+                    writer.write(encode_message(request))
+                    await writer.drain()
+                    return await reader.readline()
+
+                try:
+                    routed = decode_message(await raw(solve_request(inst, spec)))
+                    assert "cache" not in routed["result"]["provenance"]
+                    for rid in ids:
+                        hit = await raw(solve_request(inst, spec, request_id=rid))
+                        expected = {"id": rid, "ok": True, "result": _stamped(routed["result"])}
+                        assert hit == encode_message(expected), rid
+                    counters = router.router_counters()
+                    assert counters["router_cache_hits"] == len(ids) and counters["routed"] == 1
+                finally:
+                    writer.close()
+                    front.close()
+                    await front.wait_closed()
+
+        run(scenario())
 
 
 # --------------------------------------------------------------------------- #
@@ -466,6 +669,28 @@ class TestRouterTier:
                     await router.handle(solve_request(other, "lpt"))
                 await router.handle(solve_request(inst, "lpt"))
                 assert router.router_counters()["routed"] == 4
+
+        run(scenario())
+
+
+    def test_shard_tier_hits_pass_through_a_router_without_a_tier(self, inst, tmp_path):
+        from repro.cluster import ClusterConfig, ClusterRouter
+
+        config = ClusterConfig(shards=1, min_shards=1, max_shards=1, backend="inproc",
+                               workers=1, cache=str(tmp_path), session_ttl=None,
+                               router_cache=0)
+
+        async def scenario():
+            async with ClusterRouter(config) as router:
+                lines = []
+                for rid in range(4):  # a miss, a disk hit, then shard tier hits
+                    response = await router.handle(solve_request(inst, "lpt", request_id=rid))
+                    assert type(response) is dict and response["id"] == rid
+                    lines.append(encode_message({**response, "id": 0}))
+                svc = router.shard(router.shard_names()[0]).service
+                assert len(svc.response_tier) == 1 and svc.stats().cache_hits == 3
+                assert lines[1] == lines[2] == lines[3] != lines[0]
+                assert (await router.solve(inst, "lpt"))["provenance"]["cache"] == "hit"
 
         run(scenario())
 

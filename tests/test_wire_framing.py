@@ -10,6 +10,10 @@ Covers:
   containing non-finite floats must take the stdlib path (orjson would
   silently serialize ``inf`` as ``null``), strict payloads may take the
   fast path, and both produce the identical documented wire format;
+* the non-finite scan that picks the encoder: the same answer as the
+  plain recursive walk for every value, and so the same bytes;
+* integer literals past 64 bits reach the solver as integers, not as the
+  floats orjson would parse them to;
 * line-delimited JSON as the only wire format — a ``negotiate`` line is
   an unknown op like any other and leaves the connection usable.
 """
@@ -22,6 +26,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.service.protocol as protocol
 from repro.core.instance import Instance
@@ -187,6 +193,114 @@ class TestOrjsonGate:
         monkeypatch.setattr(protocol, "_orjson", None)
         payload = {"a": [1.0, math.inf], "b": "x"}
         assert decode_message(encode_message(payload)) == payload
+
+
+# --------------------------------------------------------------------------- #
+# the non-finite scan: same decision as the plain walk, same bytes
+# --------------------------------------------------------------------------- #
+def _walk(value: object) -> bool:
+    """The recursive walk the encoder rule was first written with."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        return any(_walk(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_walk(v) for v in value)
+    return False
+
+
+def _reference_encode(payload: object) -> bytes:
+    if protocol._orjson is not None and not _walk(payload):
+        try:
+            return protocol._orjson.dumps(payload) + b"\n"
+        except TypeError:
+            pass
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+class _Float(float):
+    """A float subclass (as numpy's float64 is)."""
+
+
+scan_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3)
+    | st.sampled_from([math.inf, -math.inf, math.nan, _Float(math.inf), _Float(1.0)])
+)
+scan_values = st.recursive(
+    scan_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(st.lists(inner, min_size=2, max_size=2), max_size=5)  # [id, proc] pairs
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+class TestNonFiniteScan:
+    @settings(max_examples=500, deadline=None)
+    @given(value=scan_values)
+    def test_scan_agrees_with_the_walk(self, value):
+        assert protocol._has_non_finite(value) == _walk(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=scan_values)
+    def test_bytes_equal_the_walk_rule(self, value):
+        payload = {"id": 1, "ok": True, "result": {"assignment": value}}
+        assert encode_message(payload) == _reference_encode(payload)
+
+    @pytest.mark.parametrize("spec", ["lpt", "sbo(delta=1.0)", "rls(delta=3.0)",
+                                      "trio(delta=3.0)", "pareto_approx"])
+    def test_solver_payloads_encode_as_before(self, spec):
+        inst = Instance.from_lists(p=[(7 * i) % 11 + 1 for i in range(60)],
+                                   s=[(5 * i) % 13 + 1 for i in range(60)], m=4)
+        payload = result_to_payload(solve(inst, spec, cache=False))
+        assert protocol._has_non_finite(payload) == _walk(payload)
+        assert encode_message(payload) == _reference_encode(payload)
+
+
+# --------------------------------------------------------------------------- #
+# integer literals past 64 bits
+# --------------------------------------------------------------------------- #
+class TestBigIntegers:
+    @pytest.mark.parametrize("codec", ["orjson", "stdlib"])
+    def test_wire_assignment_equals_the_direct_one(self, codec, monkeypatch):
+        if codec == "stdlib":
+            monkeypatch.setattr(protocol, "_orjson", None)
+        elif protocol._orjson is None:
+            pytest.skip("orjson is not installed")
+        big = 2**70
+        inst = Instance.from_dict({"kind": "independent", "m": 2, "tasks": [
+            {"id": big, "p": 3.0, "s": 1.0}, {"id": -(2**64), "p": 2.0, "s": 2.0},
+            {"id": 7, "p": 1.0, "s": 3.0}]})
+        direct = result_to_payload(solve(inst, "lpt", cache=False))["assignment"]
+
+        async def scenario():
+            async with SolverService(workers=1) as svc:
+                server = await serve_tcp(svc, port=0)
+                port = server.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                try:
+                    writer.write(encode_message(solve_request(inst, "lpt", request_id=1)))
+                    await writer.drain()
+                    line = await reader.readline()
+                finally:
+                    writer.close()
+                    server.close()
+                    await server.wait_closed()
+                return line
+
+        line = run(scenario())
+        assert str(big).encode() in line
+        response = decode_message(line)
+        assert response["ok"], response
+        assert response["result"]["assignment"] == direct
+        assert [big, 0] in direct or [big, 1] in direct
+        assert all(type(tid) is int for tid, _ in response["result"]["assignment"])
+
+    def test_long_digit_runs_outside_numbers_still_decode(self):
+        line = b'{"id": "12345678901234567890123", "x": 0.1234567890123456789012}'
+        decoded = decode_message(line)
+        assert decoded == json.loads(line)
 
 
 # --------------------------------------------------------------------------- #
