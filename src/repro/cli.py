@@ -4,14 +4,11 @@ The sub-commands cover the typical workflows:
 
 ``generate``
     Create a synthetic instance (independent workload or DAG family) and
-    write it to a JSON file that ``solve``/``schedule`` can read back.
+    write it to a JSON file that ``solve`` can read back.
 ``solve``
     Run any registered solver through the unified facade
     (:mod:`repro.solvers`) by spec string, e.g. ``"sbo(delta=1.0)"``;
     ``--list`` enumerates the registry with capability flags.
-``schedule``
-    Legacy per-algorithm flags interface (``--algorithm sbo --delta 1.0``);
-    prefer ``solve``, which reaches every solver with one ``--solver`` spec.
 ``experiments``
     Run one experiment of the DESIGN.md index (or all of them) and print
     its table and shape checks.
@@ -55,7 +52,6 @@ Examples::
     python -m repro solve --input inst.json --solver "rls(delta=2.5)" --cache .repro-cache
     python -m repro solve --list
     python -m repro experiments --id EXT-T1 --cache .repro-cache
-    python -m repro schedule --input inst.json --algorithm sbo --delta 1.0 --gantt
     python -m repro experiments --id FIG-3
     python -m repro report > EXPERIMENTS.md
     python -m repro serve --port 8373 --workers 4 --cache .repro-cache
@@ -84,13 +80,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.core.constrained import solve_constrained
 from repro.core.instance import DAGInstance, Instance
-from repro.core.rls import rls
-from repro.core.sbo import sbo
-from repro.core.trio import tri_objective_schedule
-from repro.algorithms.lpt import lpt_schedule
-from repro.algorithms.spt import spt_schedule
 from repro.dag.generators import random_dag_suite
 from repro.simulator.executor import simulate_schedule
 from repro.simulator.trace import render_gantt
@@ -208,70 +198,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"simulation check: {'OK' if report.ok else 'VIOLATIONS: ' + '; '.join(report.violations)}")
     if args.gantt:
         print(render_gantt(result.schedule, width=args.gantt_width))
-    return 0 if report.ok else 1
-
-
-# --------------------------------------------------------------------------- #
-# schedule (legacy flags interface)
-# --------------------------------------------------------------------------- #
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.input)
-    if getattr(instance, "kind", None) == "periodic":
-        print(
-            "error: `schedule` only handles one-shot instances; solve periodic "
-            "instances with `repro solve --solver periodic_edf` or `repro periodic solve`",
-            file=sys.stderr,
-        )
-        return 2
-    algorithm = args.algorithm
-    guarantees = ""
-    if algorithm == "sbo":
-        result = sbo(instance, delta=args.delta, cmax_solver=args.solver)
-        schedule = result.schedule
-        guarantees = f"guarantees: Cmax<= {result.cmax_guarantee:.3f}*OPT, Mmax<= {result.mmax_guarantee:.3f}*OPT"
-    elif algorithm == "rls":
-        result = rls(instance, delta=args.delta, order=args.order)
-        schedule = result.schedule
-        guarantees = (
-            f"guarantees: Cmax<= {result.cmax_guarantee:.3f}*OPT, Mmax<= {result.mmax_guarantee:.3f}*OPT"
-            if result.cmax_guarantee != float("inf")
-            else f"guarantees: Mmax<= {result.mmax_guarantee:.3f}*OPT (no Cmax guarantee at this delta)"
-        )
-    elif algorithm == "trio":
-        result = tri_objective_schedule(instance, delta=args.delta)
-        schedule = result.schedule
-        g = result.guarantees
-        guarantees = f"guarantees: Cmax<= {g[0]:.3f}*OPT, Mmax<= {g[1]:.3f}*OPT, sumCi<= {g[2]:.3f}*OPT"
-    elif algorithm == "constrained":
-        if args.capacity is None:
-            print("error: --capacity is required with --algorithm constrained", file=sys.stderr)
-            return 2
-        outcome = solve_constrained(instance, memory_capacity=args.capacity)
-        if not outcome.feasible:
-            reason = "certified infeasible" if outcome.certified_infeasible else "no feasible schedule found"
-            print(f"infeasible: {reason} (capacity {args.capacity:g})")
-            return 1
-        schedule = outcome.schedule
-        guarantees = f"strategy: {outcome.strategy}; delta = {outcome.delta:.3f}"
-    elif algorithm == "lpt":
-        schedule = lpt_schedule(instance.as_independent() if isinstance(instance, DAGInstance) else instance)
-    elif algorithm == "spt":
-        schedule = spt_schedule(instance.as_independent() if isinstance(instance, DAGInstance) else instance)
-    else:  # pragma: no cover - argparse choices prevent this
-        print(f"error: unknown algorithm {algorithm!r}", file=sys.stderr)
-        return 2
-
-    report = simulate_schedule(schedule)
-    print(f"instance: {instance.name or args.input} (n={instance.n}, m={instance.m})")
-    print(f"algorithm: {algorithm}")
-    print(f"Cmax = {schedule.cmax:g}")
-    print(f"Mmax = {schedule.mmax:g}")
-    print(f"sum Ci = {schedule.sum_ci:g}")
-    if guarantees:
-        print(guarantees)
-    print(f"simulation check: {'OK' if report.ok else 'VIOLATIONS: ' + '; '.join(report.violations)}")
-    if args.gantt:
-        print(render_gantt(schedule, width=args.gantt_width))
     return 0 if report.ok else 1
 
 
@@ -927,18 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--cache", default=None, metavar="DIR",
                      help="persistent result-cache directory (repeat runs are served from it)")
     slv.set_defaults(func=_cmd_solve)
-
-    sch = sub.add_parser("schedule", help="schedule an instance file and print the objectives")
-    sch.add_argument("--input", required=True, help="instance JSON produced by `generate`")
-    sch.add_argument("--algorithm", default="sbo",
-                     choices=["sbo", "rls", "trio", "constrained", "lpt", "spt"])
-    sch.add_argument("--delta", type=float, default=1.0, help="delta parameter (sbo/rls/trio)")
-    sch.add_argument("--solver", default="lpt", help="SBO sub-solver (list, lpt, multifit, ptas, exact)")
-    sch.add_argument("--order", default="arbitrary", help="RLS tie-breaking order")
-    sch.add_argument("--capacity", type=float, default=None, help="memory capacity (constrained only)")
-    sch.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
-    sch.add_argument("--gantt-width", type=int, default=60, help="Gantt chart width in characters")
-    sch.set_defaults(func=_cmd_schedule)
 
     exp = sub.add_parser("experiments", help="run a reproduced experiment by id")
     exp.add_argument("--id", default="all", help="experiment id (FIG-1 ... EXT-A3) or 'all'")

@@ -23,8 +23,8 @@ health-checked every ``probe_interval`` seconds and declared dead after
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 __all__ = ["ClusterConfig", "BACKEND_KINDS", "CACHE_LAYOUTS"]
 
@@ -91,9 +91,11 @@ class ClusterConfig:
         (:mod:`repro.cluster.journal`) for every pinned session so a
         shard crash replays the session onto a survivor bit-identically;
         false restores the pre-journal behavior (crash ⇒ session lost).
-    max_sessions / max_session_tasks / session_ttl:
+    max_sessions / session_ttl:
         Per-shard streaming-session bounds (the cluster-wide session
-        capacity is the sum over shards).
+        capacity is the sum over shards).  Each session takes
+        :class:`~repro.service.ServiceConfig`'s default task bound, on
+        every backend and in the router's journal.
     auto_timeouts:
         Enable latency-derived per-family timeouts on every shard.
     scale_up_at:
@@ -140,13 +142,11 @@ class ClusterConfig:
     max_pending: int = 64
     backpressure: str = "wait"
     default_timeout: Optional[float] = None
-    spec_timeouts: Mapping[str, float] = field(default_factory=dict)
     cache: object = None
     cache_layout: str = "per-shard"
     router_cache: int = 2048
     session_journal: bool = True
     max_sessions: int = 64
-    max_session_tasks: int = 1_000_000
     session_ttl: Optional[float] = 300.0
     auto_timeouts: bool = False
     scale_up_at: float = 8.0
@@ -263,11 +263,11 @@ class ClusterConfig:
             max_pending=self.max_pending,
             backpressure=self.backpressure,
             default_timeout=self.default_timeout,
-            spec_timeouts=dict(self.spec_timeouts),
-            cache=self.cache if self.cache else False,
+            # Identity tests, not truthiness: an empty cache object is
+            # falsy (it has a length) but still a cache.
+            cache=False if self.cache is None or self.cache is False else self.cache,
             auto_timeouts=self.auto_timeouts,
             max_sessions=self.max_sessions,
-            max_session_tasks=self.max_session_tasks,
             session_ttl=self.session_ttl,
             trace=self.trace,
         )

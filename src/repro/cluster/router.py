@@ -86,13 +86,16 @@ from repro.obs.trace import (
     wire_trace,
 )
 from repro.qos.admission import AdmissionController
-from repro.qos.tenants import CLASS_URGENCY, QosError, TenantConfig
+from repro.qos.tenants import CLASS_URGENCY
+from repro.service.config import ServiceConfig
 from repro.service.protocol import (
-    PROTOCOL_VERSION, error_code_for, result_response, solve_request,
+    PROTOCOL_VERSION, ProtocolError, result_response, solve_request,
 )
 from repro.service.server import (
-    _metrics_response, _timeout_field, _trace_fields, _trace_response,
+    _ack_field, _metrics_response, _session_id, _shutdown, _submit_tasks,
+    _tenant_field, _timeout_field, _trace_fields, _trace_response, dispatch,
 )
+from repro.service.sessions import UnknownSessionError
 from repro.service.tier import ResponseTier
 
 __all__ = [
@@ -125,18 +128,6 @@ class SessionLostError(ClusterError):
     """
 
     code = "session_lost"
-
-
-def _error_response(
-    request: Dict[str, object],
-    exc_type: str,
-    message: str,
-    code: Optional[str] = None,
-) -> Dict[str, object]:
-    error: Dict[str, object] = {"type": exc_type, "message": message}
-    if code is not None:
-        error["code"] = code
-    return {"id": request.get("id"), "ok": False, "error": error}
 
 
 class ClusterRouter:
@@ -188,7 +179,7 @@ class ClusterRouter:
         #: Arrival journal for crash-safe session failover (``None`` when
         #: ``config.session_journal`` is off).
         self._journal: Optional[SessionJournal] = (
-            SessionJournal(config.max_session_tasks)
+            SessionJournal(ServiceConfig.max_session_tasks)
             if config.session_journal else None
         )
         #: Why a session id no longer routes (bounded FIFO of tombstones):
@@ -432,8 +423,11 @@ class ClusterRouter:
             for router_sid, (pin, _backend_sid) in list(self._sessions.items()):
                 if pin != name:
                     continue
-                outcome = await self.session_handoff(router_sid)
-                if not outcome.get("ok"):
+                try:
+                    handed = (await self.session_handoff(router_sid)).get("ok")
+                except (ClusterError, UnknownSessionError):
+                    handed = False
+                if not handed:
                     self._counters["handoff_failures"] += 1
                     # The shard is going away regardless, so a pin that
                     # survived a failed handoff would point at a name that
@@ -497,115 +491,74 @@ class ClusterRouter:
 
         Plug-compatible with :data:`repro.service.server.Handler` — pass
         it to ``serve_tcp(None, ..., handler=router.handle)`` and the
-        stock transports serve the whole cluster.
+        stock transports serve the whole cluster.  Dispatches through the
+        router's op table (:data:`_OPS`) with the service's own
+        :func:`~repro.service.server.dispatch`, so both front ends check
+        ops and answer errors the same way.
         """
-        op = request.get("op", "solve")
-        try:
-            if op == "solve":
-                return await self._admit_solve(request)
-            if op == "session_open" or op == "session_restore":
-                return await self._open_session(request)
-            if op in ("session_submit", "session_result", "session_close",
-                      "session_export"):
-                return await self._forward_session(request)
-            if op == "session_handoff":
-                session_id = request.get("session")
-                if not isinstance(session_id, str) or not session_id:
-                    raise ClusterError("'session' must be a non-empty session id string")
-                target = request.get("target")
-                if target is not None and not isinstance(target, str):
-                    raise ClusterError("'target' must be a shard name string")
-                outcome = await self.session_handoff(session_id, target)
-                outcome["id"] = request.get("id")
-                return outcome
-            if op == "stats":
-                stats = await self.stats()
-                return {"id": request.get("id"), "ok": True, "stats": stats.to_dict()}
-            if op == "metrics":
-                stats = await self.stats()
-                return _metrics_response(request, stats.to_dict())
-            if op == "trace":
-                return await self.trace(request)
-            if op == "ping":
-                return {"id": request.get("id"), "ok": True, "pong": True,
-                        "protocol": PROTOCOL_VERSION, "cluster": True,
-                        "shards": len(self._routable())}
-            if op == "drain":
-                drained, pending = await self.drain(timeout=_timeout_field(request))
-                return {"id": request.get("id"), "ok": True,
-                        "drained": drained, "pending": pending}
-            if op == "shutdown":
-                return {"id": request.get("id"), "ok": True, "shutdown": True}
-            raise ClusterError(
-                f"unknown op {op!r}; the cluster front end speaks solve, "
-                f"session_open, session_submit, session_result, session_export, "
-                f"session_restore, session_handoff, session_close, stats, "
-                f"metrics, trace, ping, drain, and shutdown"
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # every request-level failure becomes a response
-            return _error_response(request, type(exc).__name__, str(exc),
-                                   code=error_code_for(exc))
+        return await dispatch(self._OPS, self, request)
+
+    async def _handoff_op(self, request: Dict[str, object]) -> Dict[str, object]:
+        session_id = _session_id(request)
+        target = request.get("target")
+        if target is not None and not isinstance(target, str):
+            raise ProtocolError("'target' must be a shard name string")
+        outcome = await self.session_handoff(session_id, target)
+        outcome["id"] = request.get("id")
+        return outcome
+
+    async def _stats_op(self, request: Dict[str, object]) -> Dict[str, object]:
+        stats = await self.stats()
+        return {"id": request.get("id"), "ok": True, "stats": stats.to_dict()}
+
+    async def _metrics_op(self, request: Dict[str, object]) -> Dict[str, object]:
+        stats = await self.stats()
+        return _metrics_response(request, stats.to_dict())
+
+    async def _ping_op(self, request: Dict[str, object]) -> Dict[str, object]:
+        return {"id": request.get("id"), "ok": True, "pong": True,
+                "protocol": PROTOCOL_VERSION, "cluster": True,
+                "shards": len(self._routable())}
+
+    async def _drain_op(self, request: Dict[str, object]) -> Dict[str, object]:
+        drained, pending = await self.drain(timeout=_timeout_field(request))
+        return {"id": request.get("id"), "ok": True,
+                "drained": drained, "pending": pending}
 
     # ------------------------------------------------------------------ #
     # solve routing
     # ------------------------------------------------------------------ #
-    def _qos_begin(
-        self, request: Dict[str, object]
-    ) -> Tuple[Optional[TenantConfig], Optional[Dict[str, object]]]:
-        """Attribute + rate-limit one request; ``(cfg, error_response)``.
-
-        With QoS off both halves are ``None``.  A rejection comes back as
-        a ready-to-send error response carrying the stable ``error.code``.
-        """
-        if self._qos is None:
-            return None, None
-        tenant = request.get("tenant")
-        if tenant is not None and (not isinstance(tenant, str) or not tenant):
-            return None, _error_response(
-                request, "ProtocolError", "'tenant' must be a non-empty string"
-            )
-        try:
-            return self._qos.begin(tenant), None
-        except QosError as exc:
-            return None, _error_response(request, type(exc).__name__, str(exc),
-                                         code=exc.code)
-
     async def _admit_solve(self, request: Dict[str, object]) -> Mapping[str, object]:
         """QoS-gate one solve request, then route it.
 
-        The ``timeout`` field is validated first, exactly as a shard
-        would, so a router-tier hit cannot accept what a shard rejects.
-        With no tenants configured this is then :meth:`_forward_solve`.
-        Otherwise the request passes the cluster-wide admission controller
-        first — rate limiter, quota, then a weighted-fair slot — and its
-        outcome (completed / failed / abandoned) is ledgered against the
-        tenant, keeping per-tenant ``admitted + rejected == submitted``.
+        The fields the routing key leaves out (``timeout``, ``tenant``)
+        are validated first, exactly as a shard would, so a router-tier
+        hit cannot accept what a shard rejects.  With no tenants
+        configured this is then :meth:`_forward_solve`.  Otherwise the
+        request passes the cluster-wide admission controller first — rate
+        limiter, quota, then a weighted-fair slot — and its outcome
+        (completed / failed / abandoned) is ledgered against the tenant,
+        keeping per-tenant ``admitted + rejected == submitted``.
         """
         _timeout_field(request)
+        tenant = _tenant_field(request)
         if self._qos is None:
             return await self._forward_solve(request)
-        cfg, rejection = self._qos_begin(request)
-        if cfg is None:
-            assert rejection is not None
-            return rejection
-        try:
-            await self._qos.acquire_slot(
-                cfg, reject_on_full=self.config.backpressure == "reject"
-            )
-        except QosError as exc:
-            return _error_response(request, type(exc).__name__, str(exc),
-                                   code=exc.code)
+        cfg = self._qos.begin(tenant)
+        await self._qos.acquire_slot(
+            cfg, reject_on_full=self.config.backpressure == "reject"
+        )
         self._qos.job_admitted(cfg)
+        outcome = "abandoned"
         try:
             response = await self._forward_solve(request)
-        except BaseException:
-            self._qos.release_slot(cfg)
-            self._qos.finish(cfg, "abandoned")
+            outcome = "completed" if response.get("ok") else "failed"
+        except NoShardAvailableError:
+            outcome = "failed"  # a routing failure, like a relayed error
             raise
-        self._qos.release_slot(cfg)
-        self._qos.finish(cfg, "completed" if response.get("ok") else "failed")
+        finally:
+            self._qos.release_slot(cfg)
+            self._qos.finish(cfg, outcome)
         return response
 
     async def _forward_solve(self, request: Dict[str, object]) -> Mapping[str, object]:
@@ -644,10 +597,9 @@ class ClusterRouter:
             order = [name for name in rank(key, self._routable()) if name not in tried]
             if not order:
                 self._counters["lost"] += 1
-                return _error_response(
-                    request, "NoShardAvailableError",
+                raise NoShardAvailableError(
                     "no live shard available for this request "
-                    f"({len(tried)} tried and lost)",
+                    f"({len(tried)} tried and lost)"
                 )
             name = order[0]
             shard = self._shards[name]
@@ -675,10 +627,9 @@ class ClusterRouter:
                     # This decision's request died AND cannot re-decide:
                     # terminal — the decision ends as lost, not retried.
                     self._counters["lost"] += 1
-                    return _error_response(
-                        request, "NoShardAvailableError",
+                    raise NoShardAvailableError(
                         f"shard {name} was lost mid-request and the retry "
-                        f"budget is exhausted",
+                        f"budget is exhausted"
                     )
                 if retries_left is not None:
                     retries_left -= 1
@@ -719,7 +670,7 @@ class ClusterRouter:
             raise ClusterError("cluster is not running (use 'async with ClusterRouter(...)')")
         request = solve_request(instance, spec, timeout=timeout, params=params,
                                 tenant=tenant)
-        response = await self._admit_solve(request)
+        response = await self.handle(request)
         if not response.get("ok"):
             error = response.get("error") or {}
             raise ClusterError(
@@ -750,7 +701,7 @@ class ClusterRouter:
         while len(self._lost_sessions) > _LOST_SESSION_TOMBSTONES:
             self._lost_sessions.popitem(last=False)
 
-    def _session_missing(self, router_sid: str) -> ClusterError:
+    def _session_missing(self, router_sid: str) -> Exception:
         """The right error for a session id with no pin (typed when lost)."""
         reason = self._lost_sessions.get(router_sid)
         if reason is not None:
@@ -758,7 +709,7 @@ class ClusterRouter:
                 f"session {router_sid!r} was lost with its shard ({reason}); "
                 f"reopen and resubmit to continue"
             )
-        return ClusterError(
+        return UnknownSessionError(
             f"unknown session {router_sid!r} (never opened, closed, or "
             f"lost with its shard)"
         )
@@ -796,19 +747,14 @@ class ClusterRouter:
         same contract as the single-service layer: a session's per-placement
         work never occupies an admission slot, so quotas don't apply).
         """
-        cfg, rejection = self._qos_begin(request)
-        if rejection is not None:
-            return rejection
-        if cfg is not None:
-            self._qos.admit_fast(cfg)
+        if self._qos is not None:
+            self._qos.admit_fast(self._qos.begin(_tenant_field(request)))
         inner = dict(request)
         inner.pop("id", None)
         while True:
             name = self._least_loaded()
             if name is None:
-                return _error_response(
-                    request, "NoShardAvailableError", "no live shard to host the session"
-                )
+                raise NoShardAvailableError("no live shard to host the session")
             shard = self._shards[name]
             try:
                 response = await shard.request(inner)
@@ -976,15 +922,14 @@ class ClusterRouter:
 
     async def _forward_session(self, request: Dict[str, object]) -> Optional[Dict[str, object]]:
         op = request.get("op")
-        unacked = op == "session_submit" and request.get("ack") is False
+        unacked = op == "session_submit" and not _ack_field(request)
         router_sid = request.get("session")
-        if not isinstance(router_sid, str) or not router_sid:
-            if unacked:
-                return None  # no response line for an unacknowledged op, ever
-            raise ClusterError("'session' must be a non-empty session id string")
+        if unacked and (not isinstance(router_sid, str) or router_sid not in self._sessions):
+            return None  # malformed/unknown/lost session on an unacked line: dropped
+        router_sid = _session_id(request)
         if router_sid not in self._sessions:  # fail fast before locking
-            if unacked:
-                return None  # unknown/lost session on an unacked line: dropped
+            if op == "session_submit":
+                _submit_tasks(request)  # a malformed batch is named first, as on a shard
             raise self._session_missing(router_sid)
         # Serialize ops per session: a handoff holds this lock across its
         # export/restore/repin, so ops queued behind it land on the new pin.
@@ -1069,24 +1014,19 @@ class ClusterRouter:
         3. repin the router id to the target and close the source copy.
 
         A failed restore leaves the session exactly where it was.
-        Returns a response-shaped dict (``ok``/``error``) so the wire op
-        relays it directly.
+        Returns the response-shaped outcome: the handoff, or a shard's own
+        error response (``ok`` false) relayed under the router's session
+        id.  A failure the router finds itself raises: the missing-session
+        error, :class:`SessionLostError`, :class:`NoShardAvailableError`,
+        or :class:`ClusterError` for a shard lost mid-handoff.
         """
         if self._sessions.get(router_sid) is None:
-            exc = self._session_missing(router_sid)
-            error: Dict[str, object] = {
-                "type": type(exc).__name__, "message": str(exc)}
-            code = getattr(exc, "code", None)
-            if code is not None:
-                error["code"] = code
-            return {"ok": False, "error": error}
+            raise self._session_missing(router_sid)
         lock = self._session_locks[router_sid]
         async with lock:
             pin = self._sessions.get(router_sid)
             if pin is None:
-                exc = self._session_missing(router_sid)
-                return {"ok": False, "error": {
-                    "type": type(exc).__name__, "message": str(exc)}}
+                raise self._session_missing(router_sid)
             source_name, backend_sid = pin
             source = self._shards.get(source_name)
             if source is None or not source.alive:
@@ -1099,11 +1039,10 @@ class ClusterRouter:
                     return {"ok": True, "session": router_sid, "handoff": True,
                             "from": source_name, "shard": new_name,
                             "replayed": True}
-                return {"ok": False, "error": {
-                    "type": "SessionLostError", "code": "session_lost",
-                    "message": f"session {router_sid!r} was lost with shard "
-                               f"{source_name} (it died before a handoff and "
-                               f"could not be replayed)"}}
+                raise SessionLostError(
+                    f"session {router_sid!r} was lost with shard {source_name} "
+                    f"(it died before a handoff and could not be replayed)"
+                )
             if target is None:
                 target_name = self._least_loaded(exclude=source_name)
             else:
@@ -1111,10 +1050,10 @@ class ClusterRouter:
                 if target_name == source_name:
                     target_name = None
             if target_name is None:
-                return {"ok": False, "error": {
-                    "type": "NoShardAvailableError",
-                    "message": f"no live shard to receive session {router_sid!r} "
-                               f"(source {source_name})"}}
+                raise NoShardAvailableError(
+                    f"no live shard to receive session {router_sid!r} "
+                    f"(source {source_name})"
+                )
             target_shard = self._shards[target_name]
             try:
                 exported = await source.request(
@@ -1122,9 +1061,9 @@ class ClusterRouter:
                 )
             except (ConnectionError, OSError):
                 await self._mark_dead(source)
-                return {"ok": False, "error": {
-                    "type": "ClusterError",
-                    "message": f"source shard {source_name} died during export"}}
+                raise ClusterError(
+                    f"source shard {source_name} died during export"
+                ) from None
             if not exported.get("ok"):
                 return {**exported, "session": router_sid}
             try:
@@ -1133,10 +1072,10 @@ class ClusterRouter:
                 )
             except (ConnectionError, OSError):
                 await self._mark_dead(target_shard)
-                return {"ok": False, "error": {
-                    "type": "ClusterError",
-                    "message": f"target shard {target_name} died during restore "
-                               f"(session unchanged on {source_name})"}}
+                raise ClusterError(
+                    f"target shard {target_name} died during restore "
+                    f"(session unchanged on {source_name})"
+                ) from None
             if not restored.get("ok"):
                 return {**restored, "session": router_sid}
             self._sessions[router_sid] = (target_name, str(restored["session"]))
@@ -1281,3 +1220,22 @@ class ClusterRouter:
             router=self.router_counters(),
             tenants=self._qos.snapshot() if self._qos is not None else None,
         )
+
+    #: The router's op table (:meth:`handle`): its routed and merged ops,
+    #: ``session_handoff``, and ``shutdown`` shared with the service.
+    _OPS = {
+        "solve": _admit_solve,
+        "session_open": _open_session,
+        "session_submit": _forward_session,
+        "session_result": _forward_session,
+        "session_export": _forward_session,
+        "session_restore": _open_session,
+        "session_handoff": _handoff_op,
+        "session_close": _forward_session,
+        "stats": _stats_op,
+        "metrics": _metrics_op,
+        "trace": trace,
+        "ping": _ping_op,
+        "drain": _drain_op,
+        "shutdown": _shutdown,
+    }

@@ -77,6 +77,12 @@ one open scheduler per session, tasks placed as they arrive):
     session slot; responds with the final session snapshot.  A buffered
     unacknowledged-submission failure is not lost: it rides along as a
     ``window_error`` field in the (successful) close response.
+``session_handoff`` (cluster router only)
+    ``{"op": "session_handoff", "session": "csess-1", "target":
+    "shard-2"}`` — moves a pinned session to another shard (``target``
+    optional: the least-loaded other shard by default) by export and
+    verified restore; responds with ``{"handoff": true, "from": ...,
+    "shard": ..., "n": ..., "cmax": ..., "mmax": ...}``.
 
 Distributed tracing (:mod:`repro.obs.trace`): every request may carry
 an optional ``"trace": {"id": "...", "span": "..."}`` context field.
@@ -120,8 +126,19 @@ processors is refused up front with a ``ProtocolError`` whose code is
 ``too_large`` — before anything is allocated per processor.
 
 Line-delimited JSON is the only wire format; ``ping`` reports the
-protocol version (:data:`PROTOCOL_VERSION`), and an op outside the list
-above gets an ``unknown op`` error.
+protocol version (:data:`PROTOCOL_VERSION`).
+
+Error types.  ``repro serve`` and ``repro cluster`` dispatch every op
+through one function (:func:`repro.service.server.dispatch`) and check
+fields with the same validators, so they answer the same errors: an op
+outside the front end's list (or not a string) and every malformed field
+are a ``ProtocolError``; a session id never opened, closed or expired is
+an ``UnknownSessionError``; solver and session failures keep their own
+types (``SpecError``, ``SolverCapabilityError``, ``SessionError``, ...).
+The cluster router adds its routing-only errors: ``NoShardAvailableError``
+(no live shard), ``SessionLostError`` (code ``session_lost``: the
+session died with its shard and could not be replayed) and
+``ClusterError`` (a shard lost during a handoff).
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from repro.service.protocol import (
 )
 from repro.service.service import SolverService
 
-__all__ = ["handle_request", "serve_connection", "serve_tcp", "serve_stdio", "Handler"]
+__all__ = ["handle_request", "dispatch", "serve_connection", "serve_tcp", "serve_stdio", "Handler"]
 
 #: A request handler: one decoded request in, one response payload out —
 #: a dict, or an :class:`~repro.service.protocol.EncodedResponse` for a
@@ -265,149 +265,213 @@ def _trace_response(request: Dict[str, object]) -> Dict[str, object]:
             "enabled": RECORDER.enabled, "dropped": dropped, "ring": RECORDER.ring}
 
 
-async def handle_request(
-    service: SolverService, request: Dict[str, object]
-) -> Optional[Mapping[str, object]]:
-    """Execute one decoded request and build the response payload.
+def _ack_field(request: Dict[str, object]) -> bool:
+    """The optional ``ack`` flag of a ``session_submit`` request (validated)."""
+    ack = request.get("ack", True)
+    # isinstance, not `in (True, False)`: 0 == False would let a
+    # loosely-typed client's `"ack": 0` slip through as acknowledged.
+    if not isinstance(ack, bool):
+        raise ProtocolError("'ack' must be a JSON boolean when given")
+    return ack
 
-    ``shutdown`` is acknowledged here; actually stopping the loop is the
-    caller's job (it sees ``response.get("shutdown")``).  Returns ``None``
-    for successfully applied *unacknowledged* submissions (``ack: false``)
-    — the transport writes no response line for those.
+
+#: One entry of a front end's op table: the front end's target (a
+#: :class:`SolverService`, or the cluster router) and the decoded request
+#: in, the response payload (or ``None``, see :data:`Handler`) out.
+Op = Callable[[object, Dict[str, object]], Awaitable[Optional[Mapping[str, object]]]]
+
+
+async def dispatch(
+    ops: Mapping[str, Op], target: object, request: Dict[str, object]
+) -> Optional[Mapping[str, object]]:
+    """Run one decoded request through a front end's op table.
+
+    The one dispatch of both front ends (``handle_request`` and the
+    cluster router's ``handle``): ``op`` defaults to ``solve``; an op that
+    is not a string naming a table entry is a ``ProtocolError`` listing
+    the table's ops; and every request-level failure becomes one error
+    response carrying ``type``, ``message`` and, for a rejection with a
+    stable meaning, ``code`` (:func:`error_code_for`).  Cancellation is
+    not a request failure and passes through.
     """
-    request_id = request.get("id")
     op = request.get("op", "solve")
     try:
-        if op == "solve":
-            return await _solve(service, request)
-        if op == "session_open":
-            spec = request.get("spec")
-            if not isinstance(spec, str) or not spec:
-                raise ProtocolError("'spec' must be a non-empty online spec string")
-            m = request.get("m")
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise ProtocolError("'m' must be a positive integer processor count")
-            check_processors(m)
-            params = request.get("params") or {}
-            if not isinstance(params, dict):
-                raise ProtocolError("'params' must be a JSON object")
-            tenant = _tenant_field(request)
-            session = service.session_open(spec, m, tenant=tenant, **params)
-            return {"id": request_id, "ok": True, **session.describe()}
-        if op == "session_submit":
-            ack = request.get("ack", True)
-            # isinstance, not `in (True, False)`: 0 == False would let a
-            # loosely-typed client's `"ack": 0` slip through as acknowledged.
-            if not isinstance(ack, bool):
-                raise ProtocolError("'ack' must be a JSON boolean when given")
-            if ack is False:
-                # Windowed mode: place now, respond NEVER — whatever happens,
-                # no response line may be written for an unacknowledged op
-                # (an unsolicited line would desync a pipelined client).
-                # Parse failures poison the session's window when the
-                # session is identifiable; an unknown session is a dropped
-                # line (the client learns at its next acknowledged op, which
-                # fails with unknown-session itself).
-                try:
-                    session_id = _session_id(request)
-                    tasks = _submit_tasks(request)
-                except ProtocolError as exc:
-                    target = request.get("session")
-                    if isinstance(target, str) and target:
-                        try:
-                            service.session_poison_window(target, str(exc))
-                        except Exception:
-                            pass
-                    return None
-                try:
-                    service.session_submit_unacked(session_id, tasks)
-                except Exception:
-                    return None
-                return None
-            session_id = _session_id(request)
-            tasks = _submit_tasks(request)
-            # A buffered unacknowledged failure surfaces here, *before* the
-            # current batch is applied — the client's view stops exactly at
-            # the failure point.
-            service.session_check_window(session_id)
-            # Placements are irrevocable, so a batch is all-or-nothing: the
-            # session layer validates the whole batch (duplicates, capacity,
-            # sealed session) before applying any of it.
-            acks = service.session_submit_many(session_id, tasks)
-            window = service.session_take_window(session_id)
-            last = acks[-1]
-            placements = list(window)
-            placements.extend([ack["task_id"], ack["processor"]] for ack in acks)
-            return {
-                "id": request_id, "ok": True, "session": session_id,
-                "placements": placements,
-                "cmax": last["cmax"], "mmax": last["mmax"], "n": last["n"],
-            }
-        if op == "session_result":
-            session_id = _session_id(request)
-            service.session_check_window(session_id)
-            result = await service.session_result(session_id)
-            return {"id": request_id, "ok": True, "result": result_to_payload(result)}
-        if op == "session_export":
-            session_id = _session_id(request)
-            export = service.session_export(session_id)
-            return {"id": request_id, "ok": True, "session": session_id, "export": export}
-        if op == "session_restore":
-            export = request.get("export")
-            if not isinstance(export, dict):
-                raise ProtocolError(
-                    "'export' must be the JSON object produced by session_export"
-                )
-            state = export.get("state")
-            if isinstance(state, dict):
-                check_processors(state.get("m"), "export 'm'")
-            session = service.session_restore(export)
-            return {"id": request_id, "ok": True, **session.describe()}
-        if op == "session_close":
-            session_id = _session_id(request)
-            # Close always succeeds, but a poisoned windowed-ack buffer must
-            # not vanish silently: the buffered failure rides along in the
-            # response so the client learns its stream stopped short.
-            window_error = service.session_take_window_error(session_id)
-            summary = service.session_close(session_id)
-            response = {"id": request_id, "ok": True, "closed": True, **summary}
-            if window_error is not None:
-                response["window_error"] = window_error
-            return response
-        if op == "stats":
-            # Idle summaries report nan percentiles; the wire carries null
-            # (with or without orjson) instead of the NaN literal.
-            return {"id": request_id, "ok": True,
-                    "stats": sanitize_non_finite(service.stats().to_dict())}
-        if op == "metrics":
-            return _metrics_response(request, service.stats().to_dict())
-        if op == "trace":
-            return _trace_response(request)
-        if op == "ping":
-            # Pings double as cluster health probes: the ``load`` summary
-            # is O(1) gauges, cheap enough to poll every couple of seconds.
-            return {"id": request_id, "ok": True, "pong": True,
-                    "protocol": PROTOCOL_VERSION,
-                    "load": service.load_summary()}
-        if op == "drain":
-            drained = await service.drain(timeout=_timeout_field(request))
-            return {"id": request_id, "ok": True, "drained": drained,
-                    "pending": service.stats().pending}
-        if op == "shutdown":
-            return {"id": request_id, "ok": True, "shutdown": True}
-        raise ProtocolError(
-            f"unknown op {op!r}; expected solve, session_open, session_submit, "
-            f"session_result, session_export, session_restore, session_close, "
-            f"stats, metrics, trace, ping, drain, or shutdown"
-        )
-    except asyncio.CancelledError:
-        raise
+        handler = ops.get(op) if isinstance(op, str) else None
+        if handler is None:
+            *names, last = ops
+            raise ProtocolError(f"unknown op {op!r}; expected {', '.join(names)}, or {last}")
+        return await handler(target, request)
     except Exception as exc:  # every request-level failure becomes a response
         error: Dict[str, object] = {"type": type(exc).__name__, "message": str(exc)}
         code = error_code_for(exc)
         if code is not None:
             error["code"] = code
-        return {"id": request_id, "ok": False, "error": error}
+        return {"id": request.get("id"), "ok": False, "error": error}
+
+
+async def _session_open(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    spec = request.get("spec")
+    if not isinstance(spec, str) or not spec:
+        raise ProtocolError("'spec' must be a non-empty online spec string")
+    m = request.get("m")
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ProtocolError("'m' must be a positive integer processor count")
+    check_processors(m)
+    params = request.get("params") or {}
+    if not isinstance(params, dict):
+        raise ProtocolError("'params' must be a JSON object")
+    tenant = _tenant_field(request)
+    session = service.session_open(spec, m, tenant=tenant, **params)
+    return {"id": request.get("id"), "ok": True, **session.describe()}
+
+
+async def _session_submit(
+    service: SolverService, request: Dict[str, object]
+) -> Optional[Dict[str, object]]:
+    if not _ack_field(request):
+        # Windowed mode: place now, respond NEVER — whatever happens, no
+        # response line may be written for an unacknowledged op (an
+        # unsolicited line would desync a pipelined client).  Parse
+        # failures poison the session's window when the session is
+        # identifiable; an unknown session is a dropped line (the client
+        # learns at its next acknowledged op, which fails with
+        # unknown-session itself).
+        try:
+            session_id = _session_id(request)
+            tasks = _submit_tasks(request)
+        except ProtocolError as exc:
+            target = request.get("session")
+            if isinstance(target, str) and target:
+                try:
+                    service.session_poison_window(target, str(exc))
+                except Exception:
+                    pass
+            return None
+        try:
+            service.session_submit_unacked(session_id, tasks)
+        except Exception:
+            pass
+        return None
+    session_id = _session_id(request)
+    tasks = _submit_tasks(request)
+    # A buffered unacknowledged failure surfaces here, *before* the
+    # current batch is applied — the client's view stops exactly at the
+    # failure point.
+    service.session_check_window(session_id)
+    # Placements are irrevocable, so a batch is all-or-nothing: the
+    # session layer validates the whole batch (duplicates, capacity,
+    # sealed session) before applying any of it.
+    acks = service.session_submit_many(session_id, tasks)
+    window = service.session_take_window(session_id)
+    last = acks[-1]
+    placements = list(window)
+    placements.extend([ack["task_id"], ack["processor"]] for ack in acks)
+    return {
+        "id": request.get("id"), "ok": True, "session": session_id,
+        "placements": placements,
+        "cmax": last["cmax"], "mmax": last["mmax"], "n": last["n"],
+    }
+
+
+async def _session_result(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    session_id = _session_id(request)
+    service.session_check_window(session_id)
+    result = await service.session_result(session_id)
+    return {"id": request.get("id"), "ok": True, "result": result_to_payload(result)}
+
+
+async def _session_export(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    session_id = _session_id(request)
+    export = service.session_export(session_id)
+    return {"id": request.get("id"), "ok": True, "session": session_id, "export": export}
+
+
+async def _session_restore(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    export = request.get("export")
+    if not isinstance(export, dict):
+        raise ProtocolError("'export' must be the JSON object produced by session_export")
+    state = export.get("state")
+    if isinstance(state, dict):
+        check_processors(state.get("m"), "export 'm'")
+    session = service.session_restore(export)
+    return {"id": request.get("id"), "ok": True, **session.describe()}
+
+
+async def _session_close(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    session_id = _session_id(request)
+    # Close always succeeds, but a poisoned windowed-ack buffer must not
+    # vanish silently: the buffered failure rides along in the response
+    # so the client learns its stream stopped short.
+    window_error = service.session_take_window_error(session_id)
+    summary = service.session_close(session_id)
+    response = {"id": request.get("id"), "ok": True, "closed": True, **summary}
+    if window_error is not None:
+        response["window_error"] = window_error
+    return response
+
+
+async def _stats(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    # Idle summaries report nan percentiles; the wire carries null (with
+    # or without orjson) instead of the NaN literal.
+    return {"id": request.get("id"), "ok": True,
+            "stats": sanitize_non_finite(service.stats().to_dict())}
+
+
+async def _metrics(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    return _metrics_response(request, service.stats().to_dict())
+
+
+async def _trace(_service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    return _trace_response(request)
+
+
+async def _ping(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    # Pings double as cluster health probes: the ``load`` summary is O(1)
+    # gauges, cheap enough to poll every couple of seconds.
+    return {"id": request.get("id"), "ok": True, "pong": True,
+            "protocol": PROTOCOL_VERSION, "load": service.load_summary()}
+
+
+async def _drain(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
+    drained = await service.drain(timeout=_timeout_field(request))
+    return {"id": request.get("id"), "ok": True, "drained": drained,
+            "pending": service.stats().pending}
+
+
+async def _shutdown(_target: object, request: Dict[str, object]) -> Dict[str, object]:
+    """The ``shutdown`` op of both front ends: acknowledged here; stopping
+    the loop is the transport's job (it sees ``response["shutdown"]``)."""
+    return {"id": request.get("id"), "ok": True, "shutdown": True}
+
+
+#: The service's op table, in the order an unknown-op error lists it.
+_SERVICE_OPS: Dict[str, Op] = {
+    "solve": _solve,
+    "session_open": _session_open,
+    "session_submit": _session_submit,
+    "session_result": _session_result,
+    "session_export": _session_export,
+    "session_restore": _session_restore,
+    "session_close": _session_close,
+    "stats": _stats,
+    "metrics": _metrics,
+    "trace": _trace,
+    "ping": _ping,
+    "drain": _drain,
+    "shutdown": _shutdown,
+}
+
+
+async def handle_request(
+    service: SolverService, request: Dict[str, object]
+) -> Optional[Mapping[str, object]]:
+    """Execute one decoded request against ``service`` and build the response.
+
+    Dispatches through the service's op table (:func:`dispatch`).  Returns
+    ``None`` for successfully applied *unacknowledged* submissions
+    (``ack: false``) — the transport writes no response line for those.
+    """
+    return await dispatch(_SERVICE_OPS, service, request)
 
 
 async def serve_connection(

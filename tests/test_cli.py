@@ -33,12 +33,13 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["schedule", "--input", "x.json"])
-        assert args.algorithm == "sbo" and args.delta == 1.0
+        args = build_parser().parse_args(["solve", "--input", "x.json"])
+        assert args.solver == "sbo(delta=1.0)" and not args.gantt and args.cache is None
 
-    def test_invalid_algorithm(self):
+    def test_schedule_subcommand_is_gone(self):
+        # ``solve`` reaches every algorithm the old flags interface had.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["schedule", "--input", "x.json", "--algorithm", "magic"])
+            build_parser().parse_args(["schedule", "--input", "x.json"])
 
 
 class TestGenerate:
@@ -64,41 +65,45 @@ class TestGenerate:
 
 
 class TestSchedule:
+    """The algorithms of the removed ``schedule`` subcommand, through ``solve``."""
+
+    SPECS = {"sbo": "sbo(delta=1.0, inner=lpt)", "trio": "trio(delta=3.0)",
+             "lpt": "lpt", "spt": "spt"}
+
     @pytest.mark.parametrize("algorithm", ["sbo", "trio", "lpt", "spt"])
     def test_independent_algorithms(self, instance_file, capsys, algorithm):
-        delta = "3.0" if algorithm == "trio" else "1.0"
-        code = main(["schedule", "--input", str(instance_file), "--algorithm", algorithm, "--delta", delta])
+        code = main(["solve", "--input", str(instance_file), "--solver", self.SPECS[algorithm]])
         assert code == 0
         out = capsys.readouterr().out
         assert "Cmax =" in out and "Mmax =" in out and "simulation check: OK" in out
 
     def test_rls_on_dag(self, dag_file, capsys):
-        code = main(["schedule", "--input", str(dag_file), "--algorithm", "rls", "--delta", "3.0",
-                     "--order", "bottom-level", "--gantt"])
+        code = main(["solve", "--input", str(dag_file),
+                     "--solver", "rls(delta=3.0, order=bottom-level)", "--gantt"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "guarantees" in out
+        assert "guarantee = (" in out
         assert "P0 |" in out  # gantt printed
 
     def test_constrained_feasible(self, instance_file, capsys):
         data = json.loads(instance_file.read_text())
-        total_s = sum(rec["s"] for rec in data["tasks"])
-        capacity = str(total_s)  # generous
-        code = main(["schedule", "--input", str(instance_file), "--algorithm", "constrained",
-                     "--capacity", capacity])
+        total_s = sum(rec["s"] for rec in data["tasks"])  # a generous budget
+        code = main(["solve", "--input", str(instance_file),
+                     "--solver", f"constrained(budget={total_s})"])
         assert code == 0
-        assert "strategy" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "spec: constrained(" in out and "simulation check: OK" in out
 
     def test_constrained_requires_capacity(self, instance_file, capsys):
-        code = main(["schedule", "--input", str(instance_file), "--algorithm", "constrained"])
+        code = main(["solve", "--input", str(instance_file), "--solver", "constrained"])
         assert code == 2
-        assert "--capacity" in capsys.readouterr().err
+        assert "budget" in capsys.readouterr().err
 
     def test_constrained_infeasible(self, instance_file, capsys):
-        code = main(["schedule", "--input", str(instance_file), "--algorithm", "constrained",
-                     "--capacity", "0.001"])
+        code = main(["solve", "--input", str(instance_file),
+                     "--solver", "constrained(budget=0.001)"])
         assert code == 1
-        assert "infeasible" in capsys.readouterr().out
+        assert "infeasible: certified infeasible" in capsys.readouterr().out
 
 
 class TestSolve:

@@ -160,6 +160,25 @@ class TestClusterConfig:
         with pytest.raises(TypeError, match="directory"):
             run(ClusterRouter(config).start())
 
+    def test_an_empty_cache_object_still_reaches_the_shards(self, inst):
+        # An empty LRUCache is falsy (it has a length); the shards must
+        # get it anyway, with the response tier it enables.
+        cache = LRUCache()
+        assert not cache
+        assert inproc_config(cache=cache).shard_service_config().cache is cache
+        assert inproc_config(cache=None).shard_service_config().cache is False
+
+        async def scenario():
+            async with ClusterRouter(inproc_config(shards=1, cache=cache,
+                                                   router_cache=0)) as router:
+                svc = router.shard(router.shard_names()[0]).service
+                assert svc.response_tier is not None
+                for _ in range(3):  # a miss, a cache hit the tier admits, a tier hit
+                    assert (await router.solve(inst, "lpt"))["feasible"]
+                return len(cache), len(svc.response_tier), svc.stats().cache_hits
+
+        assert run(scenario()) == (1, 1, 2)
+
 
 class TestAutoscalerPolicy:
     def test_hysteresis_sequences(self):

@@ -58,5 +58,5 @@ class TestCLIEntryPoint:
             [sys.executable, "-m", "repro", "--help"], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0
-        for command in ("generate", "schedule", "experiments", "report"):
+        for command in ("generate", "solve", "experiments", "report"):
             assert command in proc.stdout

@@ -573,14 +573,6 @@ class TestCLI:
         assert main(["periodic", "solve", "--input", str(path)]) == 1
         assert "unroll budget" in capsys.readouterr().err
 
-    def test_schedule_refuses_periodic_instances(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "ptasks.json"
-        path.write_text(json.dumps(small_instance().to_dict()))
-        assert main(["schedule", "--input", str(path), "--algorithm", "lpt"]) == 2
-        assert "periodic" in capsys.readouterr().err
-
     def test_sweep_smoke(self, capsys):
         from repro.cli import main
 
