@@ -13,9 +13,10 @@ scale" seam:
   (:class:`InprocShard`), or already-running remote hosts attached by
   address (:class:`RemoteShard`, health-checked by periodic pings),
   interchangeable behind one interface;
-* :mod:`repro.cluster.journal` — :class:`SessionJournal`, the
-  router-side arrival journal that makes a pinned-shard crash a
-  bit-identical replay onto a survivor instead of a lost session;
+* :mod:`repro.cluster.journal` — :class:`SessionJournal`, the router's
+  shadow of every pinned session (run by the shards' own session
+  manager) that makes a pinned-shard crash a bit-identical replay onto
+  a survivor instead of a lost session;
 * :mod:`repro.cluster.routing` — content-addressed routing keys and
   rendezvous hashing (minimal remapping under scaling);
 * :mod:`repro.cluster.autoscaler` — :class:`Autoscaler` /

@@ -10,13 +10,12 @@ embeds :class:`~repro.service.SolverService` instances in the router's
 loop — cheap and deterministic for tests), and the per-shard
 :class:`~repro.service.ServiceConfig` knobs every backend is started
 with.  ``cache`` names the read-through tier; process backends require
-a directory — an in-memory cache cannot span processes.  By default
-(``cache_layout="per-shard"``) each spawned shard gets its **own**
-subdirectory of it, matching the multi-host reality that attached
-:class:`~repro.cluster.backend.RemoteShard` hosts never share a
-filesystem; cross-shard reuse comes from rendezvous routing affinity
-plus the router's own cache tier (``router_cache``), not from shared
-storage.  ``attach`` lists remote ``host:port`` shards joined at start,
+a directory — an in-memory cache cannot span processes.  Each spawned
+shard gets its **own** subdirectory of it, matching the multi-host
+reality that attached :class:`~repro.cluster.backend.RemoteShard` hosts
+never share a filesystem; cross-shard reuse comes from rendezvous
+routing affinity plus the router's own cache tier (``router_cache``),
+not from shared storage.  ``attach`` lists remote ``host:port`` shards joined at start,
 health-checked every ``probe_interval`` seconds and declared dead after
 ``probe_failures`` consecutive failed probes.
 """
@@ -26,18 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-__all__ = ["ClusterConfig", "BACKEND_KINDS", "CACHE_LAYOUTS"]
+__all__ = ["ClusterConfig", "BACKEND_KINDS"]
 
 #: Accepted ``backend`` values: ``"process"`` spawns one ``repro serve``
 #: subprocess per shard (the production shape); ``"inproc"`` embeds the
 #: backend services in the router's own event loop (tests, quickstarts).
 BACKEND_KINDS = ("process", "inproc")
-
-#: Accepted ``cache_layout`` values: ``"per-shard"`` gives every spawned
-#: process shard its own subdirectory of ``cache`` (the multi-host-safe
-#: default); ``"shared"`` keeps the pre-multi-host behavior of one
-#: directory for every local shard.
-CACHE_LAYOUTS = ("shared", "per-shard")
 
 
 @dataclass(frozen=True)
@@ -72,13 +65,10 @@ class ClusterConfig:
     cache:
         Read-through cache: a directory path (required for process
         backends) or a cache object (inproc backends only).
-        ``None``/``False`` disables the tier.
-    cache_layout:
-        ``"per-shard"`` (default) gives each spawned process shard its
-        own subdirectory of ``cache`` — no shard ever assumes another
-        host's filesystem; ``"shared"`` restores the old one-directory
-        layout for single-box deployments.  Inproc backends always share
-        the in-memory cache object (one process *is* one host).
+        ``None``/``False`` disables the tier.  Each spawned process shard
+        uses its own subdirectory of the directory, so no shard ever
+        assumes another host's filesystem; inproc backends share the
+        in-memory cache object (one process *is* one host).
     router_cache:
         Capacity (entries) of the router's own read-through response
         tier (:class:`~repro.service.tier.ResponseTier`), consulted
@@ -86,11 +76,6 @@ class ClusterConfig:
         budget (:data:`~repro.service.tier.TIER_TASKS`) applies too.  With
         per-host caches this tier plus rendezvous affinity is what makes
         a repeated request cheap no matter which client asks.
-    session_journal:
-        When true (default) the router keeps a bounded arrival journal
-        (:mod:`repro.cluster.journal`) for every pinned session so a
-        shard crash replays the session onto a survivor bit-identically;
-        false restores the pre-journal behavior (crash ⇒ session lost).
     max_sessions / session_ttl:
         Per-shard streaming-session bounds (the cluster-wide session
         capacity is the sum over shards).  Each session takes
@@ -143,9 +128,7 @@ class ClusterConfig:
     backpressure: str = "wait"
     default_timeout: Optional[float] = None
     cache: object = None
-    cache_layout: str = "per-shard"
     router_cache: int = 2048
-    session_journal: bool = True
     max_sessions: int = 64
     session_ttl: Optional[float] = 300.0
     auto_timeouts: bool = False
@@ -209,11 +192,6 @@ class ClusterConfig:
         if self.probe_failures < 1:
             raise ValueError(
                 f"probe_failures must be >= 1, got {self.probe_failures}"
-            )
-        if self.cache_layout not in CACHE_LAYOUTS:
-            raise ValueError(
-                f"cache_layout must be one of {CACHE_LAYOUTS}, "
-                f"got {self.cache_layout!r}"
             )
         if self.router_cache < 0:
             raise ValueError(

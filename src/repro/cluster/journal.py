@@ -1,297 +1,140 @@
 """Router-side session journal: crash-safe failover for pinned sessions.
 
-PR 5's graceful handoff migrates a session by asking the *source* shard
-to export its ledger — which obviously requires the source to be alive.
-When a pinned shard dies without a live handoff, the placements lived
-only there and the session used to be lost.  The journal closes that
-gap: the router records every ``session_open`` / ``session_submit`` it
-forwards, **in arrival order**, and mirrors the backend's session
-semantics through a *shadow session* — a local
-:class:`~repro.online.base.OnlineScheduler` of the same bound spec fed
-the same arrival stream.  Schedulers are deterministic, so the shadow's
-ledger is bit-identical to the dead shard's; on failover the router
-exports the shadow (the exact payload
-:meth:`~repro.service.sessions.SessionManager.export` would have
-produced) and restores it onto a survivor through the existing
-``session_restore`` machinery, whose verified replay
+A graceful handoff migrates a session by exporting it from the source
+shard, which needs the source alive.  When a pinned shard dies without
+one, the journal still holds the session: the router mirrors every
+session op it forwards, in arrival order, into a shadow
+:class:`~repro.service.sessions.SessionManager` -- the class every shard
+runs -- by making the calls the shard's server made for that op.  Online
+schedulers are deterministic, so the shadow session is bit-identical to
+the one that died; on failover the router exports it and restores it
+onto a survivor through ``session_restore``, whose verified replay
 (:func:`repro.online.base.replay_state`) re-checks every placement.
 
-The shadow mirrors the full windowed-ack state machine, not just the
-happy path:
+What is mirrored, and when:
 
-* an **acknowledged** submit is journaled only once the backend answered
-  ``ok`` — all-or-nothing, like
-  :meth:`~repro.service.sessions.SessionManager.submit_many` — and the
-  response's ``placements`` (window flush + batch) are verified against
-  the shadow's; any mismatch marks the record *diverged* and disables
-  replay for that session (a corrupt journal must never restore);
-* an **unacknowledged** submit is journaled at send time (there is no
-  response to wait for) with
-  :meth:`~repro.service.sessions.SessionManager.submit_unacked`
-  semantics: placements buffer in the shadow window, the first failure
-  poisons it, later unacked batches are refused without being applied;
-* an acknowledged op that came back as an **error** clears a poisoned
-  window (mirroring ``check_window``) and otherwise changes nothing.
+* an **acknowledged** op once the backend answered it: the shadow runs
+  the op and must reach the backend's outcome -- an ``ok`` submit with
+  the same ``placements`` (window flush + batch), an error response with
+  an error of its own.  Any other outcome marks the session *diverged*
+  and disables its replay (a corrupt journal must never restore);
+* an **unacknowledged** submit at send time (it gets no response, so
+  the shadow is its only record): a batch that fails to parse poisons
+  the window, any other is placed into it.
 
-Memory is bounded exactly like the backend: the shadow refuses arrivals
-beyond ``max_session_tasks`` the same way the shard would, so the
-journal can never grow past the session bound it mirrors.  Journal
-bookkeeping is best-effort by construction — every mutator swallows its
-own failures into the ``diverged`` flag, so a journal bug can degrade
-failover back to PR 5's "session lost" behavior but can never corrupt
-live request handling.
+Memory is bounded like the backend's: the shadow runs the shards'
+per-session task bound, and the router forgets a session with its pin.
+Every mirror call swallows its own failure into the diverged mark, so a
+journal fault can turn a crash into an accounted session loss but can
+never break the request path it shadows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import sys
+from typing import Callable, Dict, Mapping, Optional
 
-from repro.core.task import Task
-from repro.online.base import replay_state
-from repro.online.registry import create_online
+from repro.obs.logging import log_event
+from repro.service.protocol import ProtocolError
+from repro.service.server import _submit_tasks
+from repro.service.sessions import SessionError, SessionManager
 
-__all__ = ["SessionJournal", "submit_tasks"]
-
-
-def submit_tasks(request: Dict[str, object]) -> List[Task]:
-    """The task batch of one ``session_submit`` request, parsed like the server.
-
-    Delegates to the wire layer's own parser so the shadow sees exactly
-    the tasks the backend saw (same validation, same error conditions).
-    """
-    from repro.service.server import _submit_tasks
-
-    return _submit_tasks(request)
-
-
-class _ShadowSession:
-    """One mirrored session: scheduler + windowed-ack state + bounds."""
-
-    __slots__ = ("scheduler", "max_tasks", "submitted", "window",
-                 "window_error", "diverged")
-
-    def __init__(
-        self,
-        scheduler,
-        max_tasks: int,
-        submitted: int = 0,
-        window: Optional[List[List[object]]] = None,
-        window_error: Optional[str] = None,
-    ) -> None:
-        self.scheduler = scheduler
-        self.max_tasks = max_tasks
-        self.submitted = submitted
-        self.window: List[List[object]] = window if window is not None else []
-        self.window_error = window_error
-        #: Set (with a reason) the moment the shadow can no longer claim to
-        #: mirror the backend; a diverged record refuses to export.
-        self.diverged: Optional[str] = None
-
-    def validate(self, tasks: List[Task]) -> Optional[str]:
-        """Mirror of ``SessionManager.submit_many``'s all-or-nothing checks."""
-        if self.submitted + len(tasks) > self.max_tasks:
-            return (
-                f"batch of {len(tasks)} would exceed the session task bound "
-                f"({self.max_tasks}, {self.submitted} used); nothing was placed"
-            )
-        if self.scheduler.is_sealed:
-            return (
-                f"scheduler {self.scheduler.spec!r} is finalized; no further "
-                f"submissions (batch rejected whole)"
-            )
-        seen = set()
-        for task in tasks:
-            if self.scheduler.has_task(task.id) or task.id in seen:
-                return f"task {task.id!r} was already submitted; batch rejected whole"
-            seen.add(task.id)
-        return None
-
-    def apply(self, tasks: List[Task]) -> List[List[object]]:
-        pairs = []
-        for task in tasks:
-            pairs.append([task.id, self.scheduler.submit(task)])
-        self.submitted += len(tasks)
-        return pairs
+__all__ = ["SessionJournal"]
 
 
 class SessionJournal:
-    """Arrival journals for every pinned session of one router.
-
-    Every mutator is failure-proof: an internal error marks the record
-    diverged (or drops it) instead of propagating — journal upkeep must
-    never break the request path it shadows.
-    """
+    """Shadow sessions for every pinned session of one router."""
 
     def __init__(self, max_session_tasks: int) -> None:
-        self.max_session_tasks = int(max_session_tasks)
-        self._records: Dict[str, _ShadowSession] = {}
+        # No TTL and no session bound: the router's pin sweep bounds its pins.
+        self._manager = SessionManager(
+            max_sessions=sys.maxsize, max_session_tasks=max_session_tasks, ttl=None
+        )
+        #: Router session id -> shadow session id (``None`` once diverged).
+        self._shadows: Dict[str, Optional[str]] = {}
 
-    # ------------------------------------------------------------------ #
-    # bookkeeping
-    # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, session_id: str) -> bool:
-        return session_id in self._records
+        return len(self._shadows)
 
     def forget(self, session_id: str) -> None:
-        """Drop one session's journal (close, loss, or pin sweep)."""
-        self._records.pop(session_id, None)
+        """Drop one session's shadow (close, loss, or pin sweep)."""
+        shadow = self._shadows.pop(session_id, None)
+        if shadow is not None:
+            self._manager.close(shadow)
 
-    def divergence(self, session_id: str) -> Optional[str]:
-        """Why a session's journal cannot replay (``None`` when it can)."""
-        record = self._records.get(session_id)
-        return None if record is None else record.diverged
-
-    def _record(self, session_id: str) -> Optional[_ShadowSession]:
-        record = self._records.get(session_id)
-        if record is None or record.diverged is not None:
+    def _mirror(self, session_id: str, call: Callable[[str], object], ok: bool = True):
+        """``call(shadow)``; the session diverges unless it fails exactly when not ``ok``."""
+        shadow = self._shadows.get(session_id)
+        if shadow is None:
             return None
-        return record
-
-    # ------------------------------------------------------------------ #
-    # mirrored session ops (arrival order == call order)
-    # ------------------------------------------------------------------ #
-    def open(self, session_id: str, spec: str, m: int,
-             params: Dict[str, object]) -> None:
-        """Journal a ``session_open`` the backend acknowledged."""
         try:
-            scheduler = create_online(spec, m=m, **params)
-        except Exception:
-            return  # the backend accepted what we cannot mirror: no journal
-        self._records[session_id] = _ShadowSession(
-            scheduler, self.max_session_tasks
-        )
+            result = call(shadow)
+        except Exception as exc:
+            if ok:
+                self._diverge(session_id, f"the shadow failed where the backend did not: {exc}")
+            return None
+        if not ok:
+            self._diverge(session_id, "the backend failed where the shadow did not")
+        return result
 
-    def restore(self, session_id: str, export: Dict[str, object]) -> None:
-        """Seed a journal from a client-driven ``session_restore`` export."""
+    def _diverge(self, session_id: str, reason: str) -> None:
+        """Stop shadowing a session the journal can no longer replay."""
+        log_event("session_diverged", session=session_id, reason=reason)
+        self.forget(session_id)
+        self._shadows[session_id] = None
+
+    def opened(self, session_id: str, request: Mapping[str, object]) -> None:
+        """Shadow a ``session_open``/``session_restore`` the backend accepted."""
         try:
-            state = export.get("state")
-            scheduler = replay_state(state if isinstance(state, dict) else {})
-            submitted = int(export.get("submitted", 0))  # type: ignore[arg-type]
-            window = [list(pair) for pair in (export.get("window") or [])]
-            error = export.get("window_error")
-        except Exception:
-            self._records.pop(session_id, None)
+            if request.get("op") == "session_restore":
+                session = self._manager.restore(request["export"])  # type: ignore[arg-type]
+            else:
+                session = self._manager.open(
+                    request["spec"], request["m"], **(request.get("params") or {})  # type: ignore[arg-type]
+                )
+        except Exception as exc:
+            self._diverge(session_id, f"the shadow cannot open it: {exc}")
             return
-        self._records[session_id] = _ShadowSession(
-            scheduler, self.max_session_tasks, submitted=submitted,
-            window=window,
-            window_error=str(error) if error is not None else None,
-        )
+        self._shadows[session_id] = session.id
 
-    def applied(
-        self,
-        session_id: str,
-        request: Dict[str, object],
-        placements: Optional[List[object]],
+    def acked(
+        self, session_id: str, request: Mapping[str, object], response: Mapping[str, object]
     ) -> None:
-        """Journal an acknowledged submit the backend answered ``ok``.
+        """Mirror an acknowledged op with the backend's ``response`` to it."""
+        manager = self._manager
+        op = request.get("op")
+        if op == "session_submit":
+            def call(shadow: str) -> None:
+                tasks = _submit_tasks(request)  # type: ignore[arg-type]
+                manager.check_window(shadow)
+                acks = manager.submit_many(shadow, tasks)
+                placements = manager.take_window(shadow)
+                placements.extend([ack["task_id"], ack["processor"]] for ack in acks)
+                if placements != response.get("placements"):
+                    raise SessionError("backend placements diverged from the shadow")
+        elif op == "session_result":
+            def call(shadow: str) -> None:
+                manager.check_window(shadow)
+                manager.seal(shadow)
+        else:
+            return
+        self._mirror(session_id, call, ok=bool(response.get("ok")))
 
-        ``placements`` is the response's window-flush + batch pair list;
-        it is the backend's checksum of the shadow — a mismatch proves
-        the mirror broke and permanently disables replay for the session.
-        """
-        record = self._record(session_id)
-        if record is None:
-            return
-        try:
-            tasks = submit_tasks(request)
-        except Exception as exc:
-            record.diverged = f"unparseable acked batch: {exc}"
-            return
-        if record.window_error is not None:
-            # The backend would have surfaced the poisoned window as an
-            # error response; an ``ok`` here means the mirror desynced.
-            record.diverged = "acked submit succeeded on a poisoned shadow window"
-            return
-        error = record.validate(tasks)
-        if error is not None:
-            record.diverged = f"acked batch the shadow refuses: {error}"
-            return
-        try:
-            pairs = record.apply(tasks)
-        except Exception as exc:
-            record.diverged = f"shadow placement failed: {exc}"
-            return
-        expected = [list(pair) for pair in record.window] + pairs
-        record.window = []
-        if placements is not None and [list(p) for p in placements] != expected:
-            record.diverged = "backend placements diverged from the shadow"
+    def unacked(self, session_id: str, request: Mapping[str, object]) -> None:
+        """Mirror an unacknowledged submit (journaled before it is sent)."""
+        def call(shadow: str) -> None:
+            try:
+                tasks = _submit_tasks(request)  # type: ignore[arg-type]
+            except ProtocolError as exc:
+                self._manager.poison_window(shadow, str(exc))
+            else:
+                self._manager.submit_unacked(shadow, tasks)
 
-    def unacked(self, session_id: str, request: Dict[str, object]) -> None:
-        """Journal an unacknowledged submit (windowed-ack semantics)."""
-        record = self._record(session_id)
-        if record is None or record.window_error is not None:
-            return
-        try:
-            tasks = submit_tasks(request)
-        except Exception as exc:
-            # Mirrors the wire layer poisoning the window on a parse failure.
-            record.window_error = str(exc)
-            return
-        error = record.validate(tasks)
-        if error is not None:
-            record.window_error = error
-            return
-        try:
-            pairs = record.apply(tasks)
-        except Exception as exc:
-            record.diverged = f"shadow placement failed: {exc}"
-            return
-        record.window.extend(pairs)
+        self._mirror(session_id, call)
 
-    def rejected(self, session_id: str) -> None:
-        """Journal an acknowledged op the backend answered with an error.
-
-        A poisoned window is surfaced-and-cleared by the backend's
-        ``check_window`` before anything else, so the mirror clears too;
-        a clean-window rejection applied nothing (all-or-nothing batches)
-        and leaves the shadow untouched.
-        """
-        record = self._record(session_id)
-        if record is None:
-            return
-        if record.window_error is not None:
-            record.window_error = None
-            record.window = []
-
-    def sealed(self, session_id: str) -> None:
-        """Journal a ``session_result`` the backend acknowledged."""
-        record = self._record(session_id)
-        if record is None:
-            return
-        if record.window_error is not None:
-            record.diverged = "session_result succeeded on a poisoned shadow window"
-            return
-        try:
-            record.scheduler.seal()
-        except Exception as exc:  # pragma: no cover - seal is unconditional
-            record.diverged = f"shadow seal failed: {exc}"
-
-    # ------------------------------------------------------------------ #
-    # failover
-    # ------------------------------------------------------------------ #
     def export(self, session_id: str) -> Optional[Dict[str, object]]:
-        """The ``session_restore`` payload for one session, or ``None``.
+        """The ``session_restore`` payload of one session, or ``None``.
 
-        Byte-compatible with
-        :meth:`repro.service.sessions.SessionManager.export`; the
-        receiving shard verifies it by deterministic replay exactly as it
-        verifies a live handoff.  ``None`` when the session was never
-        journaled or its record diverged.
+        ``None`` when the session was never journaled or diverged.
         """
-        record = self._record(session_id)
-        if record is None:
-            return None
-        try:
-            return {
-                "state": record.scheduler.export_state(),
-                "submitted": record.submitted,
-                "window": [list(pair) for pair in record.window],
-                "window_error": record.window_error,
-            }
-        except Exception as exc:  # pragma: no cover - export is pure
-            record.diverged = f"shadow export failed: {exc}"
-            return None
+        return self._mirror(session_id, self._manager.export)

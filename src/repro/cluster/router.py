@@ -24,14 +24,14 @@ Request paths:
   source shard, restore-by-verified-replay on the target, repin, close
   the source copy — submissions queued during the migration simply land
   on the new shard, bit-identically.  When a pinned shard dies *without*
-  a handoff, the router's arrival journal
-  (:class:`~repro.cluster.journal.SessionJournal`, on by default) holds
-  a shadow of the session: the next op — or the dead-shard reaper —
-  replays it onto a survivor through the same verified
-  ``session_restore`` path, so a crash is a repin, not a loss.  Only
-  when the journal is disabled (or diverged) does the session die with
-  its shard, surfaced as :class:`SessionLostError` with the stable
-  ``error.code`` ``session_lost``.
+  a handoff, the router's journal
+  (:class:`~repro.cluster.journal.SessionJournal`) holds a shadow of the
+  session: the next op — or the dead-shard reaper — replays it onto a
+  survivor through the same verified ``session_restore`` path, so a
+  crash is a repin, not a loss.  Only when the shadow diverged, or no
+  survivor takes the replay, does the session die with its shard,
+  surfaced as :class:`SessionLostError` with the stable ``error.code``
+  ``session_lost``.
 * ``stats`` — fanned out and merged (:mod:`repro.cluster.stats`),
   counters summed and family latency histograms merged exactly,
   plus the router's own ledger (routed / retried / handoffs / shard
@@ -122,9 +122,8 @@ class SessionLostError(ClusterError):
 
     Carries the stable wire code ``session_lost`` (``error.code``), so
     clients can distinguish "reopen and resubmit" from a mere unknown
-    session id.  Raised only when the journal is disabled, diverged, or
-    found no survivor — with the journal on, a crash is normally a
-    transparent replay instead.
+    session id.  Raised only when the session's journal diverged or no
+    survivor took its replay — otherwise a crash is a transparent replay.
     """
 
     code = "session_lost"
@@ -176,12 +175,8 @@ class ClusterRouter:
                          "probes", "probe_failures",
                          "router_cache_hits", "router_cache_misses")
         }
-        #: Arrival journal for crash-safe session failover (``None`` when
-        #: ``config.session_journal`` is off).
-        self._journal: Optional[SessionJournal] = (
-            SessionJournal(ServiceConfig.max_session_tasks)
-            if config.session_journal else None
-        )
+        #: Shadow sessions for crash-safe session failover.
+        self._journal = SessionJournal(ServiceConfig.max_session_tasks)
         #: Why a session id no longer routes (bounded FIFO of tombstones):
         #: lets a later op on a lost session fail with the typed
         #: ``session_lost`` code instead of a generic unknown-session error.
@@ -297,16 +292,14 @@ class ClusterRouter:
         config = self.config
         if config.backend == "inproc":
             # One process is one host: inproc shards legitimately share the
-            # in-memory cache object regardless of cache_layout.
+            # in-memory cache object.
             return InprocShard(name, config.shard_service_config())
         cache_dir: Optional[str] = None
         if config.cache not in (None, False):
-            cache_dir = str(config.cache)
-            if config.cache_layout == "per-shard":
-                # Every shard owns its directory — the layout a remote host
-                # forces anyway, kept uniform for local spawns so no code
-                # path ever assumes cross-shard cache storage.
-                cache_dir = str(Path(cache_dir) / name)
+            # Every shard owns its directory — the layout a remote host
+            # forces anyway, kept uniform for local spawns so no code
+            # path ever assumes cross-shard cache storage.
+            cache_dir = str(Path(str(config.cache)) / name)
         return ProcessShard(
             name,
             workers=config.workers,
@@ -689,8 +682,7 @@ class ClusterRouter:
         self._sessions.pop(router_sid, None)
         self._session_locks.pop(router_sid, None)
         self._session_touch.pop(router_sid, None)
-        if self._journal is not None:
-            self._journal.forget(router_sid)
+        self._journal.forget(router_sid)
 
     def _lose_session(self, router_sid: str, reason: str) -> None:
         """Account one unrecoverable session: free the pin, tombstone the id."""
@@ -768,18 +760,7 @@ class ClusterRouter:
             self._sessions[router_sid] = (name, backend_sid)
             self._session_locks[router_sid] = asyncio.Lock()
             self._session_touch[router_sid] = time.monotonic()
-            if self._journal is not None:
-                if request.get("op") == "session_restore":
-                    export = request.get("export")
-                    if isinstance(export, dict):
-                        self._journal.restore(router_sid, export)
-                else:
-                    self._journal.open(
-                        router_sid,
-                        str(request.get("spec")),
-                        int(request.get("m", 0) or 0),
-                        dict(request.get("params") or {}),
-                    )
+            self._journal.opened(router_sid, request)
             response["session"] = router_sid
             response["shard"] = name
         response["id"] = request.get("id")
@@ -794,11 +775,9 @@ class ClusterRouter:
         ``session_restore`` wire op — the receiving shard verifies the
         replay placement-by-placement, so a successful return means the
         survivor now holds a bit-identical copy of the lost session.
-        Returns the restore response, or ``None`` when the journal is
-        off/diverged or every candidate shard failed.
+        Returns the restore response, or ``None`` when the session's
+        journal diverged or every candidate shard failed.
         """
-        if self._journal is None:
-            return None
         export = self._journal.export(router_sid)
         if export is None:
             return None
@@ -840,10 +819,9 @@ class ClusterRouter:
         True when the session now lives on a survivor; False when it was
         lost (pin freed, ``sessions_lost`` counted, id tombstoned).
         """
-        if self._journal is not None:
-            if await self._replay_session(router_sid, exclude=shard_name):
-                return True
-            self._counters["replays_failed"] += 1
+        if await self._replay_session(router_sid, exclude=shard_name):
+            return True
+        self._counters["replays_failed"] += 1
         self._lose_session(
             router_sid,
             reason or f"shard {shard_name} died before a handoff",
@@ -892,34 +870,6 @@ class ClusterRouter:
                     continue  # recovered (or repinned) while we waited
                 await self._failover_pin(router_sid, pin[0])
 
-    def _journal_response(
-        self,
-        router_sid: str,
-        op: object,
-        request: Dict[str, object],
-        response: Dict[str, object],
-    ) -> None:
-        """Mirror one acknowledged session response into the journal."""
-        if self._journal is None:
-            return
-        ok = bool(response.get("ok"))
-        if op == "session_submit":
-            if ok:
-                placements = response.get("placements")
-                self._journal.applied(
-                    router_sid, request,
-                    placements if isinstance(placements, list) else None,
-                )
-            else:
-                self._journal.rejected(router_sid)
-        elif op == "session_result":
-            if ok:
-                self._journal.sealed(router_sid)
-            else:
-                # ``session_result`` runs check_window first: an error may
-                # be the poisoned window surfacing (and clearing) itself.
-                self._journal.rejected(router_sid)
-
     async def _forward_session(self, request: Dict[str, object]) -> Optional[Dict[str, object]]:
         op = request.get("op")
         unacked = op == "session_submit" and not _ack_field(request)
@@ -960,8 +910,7 @@ class ClusterRouter:
                     # the shard dies under the send, the replayed session
                     # already contains this batch — recovery must NOT
                     # resend it (a resend would double-submit).
-                    if self._journal is not None:
-                        self._journal.unacked(router_sid, inner)
+                    self._journal.unacked(router_sid, inner)
                     try:
                         await shard.send(inner)
                     except (ConnectionError, OSError):
@@ -984,7 +933,7 @@ class ClusterRouter:
                         f"(it died mid-request); reopen and resubmit to continue"
                     ) from None
                 break
-            self._journal_response(router_sid, op, inner, response)
+            self._journal.acked(router_sid, inner, response)
         if response.get("ok") and op == "session_close":
             self._drop_pin(router_sid)
         elif (not response.get("ok")
@@ -1168,9 +1117,7 @@ class ClusterRouter:
             "shards_alive": len(alive),
             "shards_draining": len(draining),
             "sessions_pinned": len(self._sessions),
-            "sessions_journaled": (
-                len(self._journal) if self._journal is not None else 0
-            ),
+            "sessions_journaled": len(self._journal),
         }
 
     async def trace(self, request: Dict[str, object]) -> Dict[str, object]:

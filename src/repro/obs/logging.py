@@ -2,8 +2,8 @@
 
 ``log_event("shard_dead", shard="shard-1", reason="probe")`` emits one
 JSON object per line to the configured sink (stderr by default) — shard
-death and reap, session journal replay, autoscale decisions, and the
-slow-request log all go through here.
+death and reap, session journal replay and divergence, autoscale
+decisions, and the slow-request log all go through here.
 
 Off by default: every call site pays one attribute check
 (``LOG.enabled``).  The slow-request log is its own opt-in

@@ -51,7 +51,7 @@ from repro.service.protocol import (
     sanitize_non_finite,
     task_from_payload,
 )
-from repro.service.service import SolverService
+from repro.service.service import OFFLOAD_TASK_COUNT, SolverService
 
 __all__ = ["handle_request", "dispatch", "serve_connection", "serve_tcp", "serve_stdio", "Handler"]
 
@@ -73,11 +73,10 @@ Handler = Callable[[Dict[str, object]], Awaitable[Optional[Mapping[str, object]]
 READER_LIMIT = 32 * 1024 * 1024
 
 #: Request lines at or above this size are JSON-decoded off-loop, and solve
-#: payloads with at least :data:`~repro.service.service._OFFLOAD_TASK_COUNT`
+#: payloads with at least :data:`~repro.service.service.OFFLOAD_TASK_COUNT`
 #: tasks are rebuilt off-loop, so one huge request cannot head-of-line block
 #: every other connection.
 INLINE_DECODE_LIMIT = 256 * 1024
-OFFLOAD_TASK_COUNT = 10_000
 
 
 def _tenant_field(request: Dict[str, object]) -> Optional[str]:

@@ -83,8 +83,8 @@ AnyInstance = Union[Instance, DAGInstance]
 _UNSET = object()
 
 #: Instances at or above this task count have their content hash computed
-#: off-loop (shared with the server's request-decoding threshold).
-_OFFLOAD_TASK_COUNT = 10_000
+#: off-loop; the server rebuilds solve payloads this large off-loop too.
+OFFLOAD_TASK_COUNT = 10_000
 
 #: Bound on distinct solver families each latency histogram tracks, with
 #: least-recently-recorded eviction beyond it: family names are
@@ -356,7 +356,7 @@ class SolverService:
         started = time.perf_counter()
         tctx = self._trace_context(trace)
 
-        if instance.n >= _OFFLOAD_TASK_COUNT:
+        if instance.n >= OFFLOAD_TASK_COUNT:
             # Hashing a very large instance is multi-millisecond CPU work;
             # keep it off the event loop so other connections stay live.
             content = await asyncio.get_running_loop().run_in_executor(

@@ -402,12 +402,10 @@ class TestClusterSessions:
         assert stats.lost == 0
 
     def test_unknown_session_and_lost_shard_session(self):
-        # journal off: the pre-journal contract — a crash loses the session,
-        # but now with the stable ``session_lost`` error code.
+        # A crash with no survivor to replay onto loses the session, with
+        # the stable ``session_lost`` error code.
         async def scenario():
-            async with ClusterRouter(
-                inproc_config(shards=2, session_journal=False)
-            ) as router:
+            async with ClusterRouter(inproc_config(shards=1)) as router:
                 unknown = await router.handle({"op": "session_result",
                                                "session": "csess-99"})
                 opened = await router.handle({"op": "session_open",
@@ -904,13 +902,11 @@ class TestReviewRegressions:
     and the autoscaler's draining-shard average."""
 
     def test_session_op_on_shard_dying_mid_request_reports_loss(self):
-        # journal off: a mid-request crash loses the session with the typed
+        # No survivor: a mid-request crash loses the session with the typed
         # ``session_lost`` code, and later ops on the id stay typed too
         # (tombstone) instead of degrading to "unknown session".
         async def scenario():
-            async with ClusterRouter(
-                inproc_config(shards=2, session_journal=False)
-            ) as router:
+            async with ClusterRouter(inproc_config(shards=1)) as router:
                 opened = await router.handle({"op": "session_open",
                                               "spec": "online_greedy", "m": 2})
                 sid = opened["session"]
@@ -942,7 +938,7 @@ class TestReviewRegressions:
         assert counters["sessions_pinned"] == 0
 
     def test_session_op_on_shard_dying_mid_request_replays_with_journal(self):
-        # journal on (the default): the same crash is a transparent failover —
+        # With a survivor, the same crash is a transparent failover —
         # the op retries on the survivor and the placements stay bit-identical.
         async def scenario():
             async with ClusterRouter(inproc_config(shards=2)) as router:

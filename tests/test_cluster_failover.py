@@ -3,10 +3,9 @@
 Coverage map:
 
 * **orphan-pin reaping** — ``remove_shard`` with a failed session handoff
-  must not leave a pin pointing at the retired shard: journal on, the
-  session replays onto a survivor; journal off, it is an *accounted*
-  loss with the stable ``session_lost`` error code (the regression this
-  PR fixes);
+  must not leave a pin pointing at the retired shard: the session
+  replays onto a survivor, or, when the survivor refuses the replay, it
+  is an *accounted* loss with the stable ``session_lost`` error code;
 * **drain-timeout threading** — ``ProcessShard.stop`` honours
   ``ClusterConfig.drain_timeout`` instead of a hardcoded 10 s;
 * **counter balance** — property test over randomized kill/attach/solve
@@ -22,7 +21,11 @@ Coverage map:
 * **acceptance** — a 3-shard cluster (2 local + 1 attached over real
   TCP) survives a SIGKILL of the remote holding a mid-stream windowed
   session: the journal replays it onto a survivor bit-identically to an
-  uninterrupted run, with zero lost requests.
+  uninterrupted run, with zero lost requests;
+* **crash invisibility** — property test over session op sequences
+  (acked and unacked batches, duplicate ids, unparseable tasks, result,
+  export, handoff): killing the pinned shard before any step changes no
+  response.
 
 Tests that need a live TCP remote carry the ``remote`` marker on top of
 the package-wide ``cluster`` one (deselect with ``-m 'not remote'``).
@@ -34,6 +37,8 @@ import asyncio
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Autoscaler,
@@ -44,6 +49,7 @@ from repro.cluster import (
     RemoteShard,
 )
 from repro.core.instance import Instance
+from repro.obs.logging import CapturedEvents
 from repro.online import create_online, stochastic_trace
 from repro.service import ServiceConfig, SolverService
 from repro.service.client import ServiceClient
@@ -85,18 +91,26 @@ def wedge_export(shard):
 # satellite: remove_shard must never orphan a pin on a failed handoff
 # --------------------------------------------------------------------------- #
 class TestOrphanPinReap:
-    def test_failed_handoff_on_retire_is_accounted_loss_without_journal(self):
+    def test_failed_handoff_on_retire_is_accounted_loss_when_replay_is_refused(self):
         # Regression: a handoff failure during remove_shard used to leave
         # the pin pointing at the popped shard — the next op hit an unknown
         # shard instead of a typed error, and the loss was never counted.
+        # The survivor holds its one allowed session, so it also refuses
+        # the journal's replay.
         async def scenario():
-            config = inproc_config(shards=2, session_journal=False)
+            config = inproc_config(shards=2, max_sessions=1)
             async with ClusterRouter(config) as router:
                 opened = await router.handle({"op": "session_open",
                                               "spec": "online_greedy", "m": 2})
                 sid, pin = opened["session"], opened["shard"]
+                other = await router.handle({"op": "session_open",
+                                             "spec": "online_greedy", "m": 2})
+                assert other["shard"] != pin
                 wedge_export(router.shard(pin))
                 await router.remove_shard(pin)
+                closed = await router.handle({"op": "session_close",
+                                              "session": other["session"]})
+                assert closed["ok"]
                 counters = router.router_counters()
                 after = await router.handle({
                     "op": "session_submit", "session": sid,
@@ -108,6 +122,8 @@ class TestOrphanPinReap:
         assert pin not in names
         assert counters["handoff_failures"] == 1
         assert counters["sessions_lost"] == 1
+        assert counters["sessions_replayed"] == 0
+        assert counters["replays_failed"] == 1
         assert counters["sessions_pinned"] == 0  # the pin was reaped, not leaked
         assert counters["shards_retired"] == 1
         assert not after["ok"]
@@ -578,3 +594,158 @@ class TestRemoteFailoverEndToEnd:
         assert stats.router["shards_attached"] == 1
         assert stats.router["shards_lost"] == 1
         assert stats.router["sessions_pinned"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# property: a pinned-shard crash is invisible in every session response
+# --------------------------------------------------------------------------- #
+def _task_item(task_id, p, s, drop):
+    item = {"id": task_id, "p": p, "s": s}
+    if drop is not None:
+        del item[drop]  # a payload missing 'p' or 's' fails parsing
+    return item
+
+
+_task_items = st.builds(
+    _task_item,
+    st.integers(0, 7),  # a small id pool, so duplicates are common
+    st.sampled_from([0.5, 1, 2.0, 3, 5.5]),
+    st.sampled_from([0.25, 1, 2, 4.0]),
+    st.sampled_from([None] * 4 + ["p", "s"]),
+)
+_session_steps = st.one_of(
+    st.tuples(st.just("submit"), st.booleans(),
+              st.lists(_task_items, min_size=1, max_size=3)),
+    st.tuples(st.just("submit_one"), st.booleans(), _task_items),
+    st.tuples(st.just("session_result")),
+    st.tuples(st.just("session_export")),
+    st.tuples(st.just("session_handoff")),
+)
+
+
+def _step_request(step, sid):
+    kind = step[0]
+    if kind == "submit":
+        request = {"op": "session_submit", "session": sid, "tasks": step[2]}
+    elif kind == "submit_one":
+        request = {"op": "session_submit", "session": sid, "task": step[2]}
+    else:
+        return {"op": kind, "session": sid}
+    if not step[1]:
+        request["ack"] = False
+    return request
+
+
+def _without_shards(response):
+    """A response minus the fields that name shards (and solve timing)."""
+    if response is None:
+        return None
+    response = {key: value for key, value in response.items()
+                if key not in ("shard", "from")}
+    if isinstance(response.get("result"), dict):
+        response["result"] = {key: value for key, value in response["result"].items()
+                              if key != "wall_time"}
+    return response
+
+
+async def _session_run(spec, steps, kill_before=None, reap=True):
+    """Drive one session through ``steps`` on a 2-shard router.
+
+    With ``kill_before=k`` the shard the session is pinned to is killed
+    just before step ``k`` and a replacement shard joins, so a handoff
+    still has a target.  ``reap`` lets the dead-shard reaper replay the
+    session at once; otherwise the next session op finds the dead pin.
+    """
+    async with ClusterRouter(inproc_config(shards=2)) as router:
+        opened = await router.handle({"op": "session_open", "spec": spec, "m": 3})
+        sid = opened["session"]
+        steps = steps + [("session_result",), ("session_export",), ("session_close",)]
+        responses = []
+        for index, step in enumerate(steps):
+            if index == kill_before:
+                pin = router._sessions[sid][0]
+                await router.shard(pin).kill()
+                await router.add_shard()
+                if reap:
+                    await router.reap_dead()
+            responses.append(_without_shards(await router.handle(_step_request(step, sid))))
+        counters = router.router_counters()
+    return responses, counters
+
+
+class TestCrashInvisibility:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from(["online_greedy", "online_sbo(delta=1.0)"]),
+        steps=st.lists(_session_steps, max_size=12),
+        kill=st.data(),
+        reap=st.booleans(),
+    )
+    def test_killing_the_pinned_shard_changes_no_response(self, spec, steps, kill, reap):
+        # The three closing steps (result, export, close) are kill points too.
+        kill_before = kill.draw(st.integers(0, len(steps) + 2), label="kill_before")
+        if not reap and kill_before < len(steps):
+            # A handoff that finds its source dead answers with the replay's
+            # own fields; only the reaper path keeps that response identical.
+            assume(steps[kill_before][0] != "session_handoff")
+        clean, _ = run(_session_run(spec, steps))
+        crashed, counters = run(_session_run(spec, steps, kill_before, reap))
+        assert crashed == clean
+        assert counters["sessions_replayed"] == 1
+        assert counters["sessions_lost"] == 0
+        assert counters["replays_failed"] == 0
+
+    @pytest.mark.parametrize("kill_before", range(6))
+    def test_acked_parse_failure_keeps_a_poisoned_window_across_a_crash(self, kill_before):
+        # A shard parses an acked batch before it surfaces a poisoned window,
+        # so an unparseable acked batch leaves the poison in place.  A journal
+        # that cleared it there replayed a clean window, and the next acked
+        # submit succeeded after a crash where it failed without one.
+        steps = [
+            ("submit_one", False, {"id": 2, "s": 1}),
+            ("submit_one", True, {"id": 3, "s": 1}),
+            ("submit_one", True, {"id": 4, "p": 1, "s": 1}),
+        ]
+        clean, _ = run(_session_run("online_greedy", steps))
+        crashed, counters = run(_session_run("online_greedy", steps, kill_before))
+        assert "unacknowledged submission failed" in clean[2]["error"]["message"]
+        assert crashed == clean
+        assert counters["sessions_replayed"] == 1
+
+    def test_a_response_the_shadow_disagrees_with_disables_replay(self):
+        # A backend answer the journal's shadow does not reproduce means the
+        # shadow is not the backend's session: a crash must lose the session
+        # rather than replay a wrong one.
+        async def scenario():
+            async with ClusterRouter(inproc_config(shards=2)) as router:
+                opened = await router.handle({"op": "session_open",
+                                              "spec": "online_greedy", "m": 2})
+                sid, pin = opened["session"], opened["shard"]
+                shard = router.shard(pin)
+                real_request = shard.request
+
+                async def tampered(payload):
+                    response = await real_request(payload)
+                    if payload.get("op") == "session_submit":
+                        response = {**response, "placements": [[0, 1]]}
+                    return response
+
+                shard.request = tampered
+                with CapturedEvents() as events:
+                    ack = await router.handle({
+                        "op": "session_submit", "session": sid,
+                        "task": {"id": 0, "p": 1.0, "s": 1.0}})
+                await shard.kill()
+                after = await router.handle({
+                    "op": "session_submit", "session": sid,
+                    "task": {"id": 1, "p": 1.0, "s": 1.0}})
+                counters = router.router_counters()
+            return sid, ack, events.of("session_diverged"), after, counters
+
+        sid, ack, diverged, after, counters = run(scenario())
+        assert ack["ok"] and ack["placements"] == [[0, 1]]
+        assert [event["session"] for event in diverged] == [sid]
+        assert after["error"]["code"] == "session_lost"
+        assert counters["sessions_replayed"] == 0
+        assert counters["replays_failed"] == 1
+        assert counters["sessions_lost"] == 1
