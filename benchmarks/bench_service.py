@@ -3,8 +3,10 @@
 Drives a live :class:`~repro.service.SolverService` with a mixed-spec
 request stream fanned out over 32 async clients, twice:
 
-1. a **cold** pass against an empty read-through cache (misses compute in
-   the worker pool; duplicate requests coalesce), then
+1. a **cold** pass against an empty read-through cache (duplicate
+   requests coalesce; each spec's first misses compute in the worker
+   pool, and later misses whose learned kernel cost is under the
+   service's inline budget are solved on its event loop), then
 2. a **warm** pass replaying the same 200 requests (served entirely from
    the cache).
 
@@ -45,8 +47,11 @@ SMOKE_REQUESTS = 100
 #: placement kernels, memoized content hashes, batched cache lookups):
 #: the warm pass previously recorded ~9.1k req/s at 7.9x; it now runs
 #: ~12-21k req/s at 9-14x on the same reference box.  The cold floor is
-#: deliberately slack — the cold pass is dominated by worker-pool
-#: startup and raw solve compute, which are noisy across machines.
+#: deliberately slack — the cold pass holds the worker pool's startup and
+#: first jobs, which the service must run there to learn each spec's
+#: kernel cost, plus raw solve compute; both are noisy across machines.
+#: Solving cheap misses inline makes the cold pass faster and so lowers
+#: the warm/cold ratio, which still clears ``MIN_SPEEDUP``.
 MIN_SPEEDUP = 8.0
 MIN_WARM_RPS = 9500.0
 MIN_COLD_RPS = 700.0
@@ -163,7 +168,7 @@ def _print_report(report: dict) -> None:
     print(f"warm speedup         : {report['speedup']:8.1f}x")
     print(f"cache hits / misses  : {stats['cache_hits']} / {stats['cache_misses']}")
     print(f"coalesced            : {stats['coalesced']}")
-    print(f"completed (pool jobs): {stats['completed']}")
+    print(f"completed (unique)   : {stats['completed']} ({stats['inline']} inline)")
     print(f"lost                 : {stats['lost']}")
 
 

@@ -485,7 +485,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 # stats / top / trace (observability clients)
 # --------------------------------------------------------------------------- #
 _STATS_COUNTER_KEYS = ("submitted", "completed", "failed", "rejected",
-                       "timed_out", "coalesced", "cache_hits", "cache_misses")
+                       "timed_out", "coalesced", "cache_hits", "cache_misses",
+                       "inline")
 _STATS_GAUGE_KEYS = ("pending", "queue_depth", "in_flight", "sessions_open")
 
 

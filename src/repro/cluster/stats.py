@@ -25,7 +25,7 @@ __all__ = ["ClusterStats", "merge_shard_stats"]
 #: derived on each shard and sums like a counter: zero everywhere ⇒ zero.
 _SUMMED_KEYS = (
     "submitted", "completed", "failed", "rejected", "timed_out", "cancelled",
-    "coalesced", "abandoned", "cache_hits", "cache_misses",
+    "coalesced", "abandoned", "cache_hits", "cache_misses", "inline",
     "queue_depth", "in_flight", "pending", "lost",
     "sessions_open", "sessions_opened", "sessions_closed", "sessions_expired",
     "sessions_rejected", "sessions_restored", "session_tasks",

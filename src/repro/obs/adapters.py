@@ -42,7 +42,7 @@ __all__ = [
 
 _STATS_COUNTERS = (
     "submitted", "completed", "failed", "rejected", "timed_out", "cancelled",
-    "coalesced", "abandoned", "cache_hits", "cache_misses", "lost",
+    "coalesced", "abandoned", "cache_hits", "cache_misses", "inline", "lost",
     "sessions_opened", "sessions_closed", "sessions_expired",
     "sessions_rejected", "sessions_restored", "session_tasks",
 )

@@ -21,10 +21,15 @@ its instance is even rebuilt — see :func:`repro.service.server.handle_request`
 4. **admit** — a bounded semaphore caps queued+running unique jobs
    (``max_pending``); the ``"wait"`` policy parks submitters FIFO, the
    ``"reject"`` policy raises :class:`ServiceOverloadedError` immediately;
-5. **execute** — the job runs ``solve(instance, spec, cache=False)`` in
-   the process pool (worker-side caching is pointless: the parent already
-   filtered hits, and cache objects cannot be shared across processes);
-   the result is stored into the cache and fanned out.
+5. **execute** — the job runs ``solve(instance, spec, cache=False)``
+   (no caching inside: the service already filtered hits).  A job whose
+   predicted kernel time is under :data:`INLINE_BUDGET_S` runs right on
+   the event loop; every other job goes to the process pool.  The
+   prediction is learned from the ``wall_time`` of solves this service
+   already ran, per (canonical spec, instance type), and only covers
+   instances no larger than the largest one seen for that key (see
+   :class:`_CostTable`).  Either way the result is stored into the cache
+   and fanned out.
 
 Timeouts and cancellation are *waiter-scoped*: a coalesced job keeps
 running while any client still waits for it; when the last waiter times
@@ -43,7 +48,9 @@ direct cached ``solve``).
 from __future__ import annotations
 
 import asyncio
+import math
 import time
+from collections import OrderedDict
 from concurrent.futures import Future as ConcurrentFuture
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -64,8 +71,9 @@ from repro.service.stats import ServiceStats
 from repro.service.tier import ResponseTier, TierEntry
 from repro.solvers.api import PreparedSolve, prepare, solve
 from repro.solvers.batch import shippable_custom_entries
-from repro.solvers.cache import LRUCache, cache_key, resolve_cache
+from repro.solvers.cache import DiskCache, LRUCache, cache_key, resolve_cache
 from repro.solvers.registry import register
+from repro.solvers.single import PTAS_EPSILONS
 from repro.solvers.spec import SolverSpec
 
 __all__ = [
@@ -85,6 +93,22 @@ _UNSET = object()
 #: Instances at or above this task count have their content hash computed
 #: off-loop; the server rebuilds solve payloads this large off-loop too.
 OFFLOAD_TASK_COUNT = 10_000
+
+#: A cold miss whose predicted kernel time is below this (seconds) is
+#: solved on the event loop instead of in the process pool: a pool round
+#: trip (pickle out, worker wake-up, pickle back) costs more than that.
+INLINE_BUDGET_S = 0.5e-3
+
+#: Solvers whose running time is exponential in the input (the exact
+#: branch and bound and the PTAS family).  Their cost is not monotone in
+#: the instance size, so no learned prediction covers them: they always
+#: run in the pool, as does any spec binding one as a sub-solver.
+_EXPONENTIAL = frozenset({"exact", *PTAS_EPSILONS})
+
+#: Bound on the (spec, instance type) keys the kernel-cost table learns,
+#: least recently used evicted first: canonical specs carry client-chosen
+#: parameter values.
+MAX_COST_KEYS = 256
 
 #: Bound on distinct solver families each latency histogram tracks, with
 #: least-recently-recorded eviction beyond it: family names are
@@ -125,6 +149,70 @@ def _pool_solve(instance: AnyInstance, spec: SolverSpec, entries: tuple):
 def _by_family(histogram: Histogram) -> Dict[str, Dict[str, object]]:
     """``{family: summary}`` of a histogram labelled by family alone."""
     return {key[0]: summary for key, summary in histogram.summaries().items()}
+
+
+class _CostTable:
+    """Learned kernel cost per ``(canonical spec, instance type)`` key.
+
+    Each row holds the largest ``n``, ``m`` and edge count a solve of that
+    key has run on, and an exponentially weighted average of its kernel
+    time per work unit (``n log2(n + 2)``).  :meth:`predict` answers only
+    inside that envelope: a bigger instance, or a key never seen, has no
+    prediction and goes to the pool, whose result then widens the row.
+    """
+
+    __slots__ = ("_rows",)
+
+    #: Weight of the newest sample in the running average.
+    WEIGHT = 0.25
+
+    def __init__(self) -> None:
+        self._rows: "OrderedDict[tuple, list]" = OrderedDict()
+
+    @staticmethod
+    def _units(n: int) -> float:
+        return max(n, 1) * math.log2(n + 2)
+
+    def predict(self, key: tuple, n: int, m: int, edges: int) -> Optional[float]:
+        """Predicted kernel seconds, or ``None`` outside what was seen."""
+        row = self._rows.get(key)
+        if row is None or n > row[0] or m > row[1] or edges > row[2]:
+            return None
+        return row[3] * self._units(n)
+
+    def learn(self, key: tuple, n: int, m: int, edges: int, seconds: float) -> None:
+        """Fold one solve's kernel time into its key's row."""
+        rate = seconds / self._units(n)
+        row = self._rows.get(key)
+        if row is None:
+            self._rows[key] = [n, m, edges, rate]
+            if len(self._rows) > MAX_COST_KEYS:
+                self._rows.popitem(last=False)
+            return
+        self._rows.move_to_end(key)
+        row[0], row[1], row[2] = max(row[0], n), max(row[1], m), max(row[2], edges)
+        row[3] += self.WEIGHT * (rate - row[3])
+
+
+def _cost_key(instance: AnyInstance, prepared: PreparedSolve) -> Optional[tuple]:
+    """The cost-table key of a job, or ``None`` when it must use the pool.
+
+    Non-stock entries (their code is not ours to time), periodic
+    instances (the facade's hyperperiod unroll is not in ``wall_time``),
+    exponential-time solvers and instances of
+    :data:`OFFLOAD_TASK_COUNT` tasks or more never run on the loop.
+    """
+    bound = prepared.bound
+    if (
+        not prepared.cacheable
+        or instance.n >= OFFLOAD_TASK_COUNT
+        or getattr(instance, "kind", None) == "periodic"
+        or prepared.entry.name in _EXPONENTIAL
+        or bound.get("inner") in _EXPONENTIAL
+        or bound.get("inner_mmax") in _EXPONENTIAL
+    ):
+        return None
+    return (prepared.canonical, type(instance))
 
 
 class _Job:
@@ -187,6 +275,7 @@ class SolverService:
         self._admit: Optional[asyncio.Semaphore] = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._inflight: Dict[str, _Job] = {}
+        self._costs = _CostTable()
         self._tasks: Set["asyncio.Task"] = set()
         self._qos: Optional[AdmissionController] = None
         # The one latency record: end-to-end request latency per family,
@@ -216,7 +305,7 @@ class SolverService:
             name: 0
             for name in ("submitted", "completed", "failed", "rejected",
                          "timed_out", "cancelled", "coalesced", "abandoned",
-                         "cache_hits", "cache_misses")
+                         "cache_hits", "cache_misses", "inline")
         }
         self._queued = 0
         self._running = 0
@@ -359,9 +448,13 @@ class SolverService:
         if instance.n >= OFFLOAD_TASK_COUNT:
             # Hashing a very large instance is multi-millisecond CPU work;
             # keep it off the event loop so other connections stay live.
-            content = await asyncio.get_running_loop().run_in_executor(
-                None, instance.content_hash
-            )
+            try:
+                content = await asyncio.get_running_loop().run_in_executor(
+                    None, instance.content_hash
+                )
+            except asyncio.CancelledError:
+                self._drop_submission(tenant_cfg)
+                raise
         else:
             content = instance.content_hash()
         coalesce_key = f"{content}|{prepared.canonical}"
@@ -373,7 +466,11 @@ class SolverService:
 
         if content_key is not None:
             consult_at = time.perf_counter() if tctx is not None else 0.0
-            hit = await self._cache_get(content_key)
+            try:
+                hit = await self._cache_get(content_key, instance.n)
+            except asyncio.CancelledError:
+                self._drop_submission(tenant_cfg)
+                raise
             if tctx is not None:
                 RECORDER.record(
                     "cache_consult", "service", tctx[0], new_span_id(), tctx[1],
@@ -514,7 +611,11 @@ class SolverService:
                     f"retry later or use backpressure='wait'"
                 )
             waited = self._admit.locked()
-            await self._admit.acquire()
+            try:
+                await self._admit.acquire()
+            except asyncio.CancelledError:
+                self._drop_submission(None)
+                raise
         else:
             assert self._qos is not None
             try:
@@ -539,7 +640,12 @@ class SolverService:
             # While this submitter waited for admission the identical job
             # may have already finished: serve its cached result instead of
             # recomputing (the pre-wait cache check could not see it).
-            hit = await self._cache_get(content_key)
+            try:
+                hit = await self._cache_get(content_key, instance.n)
+            except asyncio.CancelledError:
+                self._release_admission(tenant_cfg)
+                self._drop_submission(tenant_cfg)
+                raise
             if hit is not None:
                 self._release_admission(tenant_cfg)
                 self._counters["cache_hits"] += 1
@@ -576,8 +682,22 @@ class SolverService:
         self._pending += 1
         job.task = asyncio.create_task(self._run_job(job, instance, prepared))
         self._tasks.add(job.task)
-        job.task.add_done_callback(self._tasks.discard)
+        job.task.add_done_callback(partial(self._job_task_done, job))
         return job
+
+    def _job_task_done(self, job: _Job, task: "asyncio.Task") -> None:
+        self._tasks.discard(task)
+        if not job.future.done():
+            # Cancelled before its first step (``close(drain=False)`` right
+            # after admission), so the coroutine never ran, or ended by a
+            # KeyboardInterrupt/SystemExit mid-solve: retire it here.
+            self._conclude(job, cancelled=True)
+
+    def _drop_submission(self, tenant_cfg: Optional[TenantConfig]) -> None:
+        """Ledger a submitter cancelled before it joined or created a job."""
+        self._counters["rejected"] += 1
+        if tenant_cfg is not None:
+            self._qos.reject(tenant_cfg, "cancelled")
 
     def _release_admission(self, tenant_cfg: Optional[TenantConfig]) -> None:
         """Return one admission slot to whichever gate issued it."""
@@ -602,14 +722,27 @@ class SolverService:
                 trace=tctx[0] if tctx is not None else None,
             )
 
-    def _record_exec(self, job: _Job, family: str, exec_at: float) -> None:
-        """Record one pool execution: phase latency + tenant usage."""
+    def _record_queue_wait(
+        self, job: _Job, family: str, queued_at: float, waited_s: float
+    ) -> None:
+        """Record the time a job waited for a worker slot."""
+        self._phases["queue_wait"].observe(waited_s, family)
+        if job.trace is not None:
+            RECORDER.record(
+                "queue_wait", "service", job.trace[0], new_span_id(),
+                job.trace[1], queued_at, waited_s, family=family,
+            )
+
+    def _record_exec(
+        self, job: _Job, family: str, exec_at: float, inline: bool = False
+    ) -> None:
+        """Record one execution: phase latency + tenant usage."""
         elapsed = time.perf_counter() - exec_at
         self._phases["exec"].observe(elapsed, family)
         if job.trace is not None:
             RECORDER.record(
                 "kernel", "service", job.trace[0], new_span_id(), job.trace[1],
-                exec_at, elapsed, family=family,
+                exec_at, elapsed, family=family, inline=inline,
             )
         if job.tenant is not None and self._qos is not None:
             self._qos.charge_usage(job.tenant, elapsed)
@@ -662,8 +795,59 @@ class SolverService:
     # job execution
     # ------------------------------------------------------------------ #
     async def _run_job(self, job: _Job, instance: AnyInstance, prepared: PreparedSolve) -> None:
+        """Execute a job on the loop or in the pool, then store and fan out."""
+        key = _cost_key(instance, prepared)
+        shape = (instance.n, instance.m, getattr(instance, "n_edges", 0))
+        predicted = self._costs.predict(key, *shape) if key is not None else None
+        if predicted is not None and predicted < INLINE_BUDGET_S:
+            result = self._run_inline(job, instance, prepared)
+        else:
+            result = await self._run_in_pool(job, instance, prepared)
+        if result is None:
+            return  # the branch concluded the job with its failure
+        if key is not None:
+            self._costs.learn(key, *shape, result.wall_time)
+
+        if job.cache_key is not None and self._cache is not None:
+            try:
+                await self._cache_put(job.cache_key, result, instance.n)
+            except asyncio.CancelledError:
+                # Abandoned mid-store (e.g. last waiter timed out during the
+                # disk write): the result exists — conclude with it so the
+                # admission slot is released and the ledger stays balanced.
+                # The executor thread finishes the interrupted put on its own.
+                self._counters["completed"] += 1
+                self._conclude(job, result=result)
+                raise
+            result = replace(result, provenance={**result.provenance, "cache": "miss"})
+        self._counters["completed"] += 1
+        self._conclude(job, result=result)
+
+    def _run_inline(self, job: _Job, instance: AnyInstance, prepared: PreparedSolve):
+        """Solve on the event loop; the result, or ``None`` once concluded.
+
+        The job takes no worker slot, so it never waits behind pool work:
+        its ``queue_wait`` sample is zero.
+        """
+        family = prepared.entry.name
+        self._counters["inline"] += 1
+        exec_at = time.perf_counter()
+        self._record_queue_wait(job, family, exec_at, 0.0)
+        try:
+            result = solve(instance, prepared.spec, cache=False)
+        except Exception as exc:
+            self._record_exec(job, family, exec_at, inline=True)
+            self._counters["failed"] += 1
+            self._conclude(job, error=exc)
+            return None
+        self._record_exec(job, family, exec_at, inline=True)
+        return result
+
+    async def _run_in_pool(self, job: _Job, instance: AnyInstance, prepared: PreparedSolve):
+        """Solve in the process pool; the result, or ``None`` once concluded."""
         assert self._slots is not None
         loop = asyncio.get_running_loop()
+        family = prepared.entry.name
         queued_at = time.perf_counter()
         self._queued += 1
         try:
@@ -674,13 +858,7 @@ class SolverService:
             raise
         self._queued -= 1
         self._running += 1
-        waited_s = time.perf_counter() - queued_at
-        self._phases["queue_wait"].observe(waited_s, prepared.entry.name)
-        if job.trace is not None:
-            RECORDER.record(
-                "queue_wait", "service", job.trace[0], new_span_id(),
-                job.trace[1], queued_at, waited_s, family=prepared.entry.name,
-            )
+        self._record_queue_wait(job, family, queued_at, time.perf_counter() - queued_at)
 
         try:
             job.pool_future = self._submit(instance, prepared)
@@ -691,7 +869,7 @@ class SolverService:
             self._conclude(job, error=exc)
             # The waiters received the error; ending this task cleanly keeps
             # asyncio from logging it as an unretrieved task exception.
-            return
+            return None
         except BaseException:
             # KeyboardInterrupt/SystemExit: cancel the waiters (never resolve
             # the fan-out future with a bogus value) and propagate.
@@ -716,26 +894,12 @@ class SolverService:
             self._conclude(job, cancelled=True)
             raise
         except Exception as exc:
-            self._record_exec(job, prepared.entry.name, exec_at)
+            self._record_exec(job, family, exec_at)
             self._counters["failed"] += 1
             self._conclude(job, error=exc)
-            return
-        self._record_exec(job, prepared.entry.name, exec_at)
-
-        if job.cache_key is not None and self._cache is not None:
-            try:
-                await self._cache_put(job.cache_key, result)
-            except asyncio.CancelledError:
-                # Abandoned mid-store (e.g. last waiter timed out during the
-                # disk write): the result exists — conclude with it so the
-                # admission slot is released and the ledger stays balanced.
-                # The executor thread finishes the interrupted put on its own.
-                self._counters["completed"] += 1
-                self._conclude(job, result=result)
-                raise
-            result = replace(result, provenance={**result.provenance, "cache": "miss"})
-        self._counters["completed"] += 1
-        self._conclude(job, result=result)
+            return None
+        self._record_exec(job, family, exec_at)
+        return result
 
     def _submit(self, instance: AnyInstance, prepared: PreparedSolve) -> ConcurrentFuture:
         """Hand a job to the process pool (or the in-process fallback).
@@ -831,17 +995,35 @@ class SolverService:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    async def _cache_get(self, key: str):
-        """Cache lookup; disk-backed caches run off-loop (blocking I/O)."""
-        if isinstance(self._cache, LRUCache):
+    def _cache_on_loop(self, n: int, store: bool = False) -> bool:
+        """Whether a cache read (``store``: write) for ``n`` tasks runs on the loop.
+
+        The in-memory cache always does.  A :class:`DiskCache` entry of
+        fewer than :data:`OFFLOAD_TASK_COUNT` tasks is a small file read
+        or write, cheaper than the hop to a thread — except a store into
+        a cache with a ``max_bytes`` bound, whose trim may scan the
+        directory.  Any other cache backend runs off-loop.
+        """
+        cache = self._cache
+        if isinstance(cache, LRUCache):
+            return True
+        return (
+            isinstance(cache, DiskCache)
+            and n < OFFLOAD_TASK_COUNT
+            and not (store and cache.max_bytes is not None)
+        )
+
+    async def _cache_get(self, key: str, n: int):
+        """Cache lookup for an ``n``-task instance (see :meth:`_cache_on_loop`)."""
+        if self._cache_on_loop(n):
             return self._cache.get(key)
         return await asyncio.get_running_loop().run_in_executor(
             None, self._cache.get, key
         )
 
-    async def _cache_put(self, key: str, result: object) -> None:
-        """Cache store; disk-backed caches run off-loop (blocking I/O)."""
-        if isinstance(self._cache, LRUCache):
+    async def _cache_put(self, key: str, result: object, n: int) -> None:
+        """Cache store for an ``n``-task instance (see :meth:`_cache_on_loop`)."""
+        if self._cache_on_loop(n, store=True):
             self._cache.put(key, result)
             return
         await asyncio.get_running_loop().run_in_executor(

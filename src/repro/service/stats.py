@@ -23,16 +23,21 @@ class ServiceStats:
     Counter semantics (all cumulative since service start):
 
     * ``submitted`` — every ``solve()`` call that passed validation;
-    * ``completed`` / ``failed`` — unique jobs that finished in the pool;
+    * ``completed`` / ``failed`` — unique jobs that finished (in the pool
+      or inline);
     * ``rejected`` — submissions refused by the ``"reject"`` backpressure
-      policy;
+      policy or by QoS, or cancelled before they joined or created a job;
     * ``timed_out`` / ``cancelled`` — waiter outcomes (a coalesced job can
       time out for one client and still complete for another);
     * ``abandoned`` — unique jobs cancelled after their last interested
       waiter timed out / was cancelled (or the service closed un-drained);
     * ``coalesced`` — requests served by piggybacking on an identical
       in-flight job;
-    * ``cache_hits`` / ``cache_misses`` — read-through lookups.
+    * ``cache_hits`` / ``cache_misses`` — read-through lookups;
+    * ``inline`` — unique jobs solved on the service's event loop rather
+      than in the worker pool (a cheap kernel, see
+      :data:`repro.service.service.INLINE_BUDGET_S`); they also count in
+      ``completed`` / ``failed``.
 
     Gauge semantics (instantaneous):
 
@@ -55,8 +60,9 @@ class ServiceStats:
 
     ``phases`` splits *unique job* latency into its two phases, each a
     per-family breakdown like ``families``: ``phases["queue_wait"]`` is
-    time spent admitted but waiting for a worker slot,
-    ``phases["exec"]`` is time executing in the pool — so a slow family
+    time spent admitted but waiting for a worker slot (zero for an
+    inline job, which takes none), ``phases["exec"]`` is time executing,
+    in the pool or inline — so a slow family
     is attributable to queueing vs compute at a glance (and QoS effects
     on queue wait are observable at all).
 
@@ -81,6 +87,7 @@ class ServiceStats:
     abandoned: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    inline: int = 0
     queue_depth: int = 0
     in_flight: int = 0
     pending: int = 0

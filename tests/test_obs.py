@@ -384,7 +384,7 @@ class TestAdapters:
 # --------------------------------------------------------------------------- #
 SERVICE_KEYS = {
     "submitted", "completed", "failed", "rejected", "timed_out", "cancelled",
-    "coalesced", "abandoned", "cache_hits", "cache_misses", "queue_depth",
+    "coalesced", "abandoned", "cache_hits", "cache_misses", "inline", "queue_depth",
     "in_flight", "pending", "lost", "latency_count", "latency_p50",
     "latency_p90", "latency_p99", "latency_mean", "latency_max", "families",
     "phases", "tenants", "sessions_open", "sessions_opened", "sessions_closed",

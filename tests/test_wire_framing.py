@@ -11,7 +11,11 @@ Covers:
   silently serialize ``inf`` as ``null``), strict payloads may take the
   fast path, and both produce the identical documented wire format;
 * the non-finite scan that picks the encoder: the same answer as the
-  plain recursive walk for every value, and so the same bytes;
+  plain recursive walk for every value, and the same bytes as the
+  encoder rule written as that walk — a dict is encoded member by
+  member, so a member holding ``inf`` takes the stdlib encoder while its
+  siblings (a result's ``assignment``) keep the fast path, and the line
+  decodes equal to the plain stdlib encoding;
 * integer literals past 64 bits reach the solver as integers, not as the
   floats orjson would parse them to;
 * line-delimited JSON as the only wire format — a ``negotiate`` line is
@@ -209,13 +213,36 @@ def _walk(value: object) -> bool:
     return False
 
 
-def _reference_encode(payload: object) -> bytes:
-    if protocol._orjson is not None and not _walk(payload):
+def _stdlib(value: object) -> bytes:
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+def _reference_value(value: object) -> bytes:
+    """The encoder rule written as the plain walk: orjson for a value
+    holding no non-finite float, a dict with string keys holding one
+    member by member, the stdlib for anything else."""
+    if protocol._orjson is None:
+        return _stdlib(value)
+    if not _walk(value):
         try:
-            return protocol._orjson.dumps(payload) + b"\n"
+            return protocol._orjson.dumps(value)
         except TypeError:
             pass
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    elif type(value) is dict and all(type(key) is str for key in value):
+        return b"{" + b",".join(
+            json.dumps(key).encode("ascii") + b":" + _reference_value(member)
+            for key, member in value.items()
+        ) + b"}"
+    return _stdlib(value)
+
+
+def _reference_encode(payload: object) -> bytes:
+    return _reference_value(payload) + b"\n"
+
+
+def _normal(line: bytes) -> str:
+    """A decoded line re-encoded by the stdlib (``NaN`` compares equal)."""
+    return json.dumps(json.loads(line), sort_keys=True)
 
 
 class _Float(float):
@@ -245,8 +272,22 @@ class TestNonFiniteScan:
     @settings(max_examples=300, deadline=None)
     @given(value=scan_values)
     def test_bytes_equal_the_walk_rule(self, value):
-        payload = {"id": 1, "ok": True, "result": {"assignment": value}}
-        assert encode_message(payload) == _reference_encode(payload)
+        payload = {"id": 1, "ok": True, "result": {"assignment": value, "g": [1.0, math.inf]}}
+        line = encode_message(payload)
+        assert line == _reference_encode(payload)
+        assert _normal(line) == _normal(_stdlib(payload))
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=scan_values)
+    def test_long_pair_lists_agree_with_the_walk(self, value):
+        # Lists of _PROBE_LEN lists or more are screened by encoding them
+        # (orjson writes a non-finite float as null).
+        pairs = [[k, value] for k in range(protocol._PROBE_LEN)]
+        assert protocol._has_non_finite(pairs) == _walk(pairs)
+        payload = {"pairs": pairs, "short": [[0, value]]}
+        line = encode_message(payload)
+        assert line == _reference_encode(payload)
+        assert _normal(line) == _normal(_stdlib(payload))
 
     @pytest.mark.parametrize("spec", ["lpt", "sbo(delta=1.0)", "rls(delta=3.0)",
                                       "trio(delta=3.0)", "pareto_approx"])
@@ -255,7 +296,31 @@ class TestNonFiniteScan:
                                    s=[(5 * i) % 13 + 1 for i in range(60)], m=4)
         payload = result_to_payload(solve(inst, spec, cache=False))
         assert protocol._has_non_finite(payload) == _walk(payload)
-        assert encode_message(payload) == _reference_encode(payload)
+        line = encode_message(payload)
+        assert line == _reference_encode(payload)
+        assert _normal(line) == _normal(_stdlib(payload))
+
+    def test_single_objective_result_keeps_the_fast_path(self, monkeypatch):
+        # An lpt result's guarantee holds inf: only that member takes the
+        # stdlib encoder, the Infinity literal stays, and the assignment is
+        # still written by orjson.
+        stub = _FakeOrjson()
+        monkeypatch.setattr(protocol, "_orjson", stub)
+        inst = Instance.from_lists(p=[(7 * i) % 11 + 1 for i in range(60)],
+                                   s=[(5 * i) % 13 + 1 for i in range(60)], m=4)
+        payload = {"id": 7, "ok": True,
+                   "result": result_to_payload(solve(inst, "lpt", cache=False))}
+        assert payload["result"]["guarantee"][1] == math.inf
+        dumped = []
+        real_dumps = stub.dumps
+        monkeypatch.setattr(stub, "dumps", lambda obj: dumped.append(obj) or real_dumps(obj))
+        line = encode_message(payload)
+        assert any(obj is payload["result"]["assignment"] for obj in dumped)
+        assert not any(obj is payload["result"]["guarantee"] for obj in dumped)
+        assert b'"guarantee":[' in line and b"Infinity]" in line
+        assert line == _reference_encode(payload)
+        assert _normal(line) == _normal(_stdlib(payload))
+        assert decode_message(line)["result"]["guarantee"][1] == math.inf
 
 
 # --------------------------------------------------------------------------- #
