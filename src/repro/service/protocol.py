@@ -249,24 +249,8 @@ _PLAIN_OR_FLOAT = _PLAIN | {float}
 
 
 #: Lists at least this long (a result's ``[task_id, processor]`` pairs)
-#: are screened by encoding them with orjson (see :func:`_probe`).
+#: are encoded before they are screened (see :func:`encode_json`).
 _PROBE_LEN = 32
-
-
-def _probe(value: Union[list, tuple]) -> Optional[bytes]:
-    """orjson's encoding of a long list, if it provably holds no non-finite float.
-
-    orjson writes a non-finite float as ``null``, so output without
-    ``null`` held none; for a list of ``[id, processor]`` pairs encoding
-    is several times cheaper than the type scan.
-    """
-    if _orjson is None or len(value) < _PROBE_LEN:
-        return None
-    try:
-        blob = _orjson.dumps(value)
-    except TypeError:
-        return None
-    return None if b"null" in blob else blob
 
 
 def _has_non_finite(value: object) -> bool:
@@ -276,18 +260,15 @@ def _has_non_finite(value: object) -> bool:
     the ``Infinity`` literal on parse), while this protocol's documented
     wire form uses the JSON-extension literals stdlib ``json`` emits.  Any
     payload containing a non-finite float must therefore take the stdlib
-    path.  A long list is screened by encoding it (:func:`_probe`); any
-    other container is first screened by the set of its members' types
-    (C-level), so a list of plain scalars, or of lists of them, costs no
-    Python call per member.
+    path.  Each container is first screened by the set of its members'
+    types (C-level), so a list of plain scalars, or of lists of them,
+    costs no Python call per member.
     """
     if isinstance(value, float):
         return not math.isfinite(value)
     if isinstance(value, dict):
         value = value.values()
     elif not isinstance(value, (list, tuple)):
-        return False
-    elif _probe(value) is not None:
         return False
     kinds = set(map(type, value))
     if kinds <= _PLAIN:
@@ -332,36 +313,42 @@ def _encode_stdlib(value: object) -> bytes:
 def encode_json(value: object) -> bytes:
     """``value`` as compact JSON bytes, under the one encoder rule.
 
-    ``orjson`` when installed and ``value`` is expressible in strict JSON
-    (finite floats, string keys, integers within 64 bits); otherwise the
-    stdlib encoder.  A dict holding a non-finite float is encoded member
-    by member under the same rule, so only the members holding one (a
-    single-objective result's ``guarantee``) pay for the stdlib encoder
-    and a large ``assignment`` next to them still takes the fast path.
-    Both encoders write the same wire format (the line decodes equal
-    either way), so the fast path is invisible to peers.  Each member is
-    encoded as it would be alone, so a response's bytes are the result's
-    bytes spliced behind the id: a response tier stores a solve result
-    in this form (:func:`result_response`).
+    Without ``orjson`` the stdlib encoder writes everything.  With it, a
+    dict with string keys is written member by member (keys in the
+    stdlib's ASCII form), so a member holding a non-finite float (a
+    single-objective result's ``guarantee``) is the only one that pays
+    for the stdlib encoder.  Any other value is written by ``orjson``
+    when it is expressible in strict JSON (finite floats, string keys,
+    integers within 64 bits), else by the stdlib.  Each value is screened
+    once: a list of :data:`_PROBE_LEN` members or more (a result's
+    ``assignment``) is encoded first, and its bytes are kept unless they
+    hold a ``null``, which is how ``orjson`` writes a non-finite float
+    (a ``None`` then passes the type scan); shorter values are type
+    scanned first (:func:`_has_non_finite`).  Both encoders write the same
+    wire format (the line decodes equal either way), so the fast path is
+    invisible to peers.  Each member is encoded as it would be alone, so
+    a response's bytes are the result's bytes spliced behind the id: a
+    response tier stores a solve result in this form
+    (:func:`result_response`).
     """
     if _orjson is None:
         return _encode_stdlib(value)
-    if isinstance(value, (list, tuple)):
-        blob = _probe(value)
-        if blob is not None:
-            return blob
-    if not _has_non_finite(value):
-        try:
-            return _orjson.dumps(value)
-        except TypeError:
-            # Non-string keys and exotic types: stdlib json coerces more
-            # (e.g. int dict keys become strings).
-            return _encode_stdlib(value)
     if type(value) is dict and all(type(key) is str for key in value):
         return b"{" + b",".join(
             _encode_key(key).encode("ascii") + b":" + encode_json(member)
             for key, member in value.items()
         ) + b"}"
+    try:
+        if isinstance(value, (list, tuple)) and len(value) >= _PROBE_LEN:
+            blob = _orjson.dumps(value)
+            if b"null" not in blob or not _has_non_finite(value):
+                return blob
+        elif not _has_non_finite(value):
+            return _orjson.dumps(value)
+    except TypeError:
+        # Non-string keys and exotic types: stdlib json coerces more
+        # (e.g. int dict keys become strings).
+        pass
     return _encode_stdlib(value)
 
 

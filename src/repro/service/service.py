@@ -26,10 +26,10 @@ its instance is even rebuilt — see :func:`repro.service.server.handle_request`
    predicted kernel time is under :data:`INLINE_BUDGET_S` runs right on
    the event loop; every other job goes to the process pool.  The
    prediction is learned from the ``wall_time`` of solves this service
-   already ran, per (canonical spec, instance type), and only covers
-   instances no larger than the largest one seen for that key (see
-   :class:`_CostTable`).  Either way the result is stored into the cache
-   and fanned out.
+   already ran, per (canonical spec, instance type): a job is cheap only
+   when one solve under the budget had at least its ``n``, ``m`` and
+   edge count (see :class:`_CostTable`).  Either way the result is
+   stored into the cache and fanned out.
 
 Timeouts and cancellation are *waiter-scoped*: a coalesced job keeps
 running while any client still waits for it; when the last waiter times
@@ -48,7 +48,6 @@ direct cached ``solve``).
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from collections import OrderedDict
 from concurrent.futures import Future as ConcurrentFuture
@@ -56,7 +55,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial
-from typing import Dict, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.core.instance import DAGInstance, Instance
 from repro.core.task import Task
@@ -152,46 +151,55 @@ def _by_family(histogram: Histogram) -> Dict[str, Dict[str, object]]:
 
 
 class _CostTable:
-    """Learned kernel cost per ``(canonical spec, instance type)`` key.
+    """Instance shapes each ``(canonical spec, instance type)`` key solved cheaply.
 
-    Each row holds the largest ``n``, ``m`` and edge count a solve of that
-    key has run on, and an exponentially weighted average of its kernel
-    time per work unit (``n log2(n + 2)``).  :meth:`predict` answers only
-    inside that envelope: a bigger instance, or a key never seen, has no
-    prediction and goes to the pool, whose result then widens the row.
+    A shape is ``(n, m, edges)``.  A row keeps the shapes whose solve took
+    less than :data:`INLINE_BUDGET_S`, only the maximal ones and at most
+    :attr:`SHAPES` of them.  A job is predicted cheap only when one of
+    them covers its shape in ``n``, ``m`` and edge count together: the
+    stock polynomial kernels cost no more on an instance that is no
+    larger in any of the three, so that solve's time bounds the job's.
+    Nothing is extrapolated: a key never seen, or a shape outside every
+    recorded one, goes to the pool, whose result may then widen the row.
+    A solve at or over the budget withdraws every shape that covers it.
     """
 
     __slots__ = ("_rows",)
 
-    #: Weight of the newest sample in the running average.
-    WEIGHT = 0.25
+    #: Bound on the shapes one key keeps, oldest dropped first.
+    SHAPES = 8
 
     def __init__(self) -> None:
-        self._rows: "OrderedDict[tuple, list]" = OrderedDict()
+        self._rows: "OrderedDict[tuple, List[tuple]]" = OrderedDict()
 
     @staticmethod
-    def _units(n: int) -> float:
-        return max(n, 1) * math.log2(n + 2)
+    def _covers(big: tuple, small: tuple) -> bool:
+        return big[0] >= small[0] and big[1] >= small[1] and big[2] >= small[2]
 
-    def predict(self, key: tuple, n: int, m: int, edges: int) -> Optional[float]:
-        """Predicted kernel seconds, or ``None`` outside what was seen."""
-        row = self._rows.get(key)
-        if row is None or n > row[0] or m > row[1] or edges > row[2]:
-            return None
-        return row[3] * self._units(n)
+    def cheap(self, key: tuple, shape: tuple) -> bool:
+        """Whether a shape already solved under the budget covers ``shape``."""
+        shapes = self._rows.get(key)
+        return shapes is not None and any(self._covers(s, shape) for s in shapes)
 
-    def learn(self, key: tuple, n: int, m: int, edges: int, seconds: float) -> None:
-        """Fold one solve's kernel time into its key's row."""
-        rate = seconds / self._units(n)
-        row = self._rows.get(key)
-        if row is None:
-            self._rows[key] = [n, m, edges, rate]
+    def learn(self, key: tuple, shape: tuple, seconds: float) -> None:
+        """Record one solve of ``shape`` that took ``seconds``."""
+        shapes = self._rows.get(key)
+        if seconds >= INLINE_BUDGET_S:
+            if shapes is not None:
+                shapes[:] = [s for s in shapes if not self._covers(s, shape)]
+                if not shapes:
+                    del self._rows[key]
+            return
+        if shapes is None:
+            self._rows[key] = [shape]
             if len(self._rows) > MAX_COST_KEYS:
                 self._rows.popitem(last=False)
             return
         self._rows.move_to_end(key)
-        row[0], row[1], row[2] = max(row[0], n), max(row[1], m), max(row[2], edges)
-        row[3] += self.WEIGHT * (rate - row[3])
+        if not any(self._covers(s, shape) for s in shapes):
+            shapes[:] = [s for s in shapes if not self._covers(shape, s)]
+            shapes.append(shape)
+            del shapes[:-self.SHAPES]
 
 
 def _cost_key(instance: AnyInstance, prepared: PreparedSolve) -> Optional[tuple]:
@@ -798,15 +806,14 @@ class SolverService:
         """Execute a job on the loop or in the pool, then store and fan out."""
         key = _cost_key(instance, prepared)
         shape = (instance.n, instance.m, getattr(instance, "n_edges", 0))
-        predicted = self._costs.predict(key, *shape) if key is not None else None
-        if predicted is not None and predicted < INLINE_BUDGET_S:
+        if key is not None and self._costs.cheap(key, shape):
             result = self._run_inline(job, instance, prepared)
         else:
             result = await self._run_in_pool(job, instance, prepared)
         if result is None:
             return  # the branch concluded the job with its failure
         if key is not None:
-            self._costs.learn(key, *shape, result.wall_time)
+            self._costs.learn(key, shape, result.wall_time)
 
         if job.cache_key is not None and self._cache is not None:
             try:

@@ -1,15 +1,14 @@
 """Dispatch by cost: cheap cold misses are solved on the service's loop.
 
-``SolverService`` runs a cold miss's kernel on its event loop when the
-kernel time it learned for the (canonical spec, instance type) key
-predicts less than ``INLINE_BUDGET_S``, and only inside the largest
-``n``/``m``/edge count seen for that key; everything else goes to the
-worker pool.  These tests pin:
+``SolverService`` runs a cold miss's kernel on its event loop when one
+solve it already ran for the (canonical spec, instance type) key took
+less than ``INLINE_BUDGET_S`` on an instance with at least the job's
+``n``, ``m`` and edge count; everything else goes to the worker pool.  These tests pin:
 
 * **parity** — for every registry entry, the inline, pool and direct
   ``solve()`` payloads are equal (up to ``wall_time`` and
   ``provenance.cache``);
-* **routing** — first-seen keys, instances beyond what was seen,
+* **routing** — first-seen keys, instances no single cheap solve covers,
   exponential-time solvers (and specs binding one as ``inner``),
   periodic instances and non-stock entries go to the pool, read from the
   ``inline`` counter rather than from timing;
@@ -163,7 +162,7 @@ class TestRouting:
                 counts.append(await self._inline_after(svc, [(independent(n=11, m=4), "lpt")]))
                 counts.append(await self._inline_after(svc, [(chain(2), "rls(delta=3.0)")]))
                 counts.append(await self._inline_after(svc, [(chain(3), "rls(delta=3.0)")]))
-                # Inside the envelope now: smaller n, m and edge counts.
+                # Covered now: smaller n, m and edge counts.
                 counts.append(await self._inline_after(svc, [(independent(n=5, m=2), "lpt")]))
                 counts.append(await self._inline_after(svc, [(chain(1), "rls(delta=3.0)")]))
                 return counts
@@ -208,14 +207,53 @@ class TestRouting:
 
         assert run(scenario()) == 0
 
+    def test_shapes_seen_apart_do_not_cover_their_union(self, generous_budget):
+        # A solved (large n, small m) and a solved (small n, large m) do
+        # not make (large n, large m) cheap: rls on a DAG costs about
+        # n * m log m, so only one sample covering all three counts.
+        def dag(n: int, m: int) -> DAGInstance:
+            return DAGInstance.from_lists(
+                p=[1] * n, s=[1] * n, m=m, edges=[(i, i + 1) for i in range(n - 1)]
+            )
+
+        async def scenario():
+            async with SolverService(workers=1) as svc:
+                counts = []
+                for n, m in ((12, 2), (3, 40), (12, 40), (12, 40), (3, 2)):
+                    counts.append(await self._inline_after(svc, [(dag(n, m), "rls(delta=3.0)")]))
+                return counts
+
+        assert run(scenario()) == [0, 0, 0, 1, 2]
+
     def test_the_cost_table_is_bounded(self, monkeypatch):
         monkeypatch.setattr(service_module, "MAX_COST_KEYS", 4)
         table = service_module._CostTable()
         for k in range(10):
-            table.learn((f"sbo(delta={k})", Instance), 10, 2, 0, 1e-4)
+            table.learn((f"sbo(delta={k})", Instance), (10, 2, 0), 1e-4)
         assert len(table._rows) == 4
-        assert table.predict(("sbo(delta=0)", Instance), 10, 2, 0) is None
-        assert table.predict(("sbo(delta=9)", Instance), 10, 2, 0) is not None
+        assert not table.cheap(("sbo(delta=0)", Instance), (10, 2, 0))
+        assert table.cheap(("sbo(delta=9)", Instance), (10, 2, 0))
+        # Each key keeps at most SHAPES maximal shapes, the oldest dropped.
+        key = ("lpt", Instance)
+        for k in range(1, 12):
+            table.learn(key, (k, 12 - k, 0), 1e-4)
+        assert len(table._rows[key]) == table.SHAPES
+        assert not table.cheap(key, (1, 11, 0))
+        assert table.cheap(key, (11, 1, 0))
+        # A covered shape adds nothing; a covering one replaces what it covers.
+        table.learn(key, (2, 2, 0), 1e-4)
+        table.learn(key, (20, 20, 0), 1e-4)
+        assert table._rows[key] == [(20, 20, 0)]
+
+    def test_a_solve_over_the_budget_withdraws_the_shapes_covering_it(self):
+        table = service_module._CostTable()
+        key = ("lpt", Instance)
+        table.learn(key, (10, 2, 0), 1e-4)
+        table.learn(key, (4, 8, 0), 1e-4)
+        assert table.cheap(key, (5, 2, 0))
+        table.learn(key, (5, 2, 0), 2 * service_module.INLINE_BUDGET_S)
+        assert not table.cheap(key, (5, 2, 0)) and not table.cheap(key, (10, 2, 0))
+        assert table.cheap(key, (4, 8, 0))
 
 
 class TestIndependence:

@@ -218,21 +218,22 @@ def _stdlib(value: object) -> bytes:
 
 
 def _reference_value(value: object) -> bytes:
-    """The encoder rule written as the plain walk: orjson for a value
-    holding no non-finite float, a dict with string keys holding one
-    member by member, the stdlib for anything else."""
+    """The encoder rule written as the plain walk: a dict with string
+    keys member by member (keys in the stdlib's ASCII form), any other
+    value by orjson when it holds no non-finite float, the stdlib for
+    anything else."""
     if protocol._orjson is None:
         return _stdlib(value)
+    if type(value) is dict and all(type(key) is str for key in value):
+        return b"{" + b",".join(
+            json.dumps(key).encode("ascii") + b":" + _reference_value(member)
+            for key, member in value.items()
+        ) + b"}"
     if not _walk(value):
         try:
             return protocol._orjson.dumps(value)
         except TypeError:
             pass
-    elif type(value) is dict and all(type(key) is str for key in value):
-        return b"{" + b",".join(
-            json.dumps(key).encode("ascii") + b":" + _reference_value(member)
-            for key, member in value.items()
-        ) + b"}"
     return _stdlib(value)
 
 
@@ -280,8 +281,8 @@ class TestNonFiniteScan:
     @settings(max_examples=200, deadline=None)
     @given(value=scan_values)
     def test_long_pair_lists_agree_with_the_walk(self, value):
-        # Lists of _PROBE_LEN lists or more are screened by encoding them
-        # (orjson writes a non-finite float as null).
+        # Lists of _PROBE_LEN members or more are encoded before they are
+        # screened (orjson writes a non-finite float as null).
         pairs = [[k, value] for k in range(protocol._PROBE_LEN)]
         assert protocol._has_non_finite(pairs) == _walk(pairs)
         payload = {"pairs": pairs, "short": [[0, value]]}
