@@ -1,19 +1,22 @@
 """Service benchmark: 32 concurrent clients over a 200-request workload.
 
 Drives a live :class:`~repro.service.SolverService` with a mixed-spec
-request stream fanned out over 32 async clients, twice:
+request stream fanned out over 32 async clients:
 
-1. a **cold** pass against an empty read-through cache (duplicate
+1. one **cold** pass against an empty read-through cache (duplicate
    requests coalesce; each spec's first misses compute in the worker
    pool, and later misses whose learned kernel cost is under the
    service's inline budget are solved on its event loop), then
-2. a **warm** pass replaying the same 200 requests (served entirely from
-   the cache).
+2. :data:`WARM_PASSES` **warm** passes replaying the same 200 requests
+   (served entirely from the cache).  The warm time is their median: a
+   single warm pass of 200 cache hits takes ~10-16 ms and swings by half
+   from run to run on a shared host, which a ratio against one pass
+   would report as the service's speed.
 
 Asserts the acceptance criteria: **zero lost requests** (every client
 receives exactly one response per request and the service ledger
 balances), every response **bit-identical to a direct ``solve()``** on
-the same (instance, spec) pair, warm throughput at least
+the same (instance, spec) pair, median warm throughput at least
 :data:`MIN_SPEEDUP` x cold, and the absolute :data:`MIN_WARM_RPS` /
 :data:`MIN_COLD_RPS` floors.  Runnable standalone
 (``PYTHONPATH=src python benchmarks/bench_service.py``, ``--smoke`` for
@@ -30,6 +33,7 @@ import asyncio
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -42,6 +46,8 @@ DEFAULT_JSON = Path(__file__).resolve().parent / "BENCH_service.json"
 CLIENTS = 32
 TOTAL_REQUESTS = 200
 SMOKE_REQUESTS = 100
+#: Warm passes after the cold one; the warm time is their median.
+WARM_PASSES = 5
 
 #: Warm-path floors, raised after the kernel fast-path PR (heap-based
 #: placement kernels, memoized content hashes, batched cache lookups):
@@ -113,19 +119,14 @@ def run_service_benchmark(total_requests: int = TOTAL_REQUESTS) -> dict:
             workers=4, max_pending=64, backpressure="wait", cache=LRUCache(maxsize=4096)
         )
         async with SolverService(config) as svc:
-            cold_responses, cold_counts, cold_s = await run_pass(svc, requests, instances)
-            warm_responses, warm_counts, warm_s = await run_pass(svc, requests, instances)
-            stats = svc.stats()
-        return {
-            "cold": (cold_responses, cold_counts, cold_s),
-            "warm": (warm_responses, warm_counts, warm_s),
-            "stats": stats,
-        }
+            passes = {"cold": await run_pass(svc, requests, instances)}
+            for k in range(1, WARM_PASSES + 1):
+                passes[f"warm {k}"] = await run_pass(svc, requests, instances)
+            return passes, svc.stats()
 
-    outcome = asyncio.run(scenario())
+    passes, stats = asyncio.run(scenario())
 
-    for label in ("cold", "warm"):
-        responses, counts, _ = outcome[label]
+    for label, (responses, counts, _) in passes.items():
         # Zero lost requests: every request slot answered exactly once.
         assert sum(counts) == total_requests, f"{label}: lost requests"
         assert sorted(responses) == list(range(total_requests)), f"{label}: missing responses"
@@ -137,11 +138,12 @@ def run_service_benchmark(total_requests: int = TOTAL_REQUESTS) -> dict:
             assert result.spec == direct.spec
             assert result.schedule.assignment == direct.schedule.assignment
 
-    stats = outcome["stats"]
     assert stats.lost == 0, f"service ledger does not balance: {stats}"
-    assert stats.submitted == 2 * total_requests
+    assert stats.submitted == (1 + WARM_PASSES) * total_requests
 
-    cold_s, warm_s = outcome["cold"][2], outcome["warm"][2]
+    cold_s = passes["cold"][2]
+    warm_passes_s = [seconds for label, (_, _, seconds) in passes.items() if label != "cold"]
+    warm_s = statistics.median(warm_passes_s)
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     return {
         "benchmark": "service",
@@ -152,6 +154,7 @@ def run_service_benchmark(total_requests: int = TOTAL_REQUESTS) -> dict:
         "python": platform.python_version(),
         "cold_s": cold_s,
         "warm_s": warm_s,
+        "warm_passes_s": warm_passes_s,
         "speedup": speedup,
         "cold_rps": total_requests / cold_s,
         "warm_rps": total_requests / warm_s,
@@ -164,7 +167,10 @@ def _print_report(report: dict) -> None:
     print(f"clients              : {report['clients']}")
     print(f"requests per pass    : {report['requests']} ({report['unique_jobs']} unique jobs)")
     print(f"cold pass            : {report['cold_s'] * 1e3:8.1f} ms ({report['cold_rps']:8.1f} req/s)")
-    print(f"warm pass            : {report['warm_s'] * 1e3:8.1f} ms ({report['warm_rps']:8.1f} req/s)")
+    for k, seconds in enumerate(report["warm_passes_s"], 1):
+        print(f"warm pass {k}          : {seconds * 1e3:8.1f} ms "
+              f"({report['requests'] / seconds:8.1f} req/s)")
+    print(f"warm median          : {report['warm_s'] * 1e3:8.1f} ms ({report['warm_rps']:8.1f} req/s)")
     print(f"warm speedup         : {report['speedup']:8.1f}x")
     print(f"cache hits / misses  : {stats['cache_hits']} / {stats['cache_misses']}")
     print(f"coalesced            : {stats['coalesced']}")
@@ -175,11 +181,11 @@ def _print_report(report: dict) -> None:
 def _assert_criteria(report: dict) -> None:
     assert report["stats"]["lost"] == 0
     assert report["speedup"] >= MIN_SPEEDUP, (
-        f"warm pass only {report['speedup']:.1f}x faster than cold "
+        f"median warm pass only {report['speedup']:.1f}x faster than cold "
         f"(acceptance criterion is >= {MIN_SPEEDUP}x)"
     )
     assert report["warm_rps"] >= MIN_WARM_RPS, (
-        f"warm pass only {report['warm_rps']:.0f} req/s "
+        f"median warm pass only {report['warm_rps']:.0f} req/s "
         f"(acceptance criterion is >= {MIN_WARM_RPS:.0f} req/s)"
     )
     assert report["cold_rps"] >= MIN_COLD_RPS, (

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from repro.core.task import Task, TaskSet
 from repro.core.instance import Instance, DAGInstance
-from repro.core.schedule import Schedule, DAGSchedule
+from repro.core.schedule import Schedule
 from repro.core.objectives import evaluate, ObjectiveValues
 from repro.core.bounds import (
     cmax_lower_bound,
@@ -83,7 +83,6 @@ __all__ = [
     "Instance",
     "DAGInstance",
     "Schedule",
-    "DAGSchedule",
     "ObjectiveValues",
     "evaluate",
     "cmax_lower_bound",

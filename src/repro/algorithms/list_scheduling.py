@@ -22,10 +22,9 @@ import heapq
 from typing import Dict, List, Sequence, Union
 
 from repro.core.instance import DAGInstance, Instance
-from repro.core.schedule import DAGSchedule, Schedule
-from repro.core.task import Task
+from repro.core.schedule import Schedule
 
-__all__ = ["list_schedule", "list_guarantee", "graham_dag_schedule", "resolve_order"]
+__all__ = ["list_schedule", "list_guarantee", "graham_dag_schedule"]
 
 #: Named priority orders accepted by the list-scheduling entry points.
 _ORDERS = ("arbitrary", "spt", "lpt", "sms", "lms", "density")
@@ -60,24 +59,6 @@ def _order_positions(
     if len(positions) != instance.n or len(set(positions)) != instance.n:
         raise ValueError("explicit order must list every task id exactly once")
     return positions
-
-
-def resolve_order(
-    instance: Instance,
-    order: Union[str, Sequence[object], None],
-    objective: str = "time",
-) -> List[Task]:
-    """The tasks in the priority order of :func:`_order_positions`."""
-    tasks = instance.tasks.tasks
-    return [tasks[i] for i in _order_positions(instance, order)]
-
-
-def _weight(task: Task, objective: str) -> float:
-    if objective == "time":
-        return task.p
-    if objective == "memory":
-        return task.s
-    raise ValueError(f"unknown objective {objective!r}; expected 'time' or 'memory'")
 
 
 def list_guarantee(m: int) -> float:
@@ -134,7 +115,7 @@ def list_schedule(
 def graham_dag_schedule(
     instance: Union[Instance, DAGInstance],
     priority: Union[str, Sequence[object], None] = None,
-) -> DAGSchedule:
+) -> Schedule:
     """Memory-oblivious Graham list scheduling of a DAG instance.
 
     At every step the ready task that can start the earliest is placed on
@@ -209,4 +190,4 @@ def graham_dag_schedule(
                 rel = max((completion[u] for u in graph.predecessors(succ)), default=0.0)
                 heappush(future, (rel, rank[succ], succ))
 
-    return DAGSchedule._from_placement(instance, assignment, starts)
+    return Schedule._from_placement(instance, assignment, starts)

@@ -10,8 +10,8 @@ Sub-modules
     Independent-task instances (:class:`Instance`) and precedence
     constrained instances (:class:`DAGInstance`).
 ``schedule``
-    Assignment-only schedules (:class:`Schedule`) for independent tasks and
-    timed schedules (:class:`DAGSchedule`) for DAGs.
+    The :class:`Schedule` class: an assignment of tasks to processors, for
+    independent tasks, optionally with the start times DAGs need.
 ``objectives``
     Evaluation of ``Cmax``, ``Mmax`` and ``sum Ci``.
 ``validation``

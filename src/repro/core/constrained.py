@@ -30,12 +30,9 @@ from repro.core.bounds import mmax_lower_bound
 from repro.core.instance import DAGInstance, Instance
 from repro.core.rls import InfeasibleDeltaError, rls, rls_guarantee
 from repro.core.sbo import sbo
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.schedule import Schedule
 
 __all__ = ["ConstrainedResult", "solve_constrained"]
-
-AnySchedule = Union[Schedule, DAGSchedule]
-
 
 @dataclass(frozen=True)
 class ConstrainedResult:
@@ -67,7 +64,7 @@ class ConstrainedResult:
 
     feasible: bool
     certified_infeasible: bool
-    schedule: Optional[AnySchedule]
+    schedule: Optional[Schedule]
     cmax: float
     mmax: float
     delta: float
@@ -77,7 +74,7 @@ class ConstrainedResult:
 
 def _try_rls(
     instance: Union[Instance, DAGInstance], delta: float, order: str
-) -> Optional[DAGSchedule]:
+) -> Optional[Schedule]:
     try:
         return rls(instance, delta, order=order).schedule
     except InfeasibleDeltaError:
@@ -142,7 +139,7 @@ def solve_constrained(
         )
 
     delta_cap = memory_capacity / lb
-    candidates: List[Tuple[str, AnySchedule]] = []
+    candidates: List[Tuple[str, Schedule]] = []
 
     # 1. Direct RLS at the capacity-implied delta (the §7 recipe).
     direct = _try_rls(instance, delta_cap, order)

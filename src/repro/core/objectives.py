@@ -1,9 +1,8 @@
 """Objective evaluation: ``Cmax``, ``Mmax``, ``sum Ci`` — and deadlines.
 
-This module provides a uniform way to evaluate any schedule object
-(:class:`~repro.core.schedule.Schedule` or
-:class:`~repro.core.schedule.DAGSchedule`) and package the three objective
-values of the paper in a single comparable record.
+This module evaluates any :class:`~repro.core.schedule.Schedule`, timed
+or not, and packages the three objective values of the paper in a single
+comparable record.
 
 For the periodic real-time extension (:mod:`repro.periodic`) it adds the
 deadline-aware objective family of the ``R | r_j, d_j | sum w^f F_j +
@@ -20,9 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple
 
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.schedule import Schedule
 
 __all__ = [
     "ObjectiveValues",
@@ -31,9 +30,6 @@ __all__ = [
     "DeadlineMetrics",
     "deadline_metrics",
 ]
-
-AnySchedule = Union[Schedule, DAGSchedule]
-
 
 @dataclass(frozen=True)
 class ObjectiveValues:
@@ -79,12 +75,11 @@ class ObjectiveValues:
         )
 
 
-def evaluate(schedule: AnySchedule) -> ObjectiveValues:
+def evaluate(schedule: Schedule) -> ObjectiveValues:
     """Evaluate the three objectives of a schedule.
 
-    Works on both independent-task :class:`Schedule` objects (where
-    completion times follow from back-to-back execution) and timed
-    :class:`DAGSchedule` objects.
+    Completion times follow from back-to-back execution on an untimed
+    schedule and from the start times on a timed one.
     """
     return ObjectiveValues(cmax=schedule.cmax, mmax=schedule.mmax, sum_ci=schedule.sum_ci)
 

@@ -27,7 +27,7 @@ from repro.core.instance import DAGInstance, Instance
 from repro.core.pareto import ParetoFront
 from repro.core.rls import InfeasibleDeltaError, rls
 from repro.core.sbo import combine_schedules
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.schedule import Schedule
 from repro.solvers.single import get_single_objective_solver
 
 __all__ = [
@@ -36,9 +36,6 @@ __all__ = [
     "approximate_pareto_set",
     "approximate_pareto_set_dag",
 ]
-
-AnySchedule = Union[Schedule, DAGSchedule]
-
 
 @dataclass(frozen=True)
 class ApproximateParetoSet:
@@ -56,7 +53,7 @@ class ApproximateParetoSet:
         ``"sbo"`` or ``"rls"``.
     """
 
-    front: ParetoFront[AnySchedule]
+    front: ParetoFront[Schedule]
     deltas: Tuple[float, ...]
     epsilon: float
     algorithm: str
@@ -66,22 +63,22 @@ class ApproximateParetoSet:
         """The non-dominated objective vectors, sorted by increasing ``Cmax``."""
         return [(v[0], v[1]) for v in self.front.values()]
 
-    def schedules(self) -> List[AnySchedule]:
+    def schedules(self) -> List[Schedule]:
         """Schedules achieving the front points (same order as :attr:`points`)."""
         return [p for p in self.front.payloads() if p is not None]
 
-    def best_under_memory(self, capacity: float) -> Optional[AnySchedule]:
+    def best_under_memory(self, capacity: float) -> Optional[Schedule]:
         """The best-makespan schedule of the set whose ``Mmax`` fits ``capacity``."""
-        best: Optional[AnySchedule] = None
+        best: Optional[Schedule] = None
         for point in self.front.points():
             if point.values[1] <= capacity + 1e-9 and point.payload is not None:
                 if best is None or point.payload.cmax < best.cmax:
                     best = point.payload
         return best
 
-    def best_under_makespan(self, deadline: float) -> Optional[AnySchedule]:
+    def best_under_makespan(self, deadline: float) -> Optional[Schedule]:
         """The lowest-memory schedule of the set whose ``Cmax`` fits ``deadline``."""
-        best: Optional[AnySchedule] = None
+        best: Optional[Schedule] = None
         for point in self.front.points():
             if point.values[0] <= deadline + 1e-9 and point.payload is not None:
                 if best is None or point.payload.mmax < best.mmax:
@@ -126,7 +123,7 @@ def approximate_pareto_set(
     """
     base = instance.as_independent() if isinstance(instance, DAGInstance) else instance
     grid = delta_grid(epsilon, delta_min, delta_max)
-    front: ParetoFront[AnySchedule] = ParetoFront(dim=2)
+    front: ParetoFront[Schedule] = ParetoFront(dim=2)
     # π1 and π2 do not depend on Δ: solve them once, combine per grid point.
     solve_single = get_single_objective_solver(solver)
     pi1, _ = solve_single(base, "time")
@@ -156,7 +153,7 @@ def approximate_pareto_set_dag(
         raise ValueError(f"delta_min must be > 0, got {delta_min}")
     dag = instance if isinstance(instance, DAGInstance) else instance.as_dag()
     grid = delta_grid(epsilon, delta_min, delta_max)
-    front: ParetoFront[AnySchedule] = ParetoFront(dim=2)
+    front: ParetoFront[Schedule] = ParetoFront(dim=2)
     swept: List[float] = []
     for delta in grid:
         try:

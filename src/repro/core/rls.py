@@ -36,7 +36,7 @@ import networkx as nx
 
 from repro.core.bounds import mmax_lower_bound
 from repro.core.instance import DAGInstance, Instance
-from repro.core.schedule import DAGSchedule
+from repro.core.schedule import Schedule
 
 __all__ = [
     "InfeasibleDeltaError",
@@ -76,7 +76,7 @@ class RLSResult:
     most ``floor(m / (Δ - 1))`` of them.
     """
 
-    schedule: DAGSchedule
+    schedule: Schedule
     delta: float
     memory_lower_bound: float
     memory_budget: float
@@ -422,7 +422,7 @@ def rls(
     place = _place_by_size if dag.is_independent() else _place_ready_set
     assignment, starts, marked = place(dag, rank, delta, budget, eps)
 
-    schedule = DAGSchedule._from_placement(dag, assignment, starts)
+    schedule = Schedule._from_placement(dag, assignment, starts)
     cmax_g, mmax_g = rls_guarantee(delta, dag.m)
     order_name = order if isinstance(order, str) else "explicit"
     return RLSResult(

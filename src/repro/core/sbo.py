@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.solvers.single import SolverFn, get_single_objective_solver
 from repro.core.instance import DAGInstance, Instance
@@ -37,7 +37,6 @@ from repro.core.schedule import Schedule
 
 __all__ = [
     "SBOResult", "sbo", "sbo_guarantee", "sbo_tradeoff_curve", "combine_schedules",
-    "threshold_combine",
 ]
 
 
@@ -164,15 +163,6 @@ def combine_schedules(
         q2 if second else q1 for second, q1, q2 in zip(follow2, pi1._procs, pi2._procs)
     ]
     return Schedule._trusted(instance, procs), list(compress(range(len(procs)), follow2))
-
-
-def threshold_combine(
-    instance: Instance, delta: float, pi1: Schedule, pi2: Schedule
-) -> Tuple[Dict[object, int], List[object]]:
-    """:func:`combine_schedules` as an id-keyed assignment and the ids of ``S2``."""
-    schedule, memory_driven = combine_schedules(instance, delta, pi1, pi2)
-    ids = instance.tasks.columns[0]
-    return schedule.assignment, [ids[i] for i in memory_driven]
 
 
 def sbo(

@@ -20,7 +20,7 @@ from typing import Tuple, Union
 from repro.core.bounds import sum_ci_lower_bound
 from repro.core.instance import DAGInstance, Instance
 from repro.core.rls import RLSResult, rls, rls_guarantee
-from repro.core.schedule import DAGSchedule
+from repro.core.schedule import Schedule
 
 __all__ = ["TriObjectiveResult", "tri_objective_schedule", "tri_objective_guarantee"]
 
@@ -38,7 +38,7 @@ class TriObjectiveResult:
     sum_ci_guarantee: float
 
     @property
-    def schedule(self) -> DAGSchedule:
+    def schedule(self) -> Schedule:
         """The produced schedule."""
         return self.rls_result.schedule
 

@@ -16,10 +16,10 @@ constraints are checked:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.core.instance import DAGInstance
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.schedule import Schedule
 
 __all__ = ["ValidationError", "ValidationReport", "validate_schedule", "check_schedule"]
 
@@ -50,7 +50,7 @@ class ValidationReport:
             raise ValidationError("; ".join(self.violations))
 
 
-def _validate_assignment(schedule: Union[Schedule, DAGSchedule], violations: List[str]) -> None:
+def _validate_assignment(schedule: Schedule, violations: List[str]) -> None:
     instance = schedule.instance
     assignment = schedule.assignment
     for task in instance.tasks:
@@ -62,7 +62,7 @@ def _validate_assignment(schedule: Union[Schedule, DAGSchedule], violations: Lis
             violations.append(f"task {task.id!r} assigned to invalid processor {proc!r}")
 
 
-def _validate_overlap(schedule: DAGSchedule, violations: List[str], eps: float) -> None:
+def _validate_overlap(schedule: Schedule, violations: List[str], eps: float) -> None:
     instance = schedule.instance
     for proc in range(instance.m):
         intervals = [
@@ -78,7 +78,7 @@ def _validate_overlap(schedule: DAGSchedule, violations: List[str], eps: float) 
                 )
 
 
-def _validate_precedence(schedule: DAGSchedule, violations: List[str], eps: float) -> None:
+def _validate_precedence(schedule: Schedule, violations: List[str], eps: float) -> None:
     instance = schedule.instance
     if not isinstance(instance, DAGInstance):
         return
@@ -91,7 +91,7 @@ def _validate_precedence(schedule: DAGSchedule, violations: List[str], eps: floa
 
 
 def _validate_capacity(
-    schedule: Union[Schedule, DAGSchedule], capacity: float, violations: List[str], eps: float
+    schedule: Schedule, capacity: float, violations: List[str], eps: float
 ) -> None:
     for proc, mem in enumerate(schedule.memories):
         if mem > capacity + eps:
@@ -101,7 +101,7 @@ def _validate_capacity(
 
 
 def validate_schedule(
-    schedule: Union[Schedule, DAGSchedule],
+    schedule: Schedule,
     memory_capacity: Optional[float] = None,
     eps: float = _EPS,
 ) -> ValidationReport:
@@ -120,7 +120,7 @@ def validate_schedule(
     """
     violations: List[str] = []
     _validate_assignment(schedule, violations)
-    if isinstance(schedule, DAGSchedule):
+    if schedule.timed:
         _validate_overlap(schedule, violations, eps)
         _validate_precedence(schedule, violations, eps)
     if memory_capacity is not None:
@@ -129,7 +129,7 @@ def validate_schedule(
 
 
 def check_schedule(
-    schedule: Union[Schedule, DAGSchedule],
+    schedule: Schedule,
     memory_capacity: Optional[float] = None,
     eps: float = _EPS,
 ) -> None:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.bounds import mmax_lower_bound
 from repro.core.instance import DAGInstance, Instance, _check_m
 from repro.core.rls import InfeasibleDeltaError
-from repro.core.schedule import DAGSchedule
+from repro.core.schedule import Schedule
 from repro.core.task import TaskSet
 
 __all__ = ["UniformInstance", "uniform_list_schedule", "uniform_rls", "uniform_cmax_lower_bound"]
@@ -131,7 +131,7 @@ def uniform_cmax_lower_bound(instance: UniformInstance) -> float:
 class UniformScheduleResult:
     """Outcome of the uniform-machines heuristics."""
 
-    schedule: DAGSchedule
+    schedule: Schedule
     cmax: float
     mmax: float
     memory_budget: Optional[float]
@@ -142,8 +142,8 @@ def _build_schedule(
     assignment: Dict[object, int],
     starts: Dict[object, float],
     finishes: Dict[object, float],
-) -> DAGSchedule:
-    # DAGSchedule computes completion as start + p, which is wrong under
+) -> Schedule:
+    # A timed schedule computes completion as start + p, which is wrong under
     # speeds; we therefore store *stretched* start times so that the
     # intervals [start, start + p/v] map onto an identical-machines timeline
     # only for reporting purposes.  To keep objective values exact we build
@@ -152,7 +152,7 @@ def _build_schedule(
         t.scaled(p_factor=1.0 / instance.speeds[assignment[t.id]]) for t in instance.tasks
     )
     scaled_instance = DAGInstance(scaled_tasks, m=instance.m, name=instance.name)
-    return DAGSchedule(scaled_instance, assignment, starts)
+    return Schedule(scaled_instance, assignment, start_times=starts)
 
 
 def uniform_list_schedule(

@@ -135,8 +135,15 @@ async def _solve(service: SolverService, request: Dict[str, object]) -> Mapping[
     The digest is computed only where it can pay off: to look up a tier
     that holds entries, and to admit a response.  A stream of one-off
     misses leaves the tier empty and never pays for it.
+
+    On a miss the QoS attribution (:meth:`SolverService.attribute`) runs
+    before the instance is rebuilt and the spec is checked, as a router
+    does: an unknown tenant is one ``UnknownTenantError`` on both front
+    ends, whatever else the request gets wrong.
     """
     request_id = request.get("id")
+    timeout = _timeout_field(request)
+    tenant = _tenant_field(request)
     data = request.get("instance")
     huge = _is_huge(data)
     loop = asyncio.get_running_loop()
@@ -154,34 +161,33 @@ async def _solve(service: SolverService, request: Dict[str, object]) -> Mapping[
         entry = tier.get(key)
         if entry is not None:
             service.count_tier_hit(
-                entry, started,
-                timeout=_timeout_field(request), tenant=_tenant_field(request),
-                trace=request.get("trace"),
+                entry, started, timeout=timeout, tenant=tenant, trace=request.get("trace"),
             )
             return result_response(request_id, entry.body)
-    if huge:
-        # Rebuilding a huge instance is CPU work — keep it off the event
-        # loop so other connections stay responsive.
-        instance = await loop.run_in_executor(None, instance_from_payload, data)
-    else:
-        instance = instance_from_payload(data)
-    spec = request.get("spec")
-    if not isinstance(spec, str) or not spec:
-        raise ProtocolError("'spec' must be a non-empty spec string")
-    params = request.get("params") or {}
-    if not isinstance(params, dict):
-        raise ProtocolError("'params' must be a JSON object")
-    timeout = _timeout_field(request)
-    tenant = _tenant_field(request)
+    tenant_cfg = service.attribute(tenant)
+    try:
+        if huge:
+            # Rebuilding a huge instance is CPU work — keep it off the event
+            # loop so other connections stay responsive.
+            instance = await loop.run_in_executor(None, instance_from_payload, data)
+        else:
+            instance = instance_from_payload(data)
+        spec = request.get("spec")
+        if not isinstance(spec, str) or not spec:
+            raise ProtocolError("'spec' must be a non-empty spec string")
+        params = request.get("params") or {}
+        if not isinstance(params, dict):
+            raise ProtocolError("'params' must be a JSON object")
+    except BaseException:
+        service.refuse(tenant_cfg)
+        raise
     kwargs: Dict[str, object] = dict(params)
     if timeout is not None:
         kwargs["timeout"] = timeout
-    if tenant is not None:
-        kwargs["tenant"] = tenant
     trace_ctx = request.get("trace")
     if trace_ctx is not None:
         kwargs["trace"] = trace_ctx
-    result = await service.solve(instance, spec, **kwargs)
+    result = await service.solve_attributed(tenant_cfg, instance, spec, **kwargs)
     payload = result_to_payload(result)
     if tier is not None and result.provenance.get("cache") == "hit":
         # Admission: only answers the result cache served, so misses

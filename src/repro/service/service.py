@@ -441,15 +441,56 @@ class SolverService:
         :class:`ServiceTimeoutError`, :class:`ServiceOverloadedError`,
         :class:`ServiceClosedError`, a :class:`repro.qos.tenants.QosError`
         rejection (unknown tenant / rate limit / quota / backpressure), or
-        whatever the underlying solver/spec validation raises.
+        whatever the underlying solver/spec validation raises.  The QoS
+        attribution comes first (:meth:`attribute`).
         """
-        if not self.is_running:
-            raise ServiceClosedError("service is not running (use 'async with SolverService(...)')")
-        prepared = prepare(instance, spec, **params)
-        # Validate the timeout before counting the submission, so an invalid
-        # request never unbalances the stats ledger (``lost`` stays 0).
-        timeout_s = self._effective_timeout(timeout, prepared.entry.name)
-        tenant_cfg = self._begin(tenant)
+        return await self.solve_attributed(
+            self.attribute(tenant), instance, spec, timeout=timeout, trace=trace, **params
+        )
+
+    def attribute(self, tenant: Optional[str]) -> Optional[TenantConfig]:
+        """Attribute a request to its tenant: the first step of a solve with QoS on.
+
+        Counts the submission and passes the tenant's rate limiter, so an
+        unknown or rate-limited tenant is refused before the instance or
+        the spec is looked at, in the order a router applies (a router
+        never rebuilds an instance).  With QoS off this counts nothing and
+        returns ``None``: the request is counted once it is valid.  An
+        attributed request that then fails validation goes to
+        :meth:`refuse`.
+        """
+        return None if self._qos is None else self._begin(tenant)
+
+    def refuse(self, tenant_cfg: Optional[TenantConfig]) -> None:
+        """Ledger an attributed request that failed validation as rejected."""
+        if tenant_cfg is not None:
+            self._drop_submission(tenant_cfg, "invalid")
+
+    async def solve_attributed(
+        self,
+        tenant_cfg: Optional[TenantConfig],
+        instance: AnyInstance,
+        spec: Union[str, SolverSpec],
+        *,
+        timeout: object = _UNSET,
+        trace: object = None,
+        **params: object,
+    ):
+        """:meth:`solve` for a request :meth:`attribute` has attributed."""
+        try:
+            if not self.is_running:
+                raise ServiceClosedError(
+                    "service is not running (use 'async with SolverService(...)')"
+                )
+            prepared = prepare(instance, spec, **params)
+            timeout_s = self._effective_timeout(timeout, prepared.entry.name)
+        except BaseException:
+            self.refuse(tenant_cfg)
+            raise
+        if tenant_cfg is None:
+            # QoS off: the request is counted once it is valid, so an invalid
+            # one never unbalances the stats ledger (``lost`` stays 0).
+            self._counters["submitted"] += 1
         started = time.perf_counter()
         tctx = self._trace_context(trace)
 
@@ -701,11 +742,13 @@ class SolverService:
             # KeyboardInterrupt/SystemExit mid-solve: retire it here.
             self._conclude(job, cancelled=True)
 
-    def _drop_submission(self, tenant_cfg: Optional[TenantConfig]) -> None:
-        """Ledger a submitter cancelled before it joined or created a job."""
+    def _drop_submission(
+        self, tenant_cfg: Optional[TenantConfig], code: str = "cancelled"
+    ) -> None:
+        """Ledger a submitter dropped before it joined or created a job."""
         self._counters["rejected"] += 1
         if tenant_cfg is not None:
-            self._qos.reject(tenant_cfg, "cancelled")
+            self._qos.reject(tenant_cfg, code)
 
     def _release_admission(self, tenant_cfg: Optional[TenantConfig]) -> None:
         """Return one admission slot to whichever gate issued it."""

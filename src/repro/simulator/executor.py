@@ -1,20 +1,21 @@
-"""Replaying schedules in the simulator and reporting the outcome."""
+"""Replaying schedules in the simulator and reporting the outcome.
+
+Every task is submitted at its start time: ``σ(i)`` on a timed schedule,
+its back-to-back start on an untimed one.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.core.instance import DAGInstance
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.schedule import Schedule
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.machine import MemoryOverflowError
 from repro.simulator.trace import TraceRecord, render_gantt
 
 __all__ = ["SimulationReport", "simulate_schedule"]
-
-AnySchedule = Union[Schedule, DAGSchedule]
-
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -44,7 +45,7 @@ class SimulationReport:
 
 
 def simulate_schedule(
-    schedule: AnySchedule,
+    schedule: Schedule,
     memory_capacity: Optional[float] = None,
     check_precedence: bool = True,
 ) -> SimulationReport:
@@ -53,10 +54,9 @@ def simulate_schedule(
     Parameters
     ----------
     schedule:
-        Either an assignment-only :class:`~repro.core.schedule.Schedule`
-        (tasks run back to back in their per-processor order) or a timed
-        :class:`~repro.core.schedule.DAGSchedule` (tasks start exactly at
-        their ``σ(i)``).
+        A :class:`~repro.core.schedule.Schedule`: an untimed one runs its
+        tasks back to back in their per-processor order, a timed one starts
+        each task exactly at its ``σ(i)``.
     memory_capacity:
         Optional hard per-processor capacity; overflowing it is recorded as
         a violation rather than raising.
@@ -68,17 +68,10 @@ def simulate_schedule(
     engine = SimulationEngine(m=instance.m, memory_capacity=memory_capacity, strict=True)
     violations: List[str] = []
 
-    if isinstance(schedule, DAGSchedule):
-        submissions = [
-            (schedule.start_of(t.id), t.id, schedule.processor_of(t.id), t.p, t.s)
-            for t in instance.tasks
-        ]
-    else:
-        submissions = []
-        completion = schedule.completion_times()
-        for t in instance.tasks:
-            finish = completion[t.id]
-            submissions.append((finish - t.p, t.id, schedule.processor_of(t.id), t.p, t.s))
+    starts = schedule.start_times
+    submissions = [
+        (starts[t.id], t.id, schedule.processor_of(t.id), t.p, t.s) for t in instance.tasks
+    ]
 
     try:
         for start, tid, proc, duration, storage in sorted(submissions, key=lambda x: (x[0], str(x[1]))):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Union
 
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.schedule import Schedule
 
 __all__ = ["TraceRecord", "render_gantt"]
 
@@ -30,37 +30,23 @@ class TraceRecord:
         return self.finish - self.start
 
 
-def _records_from_schedule(schedule: Union[Schedule, DAGSchedule]) -> List[TraceRecord]:
-    records: List[TraceRecord] = []
-    if isinstance(schedule, DAGSchedule):
-        for task in schedule.instance.tasks:
-            records.append(
-                TraceRecord(
-                    task_id=task.id,
-                    processor=schedule.processor_of(task.id),
-                    start=schedule.start_of(task.id),
-                    finish=schedule.completion_of(task.id),
-                    storage=task.s,
-                )
-            )
-    else:
-        completion = schedule.completion_times()
-        for task in schedule.instance.tasks:
-            finish = completion[task.id]
-            records.append(
-                TraceRecord(
-                    task_id=task.id,
-                    processor=schedule.processor_of(task.id),
-                    start=finish - task.p,
-                    finish=finish,
-                    storage=task.s,
-                )
-            )
+def _records_from_schedule(schedule: Schedule) -> List[TraceRecord]:
+    starts, finishes = schedule.start_times, schedule.completion_times()
+    records = [
+        TraceRecord(
+            task_id=task.id,
+            processor=schedule.processor_of(task.id),
+            start=starts[task.id],
+            finish=finishes[task.id],
+            storage=task.s,
+        )
+        for task in schedule.instance.tasks
+    ]
     return sorted(records, key=lambda r: (r.processor, r.start, str(r.task_id)))
 
 
 def render_gantt(
-    schedule_or_records: Union[Schedule, DAGSchedule, Sequence[TraceRecord]],
+    schedule_or_records: Union[Schedule, Sequence[TraceRecord]],
     width: int = 60,
     show_memory: bool = True,
 ) -> str:
@@ -71,7 +57,7 @@ def render_gantt(
     on the right when ``show_memory`` is set (mirroring the labels of
     Figures 1 and 2).
     """
-    if isinstance(schedule_or_records, (Schedule, DAGSchedule)):
+    if isinstance(schedule_or_records, Schedule):
         records = _records_from_schedule(schedule_or_records)
         m = schedule_or_records.instance.m
     else:

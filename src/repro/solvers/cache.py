@@ -27,10 +27,11 @@ A stored entry is the pickled :class:`SolveResult`.  Its instance pickles
 as flat task columns (ids, ``p``, ``s``, labels, plus edges or speeds)
 and its schedules as processor and start-time vectors, so an entry holds
 no per-task objects and a put or a hit costs about as much as the
-numbers.  An entry written in the older per-task layout fails to
-unpickle; it is counted as ``corrupt``, removed and treated as a miss,
-and the next solve stores a fresh entry under the same key (the keys are
-unchanged).
+numbers.  An entry written in an older layout (per-task instances, or
+the two schedule classes that preceded the single
+:class:`~repro.core.schedule.Schedule`) fails to unpickle; it is counted
+as ``corrupt``, removed and treated as a miss, and the next solve stores
+a fresh entry under the same key (the keys are unchanged).
 
 Caching is enabled three ways:
 
@@ -289,9 +290,12 @@ class DiskCache(ResultCache):
                     result = pickle.load(fh)
             except FileNotFoundError:
                 continue
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+            except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                    TypeError):
                 # Corrupt / truncated / stale entry (an older object layout
-                # fails with UnpicklingError or AttributeError): degrade to
+                # fails with UnpicklingError, AttributeError — a class or
+                # restore function that is gone — or TypeError — a restore
+                # function called with its old arguments): degrade to
                 # a miss and remove it so every future lookup doesn't re-pay
                 # the failed read (and the dead file doesn't occupy
                 # max_bytes budget).

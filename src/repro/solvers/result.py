@@ -25,15 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.core.objectives import ObjectiveValues
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.schedule import Schedule
 
 __all__ = ["SolveResult"]
-
-AnySchedule = Union[Schedule, DAGSchedule]
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -64,7 +61,7 @@ class SolveResult:
         ``None`` for solvers that return a bare schedule.
     """
 
-    schedule: Optional[AnySchedule]
+    schedule: Optional[Schedule]
     objectives: ObjectiveValues
     guarantee: Tuple[float, ...]
     wall_time: float

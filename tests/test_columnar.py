@@ -11,8 +11,9 @@ must not move:
 * one-pass validation raises exactly the error building each
   :class:`Task` in order raises;
 * pickles carry no :class:`Task` objects and round-trip equal;
-* a :class:`DiskCache` entry pickled in the pre-columnar layout is a
-  miss that is removed, never a hit and never a crash;
+* a :class:`DiskCache` entry pickled in the pre-columnar layout, or
+  while untimed and timed schedules were two classes, is a miss that is
+  removed, never a hit and never a crash;
 * views are built once, and user-supplied :class:`Task` objects are kept.
 """
 
@@ -38,6 +39,12 @@ from repro.solvers.cache import cache_key
 #: A ``SolveResult`` of ``sbo(delta=1.0)`` on :func:`_fixture_instance`,
 #: pickled by repro 1.2.0 while instances were lists of Task objects.
 PRECOLUMNAR = Path(__file__).parent / "golden" / "precolumnar_result.pkl"
+
+#: ``{canonical spec: DiskCache entry bytes}`` for ``lpt`` and ``rls`` on
+#: :func:`_fixture_instance`, written by a ``DiskCache`` of repro 1.2.0
+#: while timed schedules had a class of their own (``DAGSchedule``).
+TWO_SCHEDULE_CLASSES = pickle.loads(
+    (Path(__file__).parent / "golden" / "two_schedule_classes.pkl").read_bytes())
 
 
 # --------------------------------------------------------------------------- #
@@ -307,3 +314,35 @@ class TestPrecolumnarCacheEntry:
         assert again.provenance["cache"] == "hit"
         assert again.objectives == first.objectives == solve(inst, spec, cache=False).objectives
         assert again.schedule.assignment == first.schedule.assignment
+
+
+class TestTwoScheduleClassesCacheEntries:
+    @pytest.mark.parametrize("spec, error", [
+        # The restore function kept its name and gained an argument.
+        ("lpt(objective=time)", TypeError),
+        # The timed schedule's class and restore function are gone.
+        ("rls(delta=3.0, order=arbitrary)", AttributeError),
+    ])
+    def test_fixture_no_longer_unpickles(self, spec, error):
+        with pytest.raises(error):
+            pickle.loads(TWO_SCHEDULE_CLASSES[spec])
+
+    @pytest.mark.parametrize("spec", sorted(TWO_SCHEDULE_CLASSES))
+    def test_old_entry_is_a_removed_miss(self, tmp_path, spec):
+        inst = _fixture_instance()
+        cache = DiskCache(tmp_path)
+        key = cache_key(inst, spec)
+        path = cache._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(TWO_SCHEDULE_CLASSES[spec])
+
+        assert cache.get(key) is None
+        assert not path.exists()
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.corrupt) == (0, 1, 1)
+
+        first = solve(inst, spec, cache=cache)
+        assert first.provenance["cache"] == "miss"
+        again = solve(inst, spec, cache=cache)
+        assert again.provenance["cache"] == "hit"
+        assert again.objectives == first.objectives
+        assert again.schedule == first.schedule

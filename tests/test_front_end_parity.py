@@ -337,6 +337,48 @@ class TestRegressions:
             assert response["error"]["type"] == "UnknownSessionError"
             assert "unknown session 'never-opened'" in response["error"]["message"]
 
+    def test_tenant_attribution_comes_before_rebuild_and_spec_checks(self):
+        """QoS on: an unknown tenant is refused before anything else is read.
+
+        A router never rebuilds an instance, so its order is the contract.
+        For a known tenant each request gets the error of what it gets
+        wrong, and both ledgers stay balanced.
+        """
+        def requests(tenant):
+            capability = solve_request(INSTANCES[2], "lpt", request_id=1)
+            bad_spec = solve_request(INSTANCES[0], "no_such_solver", request_id=2)
+            bad_m = solve_request(INSTANCES[0], "lpt", request_id=3)
+            bad_m["instance"]["m"] = 2.5
+            return [{**request, "tenant": tenant} for request in (capability, bad_spec, bad_m)]
+
+        async def scenario():
+            config = ClusterConfig(shards=1, min_shards=1, max_shards=1, backend="inproc",
+                                   workers=1, cache=LRUCache(), session_ttl=None,
+                                   tenants=TENANTS)
+            async with SolverService(workers=1, cache=LRUCache(), tenants=TENANTS) as svc:
+                async with ClusterRouter(config) as router:
+                    answers = {}
+                    for name, handle in (("served", lambda r: handle_request(svc, r)),
+                                         ("routed", router.handle)):
+                        answers[name] = [[await handle(request) for request in requests(tenant)]
+                                         for tenant in ("zz", "a")]
+                    stats = await router.stats()
+                    return answers, svc.stats(), stats
+
+        answers, served_stats, routed_stats = run(scenario())
+        for side in ("served", "routed"):
+            unknown, known = answers[side]
+            assert [r["error"]["type"] for r in unknown] == ["UnknownTenantError"] * 3, side
+            assert [r["error"]["code"] for r in unknown] == ["unknown_tenant"] * 3, side
+            assert [r["error"]["type"] for r in known] == [
+                "SolverCapabilityError", "SpecError", "ProtocolError"], side
+        for stats in (served_stats, routed_stats):
+            assert stats.lost == 0
+            for snap in stats.tenants.values():
+                assert snap["admitted"] + snap["rejected"] == snap["submitted"]
+        assert served_stats.tenants["a"]["submitted"] == 3
+        assert served_stats.tenants["a"]["rejected_by"] == {"invalid": 3}
+
     def test_bad_ack_is_checked_before_the_session(self):
         request = {"id": 1, "op": "session_submit", "session": "never-opened", "ack": 0,
                    "task": {"id": 0, "p": 1, "s": 1}}

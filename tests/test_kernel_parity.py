@@ -32,9 +32,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.list_scheduling import (
+    _order_positions,
     graham_dag_schedule,
     list_schedule,
-    resolve_order,
 )
 from repro.algorithms.multifit import ffd_pack, multifit_schedule
 from repro.core.bounds import mmax_lower_bound, sum_ci_lower_bound
@@ -43,8 +43,8 @@ from repro.core.pareto import ParetoFront
 from repro.core.pareto_approx import approximate_pareto_set, delta_grid
 from repro.solvers.single import get_single_objective_solver
 from repro.core.rls import InfeasibleDeltaError, _priority_rank, rls
-from repro.core.sbo import sbo, threshold_combine
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.sbo import combine_schedules, sbo
+from repro.core.schedule import Schedule
 from repro.core.task import Task
 from repro.core.trio import tri_objective_schedule
 
@@ -85,6 +85,12 @@ def make_dag(seed: int, n: int = 20, m: int = 3) -> DAGInstance:
 # --------------------------------------------------------------------------- #
 def _weight(task: Task, objective: str) -> float:
     return task.p if objective == "time" else task.s
+
+
+def resolve_order(instance, order, objective="time"):
+    """The id-keyed priority order the seed kernels read: tasks, not positions."""
+    tasks = instance.tasks.tasks
+    return [tasks[i] for i in _order_positions(instance, order)]
 
 
 def seed_list_schedule(instance, order, objective):
@@ -679,7 +685,7 @@ def test_dag_schedule_objectives_parity(seed, m):
                 assignment, starts, _ = seed_rls(instance, delta, rank)
                 expected = seed_dag_objectives(instance, assignment, starts)
                 for schedule in (rls(instance, delta, order=order).schedule,
-                                 DAGSchedule(instance, assignment, starts)):
+                                 Schedule(instance, assignment, start_times=starts)):
                     assert schedule.cmax == expected["cmax"]
                     assert schedule.mmax == expected["mmax"]
                     assert schedule.sum_ci == expected["sum_ci"]
@@ -707,10 +713,10 @@ def test_threshold_combine_parity(seed, m):
             pi1, _ = solve_single(inst, "time")
             pi2, _ = solve_single(inst, "memory")
             for delta in (1.0 / 16.0, 0.5, 1.0, 2.0, 16.0):
-                got_assignment, got_driven = threshold_combine(inst, delta, pi1, pi2)
+                got, got_driven = combine_schedules(inst, delta, pi1, pi2)
                 want_assignment, want_driven = seed_threshold_combine(inst, delta, pi1, pi2)
-                assert list(got_assignment.items()) == list(want_assignment.items())
-                assert got_driven == want_driven
+                assert list(got.assignment.items()) == list(want_assignment.items())
+                assert [inst.tasks.columns[0][i] for i in got_driven] == want_driven
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -734,7 +740,9 @@ def test_threshold_combine_parity_across_task_orders(seed):
     solve_single = get_single_objective_solver("lpt")
     pi1, _ = solve_single(reordered, "time")
     pi2, _ = solve_single(reordered, "memory")
+    ids = instance.tasks.columns[0]
     for delta in (0.5, 1.0, 2.0):
-        got = threshold_combine(instance, delta, pi1, pi2)
-        assert got == seed_threshold_combine(instance, delta, pi1, pi2)
-        assert list(got[0]) == list(seed_threshold_combine(instance, delta, pi1, pi2)[0])
+        got, driven = combine_schedules(instance, delta, pi1, pi2)
+        want_assignment, want_driven = seed_threshold_combine(instance, delta, pi1, pi2)
+        assert list(got.assignment.items()) == list(want_assignment.items())
+        assert [ids[i] for i in driven] == want_driven

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.list_scheduling import graham_dag_schedule, list_schedule, resolve_order
+from repro.algorithms.list_scheduling import _order_positions, graham_dag_schedule, list_schedule
 from repro.algorithms.lpt import lpt_guarantee, lpt_schedule
 from repro.algorithms.spt import optimal_sum_ci, spt_schedule
 from repro.core.bounds import cmax_lower_bound, mmax_lower_bound
@@ -14,23 +14,26 @@ from repro.workloads.independent import uniform_instance
 
 
 class TestResolveOrder:
+    """``_order_positions``; the ids of ``small_instance`` are its positions."""
+
     def test_named_orders(self, small_instance):
-        assert [t.id for t in resolve_order(small_instance, "spt")] == [4, 2, 3, 1, 0]
-        assert [t.id for t in resolve_order(small_instance, "lpt")] == [0, 1, 2, 3, 4]
-        assert [t.id for t in resolve_order(small_instance, "lms")][0] == 1
-        assert [t.id for t in resolve_order(small_instance, None)] == [0, 1, 2, 3, 4]
+        assert _order_positions(small_instance, "spt") == [4, 2, 3, 1, 0]
+        assert _order_positions(small_instance, "lpt") == [0, 1, 2, 3, 4]
+        assert _order_positions(small_instance, "lms")[0] == 1
+        assert _order_positions(small_instance, None) == [0, 1, 2, 3, 4]
 
     def test_explicit_order(self, small_instance):
-        order = resolve_order(small_instance, [4, 3, 2, 1, 0])
-        assert [t.id for t in order] == [4, 3, 2, 1, 0]
+        assert _order_positions(small_instance, [4, 3, 2, 1, 0]) == [4, 3, 2, 1, 0]
+        reordered = Instance.from_lists(p=[1, 2, 3], s=[1, 1, 1], m=2, ids=["x", "y", "z"])
+        assert _order_positions(reordered, ["z", "x", "y"]) == [2, 0, 1]
 
     def test_explicit_order_incomplete(self, small_instance):
         with pytest.raises(ValueError, match="every task"):
-            resolve_order(small_instance, [0, 1])
+            _order_positions(small_instance, [0, 1])
 
     def test_unknown_name(self, small_instance):
         with pytest.raises(ValueError, match="unknown order"):
-            resolve_order(small_instance, "zigzag")
+            _order_positions(small_instance, "zigzag")
 
 
 class TestListSchedule:

@@ -52,12 +52,12 @@ class TestEvaluate:
         assert v.sum_ci == sched.sum_ci
 
     def test_evaluate_dag_schedule(self, diamond_dag):
-        from repro.core.schedule import DAGSchedule
+        from repro.core.schedule import Schedule
 
-        sched = DAGSchedule(
+        sched = Schedule(
             diamond_dag,
             {"a": 0, "b": 0, "c": 1, "d": 0},
-            {"a": 0.0, "b": 2.0, "c": 2.0, "d": 6.0},
+            start_times={"a": 0.0, "b": 2.0, "c": 2.0, "d": 6.0},
         )
         v = evaluate(sched)
         assert v.cmax == 7.0 and v.mmax == 11.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.instance import DAGInstance, Instance
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.schedule import Schedule
 
 
 class TestSchedule:
@@ -84,12 +84,22 @@ class TestSchedule:
         sched = Schedule(small_instance, {0: 0, 1: 1, 2: 0, 3: 1, 4: 0})
         assert sched.objective_tuple() == (sched.cmax, sched.mmax)
 
-    def test_as_dag_schedule(self, small_instance):
+    def test_start_times_lift_to_a_timed_schedule(self, small_instance):
         sched = Schedule.from_processor_lists(small_instance, [[0, 2], [1, 3, 4]])
-        timed = sched.as_dag_schedule()
+        assert not sched.timed
+        assert sched.start_of(2) == 4  # after task 0 (p=4)
+        timed = Schedule(small_instance, sched.assignment, start_times=sched.start_times)
+        assert timed.timed and timed != sched
         assert timed.cmax == sched.cmax
         assert timed.mmax == sched.mmax
-        assert timed.start_of(2) == 4  # after task 0 (p=4)
+        assert timed.sum_ci == sched.sum_ci
+        assert timed.completion_times() == sched.completion_times()
+        assert [timed.tasks_on(q) for q in range(2)] == [sched.tasks_on(q) for q in range(2)]
+
+    def test_order_and_start_times_are_exclusive(self, small_instance):
+        with pytest.raises(ValueError, match="either order or start_times"):
+            Schedule(small_instance, {0: 0, 1: 0, 2: 0, 3: 0, 4: 0}, order={0: [4]},
+                     start_times={i: 0.0 for i in range(5)})
 
     def test_equality(self, small_instance):
         a = Schedule(small_instance, {0: 0, 1: 1, 2: 0, 3: 1, 4: 0})
@@ -109,12 +119,12 @@ class TestSchedule:
 
 
 class TestDAGSchedule:
-    def _schedule(self, diamond_dag) -> DAGSchedule:
+    def _schedule(self, diamond_dag) -> Schedule:
         # a(p=2) on P0 at 0; b(p=3) on P0 at 2; c(p=4) on P1 at 2; d(p=1) on P0 at 6
-        return DAGSchedule(
+        return Schedule(
             diamond_dag,
             {"a": 0, "b": 0, "c": 1, "d": 0},
-            {"a": 0.0, "b": 2.0, "c": 2.0, "d": 6.0},
+            start_times={"a": 0.0, "b": 2.0, "c": 2.0, "d": 6.0},
         )
 
     def test_objectives(self, diamond_dag):
@@ -127,22 +137,22 @@ class TestDAGSchedule:
 
     def test_missing_start_time_rejected(self, diamond_dag):
         with pytest.raises(ValueError, match="start_times"):
-            DAGSchedule(diamond_dag, {"a": 0, "b": 0, "c": 1, "d": 0}, {"a": 0.0})
+            Schedule(diamond_dag, {"a": 0, "b": 0, "c": 1, "d": 0}, start_times={"a": 0.0})
 
     def test_negative_start_rejected(self, diamond_dag):
         with pytest.raises(ValueError, match="negative"):
-            DAGSchedule(
+            Schedule(
                 diamond_dag,
                 {"a": 0, "b": 0, "c": 1, "d": 0},
-                {"a": -1.0, "b": 2.0, "c": 2.0, "d": 6.0},
+                start_times={"a": -1.0, "b": 2.0, "c": 2.0, "d": 6.0},
             )
 
     def test_invalid_processor_rejected(self, diamond_dag):
         with pytest.raises(ValueError, match="invalid processor"):
-            DAGSchedule(
+            Schedule(
                 diamond_dag,
                 {"a": 0, "b": 0, "c": 5, "d": 0},
-                {"a": 0.0, "b": 2.0, "c": 2.0, "d": 6.0},
+                start_times={"a": 0.0, "b": 2.0, "c": 2.0, "d": 6.0},
             )
 
     def test_tasks_on_sorted_by_start(self, diamond_dag):
@@ -155,12 +165,6 @@ class TestDAGSchedule:
         assert sched.loads == [6.0, 4.0]
         assert sched.idle_time() == pytest.approx(2 * 7.0 - 10.0)
 
-    def test_as_assignment_schedule(self, diamond_dag):
-        sched = self._schedule(diamond_dag)
-        flat = sched.as_assignment_schedule()
-        assert flat.mmax == sched.mmax
-        assert flat.tasks_on(0) == ["a", "b", "d"]
-
     def test_equality(self, diamond_dag):
         a = self._schedule(diamond_dag)
         b = self._schedule(diamond_dag)
@@ -168,5 +172,5 @@ class TestDAGSchedule:
 
     def test_empty_dag_schedule(self):
         inst = DAGInstance.from_lists(p=[], s=[], m=1)
-        sched = DAGSchedule(inst, {}, {})
+        sched = Schedule(inst, {}, start_times={})
         assert sched.cmax == 0.0 and sched.mmax == 0.0

@@ -7,7 +7,7 @@ import pytest
 from repro.core.instance import Instance
 from repro.core.rls import rls
 from repro.core.sbo import sbo
-from repro.core.schedule import DAGSchedule, Schedule
+from repro.core.schedule import Schedule
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.events import Event, EventKind, EventQueue
 from repro.simulator.executor import simulate_schedule
@@ -167,20 +167,20 @@ class TestSimulateSchedule:
         assert report.violations
 
     def test_precedence_violation_reported(self, diamond_dag):
-        bad = DAGSchedule(
+        bad = Schedule(
             diamond_dag,
             {"a": 0, "b": 1, "c": 1, "d": 0},
-            {"a": 0.0, "b": 0.0, "c": 4.0, "d": 8.0},
+            start_times={"a": 0.0, "b": 0.0, "c": 4.0, "d": 8.0},
         )
         report = simulate_schedule(bad)
         assert not report.ok
         assert any("precedence" in v for v in report.violations)
 
     def test_overlap_reported_not_raised(self, diamond_dag):
-        bad = DAGSchedule(
+        bad = Schedule(
             diamond_dag,
             {"a": 0, "b": 0, "c": 1, "d": 0},
-            {"a": 0.0, "b": 1.0, "c": 2.0, "d": 6.0},
+            start_times={"a": 0.0, "b": 1.0, "c": 2.0, "d": 6.0},
         )
         report = simulate_schedule(bad)
         assert not report.ok
