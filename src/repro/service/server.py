@@ -7,9 +7,17 @@ Two transports speak the line-delimited JSON protocol of
   for subprocess embedding and piping;
 * **TCP** — many concurrent connections (``repro serve --port 8373``).
 
-Both process requests *concurrently*: every request line spawns a task,
-responses are written as they complete (the ``id`` echo lets clients
-match them), and a per-connection lock keeps response lines atomic.
+Both process requests *concurrently*.  A connection reads whatever its
+client has sent and takes every complete line in it in one pass.  A
+``solve`` line that repeats, byte for byte but for its id, a line the
+service's response tier already served is answered on the spot from its
+raw bytes (:meth:`~repro.service.tier.ResponseTier.match`): no decode,
+no digest, no task.  Every other line gets one task, in line order, and
+its response is written when it completes (the ``id`` echo lets clients
+match them); the answers ready in a pass go out in one write.  While the
+transport holds more unsent responses than its high-water mark the
+connection reads nothing, so a client that does not read its answers
+cannot make the server buffer without bound.
 Request-level failures (bad JSON, unknown solver, capability errors,
 timeouts, backpressure rejections, session errors) are reported as error
 responses on the same connection — they never tear the server down.
@@ -33,8 +41,9 @@ import asyncio
 import math
 import sys
 import time
+from contextvars import ContextVar
 from functools import partial
-from typing import Awaitable, Callable, Dict, Mapping, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.obs.trace import RECORDER, new_span_id, parse_wire_trace
 from repro.service.protocol import (
@@ -66,10 +75,11 @@ __all__ = ["handle_request", "dispatch", "serve_connection", "serve_tcp", "serve
 #: concurrency, and shutdown machinery with its router's handler.
 Handler = Callable[[Dict[str, object]], Awaitable[Optional[Mapping[str, object]]]]
 
-#: Per-line buffer limit for the stream readers.  The default asyncio limit
-#: (64 KiB) is far too small for a solve request carrying a few thousand
-#: tasks in its instance payload; 32 MiB comfortably fits ~10^5-task
-#: instances while still bounding a hostile unterminated line.
+#: Per-line limit of the connection loop and buffer limit of the stream
+#: readers.  The default asyncio limit (64 KiB) is far too small for a
+#: solve request carrying a few thousand tasks in its instance payload;
+#: 32 MiB comfortably fits ~10^5-task instances while still bounding a
+#: hostile unterminated line, which gets one ``too_large`` error.
 READER_LIMIT = 32 * 1024 * 1024
 
 #: Request lines at or above this size are JSON-decoded off-loop, and solve
@@ -77,6 +87,10 @@ READER_LIMIT = 32 * 1024 * 1024
 #: tasks are rebuilt off-loop, so one huge request cannot head-of-line block
 #: every other connection.
 INLINE_DECODE_LIMIT = 256 * 1024
+
+#: The raw line of the request a service connection's task is serving,
+#: when it is short enough to alias (see :func:`_solve`).
+_RAW_LINE: ContextVar[Optional[bytes]] = ContextVar("raw_line", default=None)
 
 
 def _tenant_field(request: Dict[str, object]) -> Optional[str]:
@@ -136,6 +150,10 @@ async def _solve(service: SolverService, request: Dict[str, object]) -> Mapping[
     that holds entries, and to admit a response.  A stream of one-off
     misses leaves the tier empty and never pays for it.
 
+    A tier hit from a wire line also admits that line as an alias of the
+    entry (:meth:`~repro.service.tier.ResponseTier.alias`), so its next
+    repeat is answered by :func:`serve_connection` from its raw bytes.
+
     On a miss the QoS attribution (:meth:`SolverService.attribute`) runs
     before the instance is rebuilt and the spec is checked, as a router
     does: an unknown tenant is one ``UnknownTenantError`` on both front
@@ -163,6 +181,9 @@ async def _solve(service: SolverService, request: Dict[str, object]) -> Mapping[
             service.count_tier_hit(
                 entry, started, timeout=timeout, tenant=tenant, trace=request.get("trace"),
             )
+            line = _RAW_LINE.get()
+            if line is not None:
+                tier.alias(line, request, key, timeout, tenant)
             return result_response(request_id, entry.body)
     tenant_cfg = service.attribute(tenant)
     try:
@@ -286,6 +307,15 @@ def _ack_field(request: Dict[str, object]) -> bool:
 Op = Callable[[object, Dict[str, object]], Awaitable[Optional[Mapping[str, object]]]]
 
 
+def _error_response(request_id: object, exc: Exception) -> Dict[str, object]:
+    """The error response to a request that failed with ``exc``."""
+    error: Dict[str, object] = {"type": type(exc).__name__, "message": str(exc)}
+    code = error_code_for(exc)
+    if code is not None:
+        error["code"] = code
+    return {"id": request_id, "ok": False, "error": error}
+
+
 async def dispatch(
     ops: Mapping[str, Op], target: object, request: Dict[str, object]
 ) -> Optional[Mapping[str, object]]:
@@ -307,11 +337,7 @@ async def dispatch(
             raise ProtocolError(f"unknown op {op!r}; expected {', '.join(names)}, or {last}")
         return await handler(target, request)
     except Exception as exc:  # every request-level failure becomes a response
-        error: Dict[str, object] = {"type": type(exc).__name__, "message": str(exc)}
-        code = error_code_for(exc)
-        if code is not None:
-            error["code"] = code
-        return {"id": request.get("id"), "ok": False, "error": error}
+        return _error_response(request.get("id"), exc)
 
 
 async def _session_open(service: SolverService, request: Dict[str, object]) -> Dict[str, object]:
@@ -490,40 +516,46 @@ async def serve_connection(
 
     Requests run concurrently; in-flight ones are awaited before the
     connection closes so no accepted request goes unanswered.  The
-    default ``handler`` is :func:`handle_request` bound to ``service``;
-    passing another handler (the cluster router's) reuses this line
-    protocol and lifecycle unchanged — ``service`` may then be ``None``.
+    default ``handler`` is :func:`handle_request` bound to ``service``,
+    and only then are repeat lines answered from the service's response
+    tier by their raw bytes; passing another handler (the cluster
+    router's) reuses this line protocol and lifecycle unchanged —
+    ``service`` may then be ``None``.
     """
     if handler is None:
         if service is None:
             raise ValueError("serve_connection needs a service or an explicit handler")
         handler = partial(handle_request, service)
-    write_lock = asyncio.Lock()
+    else:
+        service = None  # the handler owns every request
+    limit = READER_LIMIT
+    transport = writer.transport
+    high_water = transport.get_write_buffer_limits()[1]
     tasks: Set["asyncio.Task"] = set()
 
-    async def respond(
-        payload: Mapping[str, object],
-        tctx: Optional[Tuple[str, Optional[str]]] = None,
-    ) -> None:
-        async with write_lock:
-            try:
-                if tctx is not None:
-                    start = time.perf_counter()
-                    data = encode_message(payload)
-                    RECORDER.record(
-                        "encode", "wire", tctx[0], new_span_id(), tctx[1],
-                        start, time.perf_counter() - start, nbytes=len(data),
-                    )
-                else:
-                    data = encode_message(payload)
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # Peer went away before reading its response; the request's
-                # outcome is already recorded in the service stats.
-                pass
+    def send(data: bytes) -> None:
+        # A peer that went away loses its responses; the requests'
+        # outcomes are already recorded in the service stats.
+        if not transport.is_closing():
+            writer.write(data)
 
-    async def process(raw: bytes) -> None:
+    def answer_from_tier(line: bytes) -> Optional[bytes]:
+        """The response line to a repeat of an aliased line, else ``None``."""
+        tier = service.response_tier
+        if tier is None:
+            return None
+        started = time.perf_counter()
+        match = tier.match(line)
+        if match is None:
+            return None
+        request_id, entry, timeout, tenant = match
+        try:
+            service.count_tier_hit(entry, started, timeout=timeout, tenant=tenant)
+        except Exception as exc:
+            return encode_message(_error_response(request_id, exc))
+        return encode_message(result_response(request_id, entry.body))
+
+    async def process(raw: bytes, aliasable: bool) -> None:
         start = time.perf_counter()
         try:
             if len(raw) >= INLINE_DECODE_LIMIT:
@@ -533,8 +565,8 @@ async def serve_connection(
             else:
                 request = decode_message(raw)
         except ProtocolError as exc:
-            await respond({"id": None, "ok": False,
-                           "error": {"type": "ProtocolError", "message": str(exc)}})
+            send(encode_message({"id": None, "ok": False,
+                                 "error": {"type": "ProtocolError", "message": str(exc)}}))
             return
         tctx = (parse_wire_trace(request.get("trace"))
                 if RECORDER.enabled else None)
@@ -543,55 +575,104 @@ async def serve_connection(
                 "recv", "wire", tctx[0], new_span_id(), tctx[1],
                 start, time.perf_counter() - start, nbytes=len(raw),
             )
+        if aliasable:
+            _RAW_LINE.set(raw)  # this task's own context
         response = await handler(request)
         if response is None:  # unacknowledged op: no response line
             return
-        await respond(response, tctx)
+        if tctx is not None:
+            start = time.perf_counter()
+            data = encode_message(response)
+            RECORDER.record(
+                "encode", "wire", tctx[0], new_span_id(), tctx[1],
+                start, time.perf_counter() - start, nbytes=len(data),
+            )
+        else:
+            data = encode_message(response)
+        send(data)
         if response.get("shutdown") and shutdown is not None:
             shutdown.set()
 
-    shutdown_wait: Optional["asyncio.Task"] = (
-        asyncio.create_task(shutdown.wait()) if shutdown is not None else None
-    )
-    try:
-        while shutdown_wait is None or not shutdown_wait.done():
-            read = asyncio.create_task(reader.readline())
-            # Race the read against shutdown so a client that keeps the
-            # connection open after sending {"op": "shutdown"} cannot park
-            # the server in readline() forever.
-            race = {read} if shutdown_wait is None else {read, shutdown_wait}
-            await asyncio.wait(race, return_when=asyncio.FIRST_COMPLETED)
-            if not read.done():
-                read.cancel()
-                try:
-                    await read
-                except asyncio.CancelledError:
-                    pass
-                break
+    def take(line: bytes, ready: List[bytes]) -> None:
+        """Answer one complete line now or start its task."""
+        if not line or line.isspace():
+            return
+        aliasable = service is not None and len(line) < INLINE_DECODE_LIMIT
+        if aliasable:
+            response = answer_from_tier(line)
+            if response is not None:
+                ready.append(response)
+                return
+        task = asyncio.create_task(process(line, aliasable))
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    async def read_lines() -> None:
+        held: List[bytes] = []  # the unterminated line read so far
+        held_size = 0
+        while True:
             try:
-                line = read.result()
-            except ValueError as exc:
-                # A line exceeding READER_LIMIT cannot be framed: report it
-                # on the connection instead of dying silently, then close
-                # (the stream position is unrecoverable after an overrun).
-                await respond({"id": None, "ok": False,
-                               "error": {"type": "ProtocolError",
-                                         "message": f"request line too long: {exc}"}})
-                break
+                if transport.get_write_buffer_size() > high_water:
+                    # Read nothing more until the client takes its answers.
+                    await writer.drain()
+                chunk = await reader.read(limit + 1)
             except (ConnectionError, OSError):
                 # Rude disconnect (RST, killed client): just drop the
                 # connection — no traceback, the server keeps serving.
-                break
-            if not line:
-                break
-            if not line.strip():
-                continue
-            task = asyncio.create_task(process(line))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
+                return
+            if not chunk:  # EOF: a last line without "\n" is still a request
+                lines = [b"".join(held)]
+            else:
+                lines = chunk.split(b"\n")
+                if len(lines) == 1:
+                    held.append(chunk)
+                    held_size += len(chunk)
+                    lines = []
+                else:
+                    held.append(lines[0])
+                    lines[0] = b"".join(held)
+                    last = lines.pop()
+                    held, held_size = [last], len(last)
+            ready: List[bytes] = []
+            too_long = held_size > limit
+            for line in lines:
+                if len(line) > limit:
+                    too_long = True
+                    break
+                take(line, ready)
+            if ready:
+                send(b"".join(ready))
+            if too_long:
+                # A line past the limit cannot be framed: report it on the
+                # connection, then close (its end is not worth waiting for).
+                send(encode_message({"id": None, "ok": False, "error": {
+                    "type": "ProtocolError",
+                    "message": f"request line too long: over {limit} bytes",
+                    "code": "too_large"}}))
+                return
+            if not chunk:
+                return
+
+    try:
+        if shutdown is None:
+            await read_lines()
+        else:
+            # One watch for the whole connection: a client that keeps the
+            # connection open after sending {"op": "shutdown"} cannot park
+            # the server in a read forever.
+            reading = asyncio.create_task(read_lines())
+            shutdown_wait = asyncio.create_task(shutdown.wait())
+            try:
+                await asyncio.wait({reading, shutdown_wait},
+                                   return_when=asyncio.FIRST_COMPLETED)
+            finally:
+                shutdown_wait.cancel()
+                reading.cancel()
+                try:
+                    await reading
+                except asyncio.CancelledError:
+                    pass
     finally:
-        if shutdown_wait is not None:
-            shutdown_wait.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         try:

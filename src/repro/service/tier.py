@@ -23,16 +23,32 @@ to :meth:`ResponseTier.put`):
 
 Stored results are stamped ``provenance.cache = "hit"``: whatever the
 original computation said, a response served from here came from a cache.
+
+**Aliases: repeat lines by their raw bytes.**  Clients repeat a request
+line byte for byte but for its id, so the service's tier also keeps, per
+entry, at most one *alias*: the SHA-256 of a served line with its id
+member cut out (:func:`split_id`), mapped to the entry's key and the
+line's validated ``timeout`` and ``tenant``.  :meth:`ResponseTier.match`
+finds the entry of a line from its bytes alone, before any decode or
+digest.  Only the two id forms real clients write are cut: a leading
+``{"id":<int>,`` (at most 18 digits, no leading zero) and a trailing
+``,"id":"<printable ASCII without quote or backslash>"}``.  Either way
+the cut line is the JSON text of the request without its id, so two
+lines with the same cut bytes decode to the same request up to the id,
+and the id is exactly the one framed.  :meth:`ResponseTier.alias` admits
+a line only when its decoded id is the framed one and the cut line holds
+no other top-level ``id``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
-from repro.service.protocol import encode_json
+from repro.service.protocol import ProtocolError, decode_json, encode_json
 
-__all__ = ["ResponseTier", "TierEntry", "TIER_ENTRIES", "TIER_TASKS"]
+__all__ = ["ResponseTier", "TierEntry", "TIER_ENTRIES", "TIER_TASKS", "split_id"]
 
 #: Most entries the service's response tier holds.
 TIER_ENTRIES = 1024
@@ -53,6 +69,34 @@ class TierEntry(NamedTuple):
     size: int
 
 
+def split_id(line: bytes) -> Optional[Tuple[bytes, Union[int, str]]]:
+    """``(line without its id member, id)`` for the two id forms clients write.
+
+    ``line`` is one request line without its ``\\n``.  ``None`` for any
+    other line, which then takes the decoding path.
+    """
+    if line.startswith(b'{"id":'):
+        end = line.find(b",", 6)
+        digits = line[6:end]
+        if 6 < end <= 24 and digits.isdigit() and (end == 7 or digits[:1] != b"0"):
+            return b"{" + line[end + 1:], int(digits)
+    if line.endswith(b'"}'):
+        start = line.rfind(b',"id":"')
+        if 0 < start <= len(line) - 9:  # the closing quote is not the opening one
+            text = line[start + 7:-2]
+            if b'"' not in text and b"\\" not in text and text.isascii():
+                request_id = text.decode("ascii")
+                if request_id.isprintable():
+                    return line[:start] + b"}", request_id
+    return None
+
+
+class _Alias(NamedTuple):
+    key: str
+    timeout: Optional[float]
+    tenant: Optional[str]
+
+
 def _stamp_hit(payload: Dict[str, object]) -> Dict[str, object]:
     provenance = payload.get("provenance")
     if isinstance(provenance, dict) and provenance.get("cache") != "hit":
@@ -69,6 +113,10 @@ class ResponseTier:
         #: Summed size of the stored entries (assignment pairs).
         self.tasks = 0
         self._entries: "OrderedDict[str, TierEntry]" = OrderedDict()
+        #: Alias digest -> entry key and the line's checked fields, and
+        #: entry key -> its one alias digest (see :meth:`alias`).
+        self._aliases: Dict[bytes, _Alias] = {}
+        self._alias_of: Dict[str, bytes] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,5 +143,62 @@ class ResponseTier:
         self._entries[key] = TierEntry(family, encode_json(_stamp_hit(payload)), size)
         self.tasks += size
         while len(self._entries) > self.max_entries or self.tasks > self.max_tasks:
-            _, evicted = self._entries.popitem(last=False)
+            evicted_key, evicted = self._entries.popitem(last=False)
             self.tasks -= evicted.size
+            self._aliases.pop(self._alias_of.pop(evicted_key, b""), None)
+
+    def alias(
+        self,
+        line: bytes,
+        request: Dict[str, object],
+        key: str,
+        timeout: Optional[float],
+        tenant: Optional[str],
+    ) -> None:
+        """Make ``line`` (decoded: ``request``) an alias of the entry under ``key``.
+
+        Called after the tier served ``request`` on the full path, with
+        its validated ``timeout`` and ``tenant``.  Nothing is admitted
+        unless the line frames its id (:func:`split_id`), the decoded id
+        is that id, the line without it holds no other top-level ``id``,
+        and the request has no ``trace`` field.  An entry keeps one
+        alias, the latest, so the aliases never outnumber the entries.
+        """
+        split = split_id(line)
+        if split is None or key not in self._entries or "trace" in request:
+            return
+        cut, request_id = split
+        decoded_id = request.get("id")
+        if type(decoded_id) is not type(request_id) or decoded_id != request_id:
+            return
+        try:
+            rest = decode_json(cut)
+        except ProtocolError:
+            return
+        if not isinstance(rest, dict) or "id" in rest:
+            return
+        digest = hashlib.sha256(cut).digest()
+        self._aliases.pop(self._alias_of.get(key, b""), None)
+        self._aliases[digest] = _Alias(key, timeout, tenant)
+        self._alias_of[key] = digest
+
+    def match(
+        self, line: bytes
+    ) -> Optional[Tuple[Union[int, str], TierEntry, Optional[float], Optional[str]]]:
+        """``(id, entry, timeout, tenant)`` for a line that repeats an alias, else ``None``.
+
+        The entry is marked most recently used, as by :meth:`get`.
+        """
+        if not self._aliases:
+            return None
+        split = split_id(line)
+        if split is None:
+            return None
+        cut, request_id = split
+        alias = self._aliases.get(hashlib.sha256(cut).digest())
+        if alias is None:
+            return None
+        entry = self.get(alias.key)
+        if entry is None:
+            return None
+        return request_id, entry, alias.timeout, alias.tenant

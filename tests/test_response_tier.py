@@ -19,7 +19,13 @@
   the wire and leaves no cache or tier entry behind;
 * **strict ``timeout``** — a boolean, non-finite or non-positive
   ``timeout`` is one typed error on ``solve`` and ``drain``, from the
-  service and from the router, and unbalances no ledger.
+  service and from the router, and unbalances no ledger;
+* **aliases** — a repeat line is answered from its raw bytes only in the
+  two id forms clients write; every other id form, a second ``id`` key,
+  a ``trace`` field and a whitespace variant take the decoding path and
+  answer as it does; QoS and timeout errors and the per-tenant ledgers
+  are those of the decoding path; an alias hit refreshes its entry, and
+  aliases are bounded and evicted with the entries.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -50,7 +57,7 @@ from repro.service.protocol import (
     solve_request,
 )
 from repro.service.server import serve_tcp
-from repro.service.tier import ResponseTier
+from repro.service.tier import ResponseTier, split_id
 from repro.solvers import LRUCache
 
 from make_golden import golden_instances, golden_specs
@@ -830,3 +837,240 @@ class TestStrictTimeout:
                 assert drained["ok"] and drained["drained"]
 
         run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# aliases: repeat lines answered from their raw bytes
+# --------------------------------------------------------------------------- #
+def _body(inst, **fields) -> bytes:
+    """A solve line without an id, as loadgen and clients write it."""
+    return encode_message({"op": "solve", "instance": inst.to_dict(), "spec": "lpt", **fields})
+
+
+def _leading(body: bytes, rid: object) -> bytes:
+    return b'{"id":' + str(rid).encode() + b"," + body[1:]
+
+
+def _trailing(body: bytes, rid: str) -> bytes:
+    return body[:-2] + b',"id":' + rid.encode() + b"}\n"
+
+
+class TestSplitId:
+    @pytest.mark.parametrize("line, expected", [
+        (b'{"id":0,"a":1}', (b'{"a":1}', 0)),
+        (b'{"id":123456789012345678,"a":1}', (b'{"a":1}', 123456789012345678)),
+        (b'{"a":1,"id":"c17"}', (b'{"a":1}', "c17")),
+        (b'{"a":1,"id":""}', (b'{"a":1}', "")),
+        (b'{"a":1,"id":"a b~"}', (b'{"a":1}', "a b~")),
+    ])
+    def test_the_two_client_forms(self, line, expected):
+        assert split_id(line) == expected
+
+    @pytest.mark.parametrize("line", [
+        b'{"id":05,"a":1}', b'{"id":00,"a":1}', b'{"id":1234567890123456789,"a":1}',
+        b'{"id":-5,"a":1}', b'{"id":5.0,"a":1}', b'{"id":1e3,"a":1}', b'{"id":true,"a":1}',
+        b'{"id": 5,"a":1}', b'{"id":5 ,"a":1}', b'{"id":5}', b'{"id":null,"a":1}',
+        b'{"a":1,"id":"a\\"b"}', b'{"a":1,"id":"a\\\\b"}', b'{"a":1,"id":"\\u00e9"}',
+        '{"a":1,"id":"é"}'.encode(), b'{"a":1,"id":"a\tb"}', b'{"a":1,"id":"x"} ',
+        b'{"a":1,"id":5}', b'{"a":1, "id":"x"}', b'{"id":"x"}', b'["id",5]',
+        b'{"a":1,"id":"}',
+    ])
+    def test_any_other_line_is_not_split(self, line):
+        assert split_id(line) is None
+
+
+class TestAliasBookkeeping:
+    PAYLOAD = {"assignment": [[0, 0]], "provenance": {"cache": "hit"}}
+
+    def _aliased(self, tier: ResponseTier, key: str, rid: int) -> bytes:
+        line = b'{"id":%d,"k":"%s"}' % (rid, key.encode())
+        tier.alias(line, {"id": rid, "k": key}, key, None, None)
+        return line
+
+    def test_an_alias_hit_is_most_recently_used(self):
+        tier = ResponseTier(max_entries=2)
+        tier.put("k1", self.PAYLOAD)
+        tier.put("k2", self.PAYLOAD)
+        self._aliased(tier, "k1", 1)
+        rid, entry, timeout, tenant = tier.match(b'{"id":9,"k":"k1"}')
+        assert (rid, timeout, tenant) == (9, None, None)
+        assert entry is tier._entries["k1"]
+        tier.put("k3", self.PAYLOAD)  # evicts k2, the least recently used
+        assert tier.get("k2") is None and tier.get("k1") is not None
+
+    def test_aliases_are_bounded_and_evicted_with_the_entries(self):
+        tier = ResponseTier(max_entries=2)
+        for key in ("k1", "k2"):
+            tier.put(key, self.PAYLOAD)
+            for rid in range(3):  # an entry keeps its latest alias only
+                self._aliased(tier, key, rid)
+        assert len(tier._aliases) == 2
+        tier.put("k3", self.PAYLOAD)  # evicts k1 and its alias
+        assert tier.match(b'{"id":5,"k":"k1"}') is None
+        assert tier.match(b'{"id":5,"k":"k2"}') is not None
+        assert len(tier._aliases) == 1
+
+    def test_an_alias_needs_a_stored_entry_and_a_matching_id(self):
+        tier = ResponseTier()
+        tier.alias(b'{"id":1,"k":"k1"}', {"id": 1, "k": "k1"}, "k1", None, None)
+        tier.put("k1", self.PAYLOAD)
+        tier.alias(b'{"id":1,"k":"k1"}', {"id": True, "k": "k1"}, "k1", None, None)
+        tier.alias(b'{"id":1,"k":"k1"}', {"id": 1.0, "k": "k1"}, "k1", None, None)
+        tier.alias(b'{"id":1,"k":"k1"}', {"id": 1, "k": "k1", "trace": None}, "k1", None, None)
+        assert tier.match(b'{"id":2,"k":"k1"}') is None
+
+
+class TestAliasOverTcp:
+    """Lines an alias must not answer take the decoding path, and answer as it does."""
+
+    async def _line(self, wire: Wire, line: bytes) -> dict:
+        wire.writer.write(line)
+        await wire.writer.drain()
+        return json.loads(await asyncio.wait_for(wire.reader.readline(), 60))
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return decode_message(raw)
+
+        monkeypatch.setattr(server, "decode_message", counting)
+        return calls
+
+    def _scenario(self, inst, check, config=None):
+        async def scenario():
+            async with SolverService(config or ServiceConfig(workers=1, cache=LRUCache())) as svc:
+                async with Wire(svc) as wire:
+                    await check(svc, wire)
+
+        run(scenario())
+
+    def test_a_repeat_is_answered_without_a_decode(self, inst, decodes):
+        body = _body(inst)
+
+        async def check(svc, wire):
+            for rid in (1, 2, 3):  # a miss, a cache hit the tier admits, a tier hit
+                assert (await self._line(wire, _leading(body, rid)))["ok"]
+            assert len(decodes) == 3
+            via_leading = await wire.raw(json.loads(_leading(body, 4)))
+            assert len(decodes) == 3  # answered by the alias
+            via_trailing = await self._line(wire, _trailing(body, '"c9"'))
+            assert len(decodes) == 3 and via_trailing["id"] == "c9"
+            assert json.loads(via_leading) == {**via_trailing, "id": 4}
+            assert svc.stats().cache_hits == 4 and svc.stats().lost == 0
+
+        self._scenario(inst, check)
+
+    @pytest.mark.parametrize("rid", [b"05", b"1234567890123456789", b"-5", b"5.0", b"true"])
+    def test_ids_outside_the_leading_form(self, inst, decodes, rid):
+        body = _body(inst)
+
+        async def check(svc, wire):
+            for k in (1, 2, 3):
+                assert (await self._line(wire, _leading(body, k)))["ok"]
+            line = b'{"id":' + rid + b"," + body[1:]
+            before = len(decodes)
+            response = await self._line(wire, line)
+            assert len(decodes) == before + 1
+            if rid == b"05":  # not JSON: the decoding path's error, not the cached answer
+                assert response["ok"] is False and response["id"] is None
+            else:
+                assert response["ok"] and response["id"] == json.loads(rid)
+                assert type(response["id"]) is type(json.loads(rid))
+
+        self._scenario(inst, check)
+
+    @pytest.mark.parametrize("rid", ['"a\\"b"', '"a\\\\b"', '"\\u00e9"', '"é"', '"a\\tb"'])
+    def test_string_ids_that_need_an_escape(self, inst, decodes, rid):
+        body = _body(inst)
+
+        async def check(svc, wire):
+            for k in range(3):
+                assert (await self._line(wire, _trailing(body, f'"c{k}"')))["ok"]
+            before = len(decodes)
+            response = await self._line(wire, _trailing(body, rid))
+            assert len(decodes) == before + 1
+            assert response["ok"] and response["id"] == json.loads(rid)
+
+        self._scenario(inst, check)
+
+    def test_a_second_id_key_is_never_cut(self, inst, decodes):
+        body = _body(inst)
+
+        def doubled(rid: int, last: int) -> bytes:
+            return b'{"id":%d,' % rid + body[1:-2] + b',"id":%d}\n' % last
+
+        async def check(svc, wire):
+            for _ in range(4):
+                assert (await self._line(wire, doubled(5, 5)))["id"] == 5
+            before = len(decodes)
+            response = await self._line(wire, doubled(6, 5))
+            assert len(decodes) == before + 1
+            assert response["ok"] and response["id"] == 5  # the last id wins, as decoded
+
+        self._scenario(inst, check)
+
+    def test_trace_lines_and_whitespace_variants_decode(self, inst, decodes):
+        traced = _body(inst, trace={"id": "t1", "span": "s1"})
+        spaced = _body(inst).replace(b'"op":"solve"', b'"op": "solve"')
+
+        async def check(svc, wire):
+            for k in range(3):
+                assert (await self._line(wire, _leading(_body(inst), k)))["ok"]
+            for k in range(4):
+                before = len(decodes)
+                assert (await self._line(wire, _leading(traced, 10 + k)))["id"] == 10 + k
+                assert len(decodes) == before + 1
+            before = len(decodes)
+            assert (await self._line(wire, _leading(spaced, 20)))["id"] == 20
+            assert len(decodes) == before + 1
+
+        self._scenario(inst, check)
+
+    def test_qos_and_timeout_errors_match_the_decoding_path(self, inst, monkeypatch):
+        """With QoS on, aliased lines and their hostile variants give the decoding path's
+        error lines and per-tenant ledgers: compared against a run whose
+        tier answers no line from its raw bytes."""
+        tenants = TenantRegistry([TenantConfig("t", rate=0.001, burst=6), TenantConfig("u")],
+                                 default="u")
+        lines = [_leading(_body(inst, tenant="t"), k) for k in range(8)]
+        for tenant in ("nobody", ""):
+            lines += [_leading(_body(inst, tenant=tenant), k) for k in range(2)]
+        for timeout in (-1, 0, "soon", True, 5.0):
+            lines += [_leading(_body(inst, tenant="u", timeout=timeout), k) for k in range(4)]
+        lines += [_trailing(_body(inst, tenant="t"), f'"r{k}"') for k in range(2)]
+
+        def served(match) -> tuple:
+            monkeypatch.setattr(ResponseTier, "match", match)
+            answers = []
+
+            async def check(svc, wire):
+                for line in lines:
+                    wire.writer.write(line)
+                    await wire.writer.drain()
+                    answers.append(await asyncio.wait_for(wire.reader.readline(), 60))
+                stats = svc.stats()
+                assert stats.lost == 0
+                ledgers.update({name: (
+                    {key: snap[key] for key in ("submitted", "admitted", "rejected",
+                                                "cache_hits", "lost")},
+                    snap["rejected_by"]) for name, snap in stats.tenants.items()})
+
+            ledgers: dict = {}
+            self._scenario(inst, check, ServiceConfig(workers=1, cache=LRUCache(),
+                                                      tenants=tenants))
+            return [_without_wall_time(a) for a in answers], ledgers
+
+        aliased = served(ResponseTier.match)
+        decoded = served(lambda tier, line: None)
+        assert aliased == decoded
+        answers, ledgers = aliased
+        assert sum(b'"rate_limited"' in a for a in answers) == 4
+        assert ledgers["t"][0]["rejected"] == 4
+
+
+def _without_wall_time(line: bytes) -> bytes:
+    """A response line with its (miss-dependent) wall time blanked."""
+    return re.sub(rb'"wall_time":[^,}]*', b'"wall_time":0', line)
