@@ -12,7 +12,9 @@ client has sent and takes every complete line in it in one pass.  A
 ``solve`` line that repeats, byte for byte but for its id, a line the
 service's response tier already served is answered on the spot from its
 raw bytes (:meth:`~repro.service.tier.ResponseTier.match`): no decode,
-no digest, no task.  Every other line gets one task, in line order, and
+no digest, no task — unless a task started for an earlier line has not
+run yet, so lines are still charged to their tenants in line order.
+Every other line gets one task, in line order, and
 its response is written when it completes (the ``id`` echo lets clients
 match them); the answers ready in a pass go out in one write.  While the
 transport holds more unsent responses than its high-water mark the
@@ -532,6 +534,10 @@ async def serve_connection(
     transport = writer.transport
     high_water = transport.get_write_buffer_limits()[1]
     tasks: Set["asyncio.Task"] = set()
+    # Tasks started whose first step has not run yet.  A line behind one
+    # is not answered from its raw bytes, so every line is charged (QoS,
+    # rate limits, ledger) in line order, as each task's first step does.
+    unstarted = 0
 
     def send(data: bytes) -> None:
         # A peer that went away loses its responses; the requests'
@@ -556,6 +562,8 @@ async def serve_connection(
         return encode_message(result_response(request_id, entry.body))
 
     async def process(raw: bytes, aliasable: bool) -> None:
+        nonlocal unstarted
+        unstarted -= 1
         start = time.perf_counter()
         try:
             if len(raw) >= INLINE_DECODE_LIMIT:
@@ -595,14 +603,16 @@ async def serve_connection(
 
     def take(line: bytes, ready: List[bytes]) -> None:
         """Answer one complete line now or start its task."""
+        nonlocal unstarted
         if not line or line.isspace():
             return
         aliasable = service is not None and len(line) < INLINE_DECODE_LIMIT
-        if aliasable:
+        if aliasable and not unstarted:
             response = answer_from_tier(line)
             if response is not None:
                 ready.append(response)
                 return
+        unstarted += 1
         task = asyncio.create_task(process(line, aliasable))
         tasks.add(task)
         task.add_done_callback(tasks.discard)

@@ -30,21 +30,20 @@ entry, at most one *alias*: the SHA-256 of a served line with its id
 member cut out (:func:`split_id`), mapped to the entry's key and the
 line's validated ``timeout`` and ``tenant``.  :meth:`ResponseTier.match`
 finds the entry of a line from its bytes alone, before any decode or
-digest.  Only the two id forms real clients write are cut: a leading
-``{"id":<int>,`` (at most 18 digits, no leading zero) and a trailing
-``,"id":"<printable ASCII without quote or backslash>"}``.  Either way
-the cut line is the JSON text of the request without its id, so two
-lines with the same cut bytes decode to the same request up to the id,
-and the id is exactly the one framed.  :meth:`ResponseTier.alias` admits
-a line only when its decoded id is the framed one and the cut line holds
-no other top-level ``id``.
+digest.  Only the id form the load generator writes is cut: a leading
+``{"id":<int>,`` (at most 18 digits, no leading zero).  The cut line is
+the JSON text of the request without its id, so two lines with the same
+cut bytes decode to the same request up to the id, and the id is
+exactly the one framed.  :meth:`ResponseTier.alias` admits a line only
+when its decoded id is the framed one and the cut line holds no other
+top-level ``id``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.service.protocol import ProtocolError, decode_json, encode_json
 
@@ -69,25 +68,18 @@ class TierEntry(NamedTuple):
     size: int
 
 
-def split_id(line: bytes) -> Optional[Tuple[bytes, Union[int, str]]]:
-    """``(line without its id member, id)`` for the two id forms clients write.
+def split_id(line: bytes) -> Optional[Tuple[bytes, int]]:
+    """``(line without its id member, id)`` for a line that opens ``{"id":<int>,``.
 
-    ``line`` is one request line without its ``\\n``.  ``None`` for any
-    other line, which then takes the decoding path.
+    ``line`` is one request line without its ``\\n``; the id has at most
+    18 digits and no leading zero.  ``None`` for any other line, which
+    then takes the decoding path.
     """
     if line.startswith(b'{"id":'):
         end = line.find(b",", 6)
         digits = line[6:end]
         if 6 < end <= 24 and digits.isdigit() and (end == 7 or digits[:1] != b"0"):
             return b"{" + line[end + 1:], int(digits)
-    if line.endswith(b'"}'):
-        start = line.rfind(b',"id":"')
-        if 0 < start <= len(line) - 9:  # the closing quote is not the opening one
-            text = line[start + 7:-2]
-            if b'"' not in text and b"\\" not in text and text.isascii():
-                request_id = text.decode("ascii")
-                if request_id.isprintable():
-                    return line[:start] + b"}", request_id
     return None
 
 
@@ -161,15 +153,19 @@ class ResponseTier:
         its validated ``timeout`` and ``tenant``.  Nothing is admitted
         unless the line frames its id (:func:`split_id`), the decoded id
         is that id, the line without it holds no other top-level ``id``,
-        and the request has no ``trace`` field.  An entry keeps one
-        alias, the latest, so the aliases never outnumber the entries.
+        and the request has no ``trace`` field.  An entry keeps its
+        first alias, so the aliases never outnumber the entries, and a
+        second version of an aliased request (another tenant or
+        ``timeout``) costs one lookup here.
         """
+        if key in self._alias_of or key not in self._entries or "trace" in request:
+            return
         split = split_id(line)
-        if split is None or key not in self._entries or "trace" in request:
+        if split is None:
             return
         cut, request_id = split
         decoded_id = request.get("id")
-        if type(decoded_id) is not type(request_id) or decoded_id != request_id:
+        if type(decoded_id) is not int or decoded_id != request_id:
             return
         try:
             rest = decode_json(cut)
@@ -178,13 +174,12 @@ class ResponseTier:
         if not isinstance(rest, dict) or "id" in rest:
             return
         digest = hashlib.sha256(cut).digest()
-        self._aliases.pop(self._alias_of.get(key, b""), None)
         self._aliases[digest] = _Alias(key, timeout, tenant)
         self._alias_of[key] = digest
 
     def match(
         self, line: bytes
-    ) -> Optional[Tuple[Union[int, str], TierEntry, Optional[float], Optional[str]]]:
+    ) -> Optional[Tuple[int, TierEntry, Optional[float], Optional[str]]]:
         """``(id, entry, timeout, tenant)`` for a line that repeats an alias, else ``None``.
 
         The entry is marked most recently used, as by :meth:`get`.

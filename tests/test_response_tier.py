@@ -20,12 +20,14 @@
 * **strict ``timeout``** — a boolean, non-finite or non-positive
   ``timeout`` is one typed error on ``solve`` and ``drain``, from the
   service and from the router, and unbalances no ledger;
-* **aliases** — a repeat line is answered from its raw bytes only in the
-  two id forms clients write; every other id form, a second ``id`` key,
-  a ``trace`` field and a whitespace variant take the decoding path and
-  answer as it does; QoS and timeout errors and the per-tenant ledgers
-  are those of the decoding path; an alias hit refreshes its entry, and
-  aliases are bounded and evicted with the entries.
+* **aliases** — a repeat line is answered from its raw bytes only when
+  it opens with a plain integer id; every other id form, a string id, a
+  second ``id`` key, a ``trace`` field and a whitespace variant take the
+  decoding path and answer as it does; QoS and timeout errors and the
+  per-tenant ledgers are those of the decoding path, one line at a time
+  and pipelined; an entry keeps its first alias, so a second version of
+  the request pays no second decode; an alias hit refreshes its entry,
+  and aliases are bounded and evicted with the entries.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from repro.service.protocol import (
     solve_request,
 )
 from repro.service.server import serve_tcp
+from repro.service import tier as tier_module
 from repro.service.tier import ResponseTier, split_id
 from repro.solvers import LRUCache
 
@@ -858,12 +861,10 @@ def _trailing(body: bytes, rid: str) -> bytes:
 class TestSplitId:
     @pytest.mark.parametrize("line, expected", [
         (b'{"id":0,"a":1}', (b'{"a":1}', 0)),
+        (b'{"id":7,"a":1}', (b'{"a":1}', 7)),
         (b'{"id":123456789012345678,"a":1}', (b'{"a":1}', 123456789012345678)),
-        (b'{"a":1,"id":"c17"}', (b'{"a":1}', "c17")),
-        (b'{"a":1,"id":""}', (b'{"a":1}', "")),
-        (b'{"a":1,"id":"a b~"}', (b'{"a":1}', "a b~")),
     ])
-    def test_the_two_client_forms(self, line, expected):
+    def test_a_leading_integer_id(self, line, expected):
         assert split_id(line) == expected
 
     @pytest.mark.parametrize("line", [
@@ -873,7 +874,7 @@ class TestSplitId:
         b'{"a":1,"id":"a\\"b"}', b'{"a":1,"id":"a\\\\b"}', b'{"a":1,"id":"\\u00e9"}',
         '{"a":1,"id":"é"}'.encode(), b'{"a":1,"id":"a\tb"}', b'{"a":1,"id":"x"} ',
         b'{"a":1,"id":5}', b'{"a":1, "id":"x"}', b'{"id":"x"}', b'["id",5]',
-        b'{"a":1,"id":"}',
+        b'{"a":1,"id":"}', b'{"a":1,"id":"c17"}', b'{"id":"c17","a":1}',
     ])
     def test_any_other_line_is_not_split(self, line):
         assert split_id(line) is None
@@ -902,7 +903,7 @@ class TestAliasBookkeeping:
         tier = ResponseTier(max_entries=2)
         for key in ("k1", "k2"):
             tier.put(key, self.PAYLOAD)
-            for rid in range(3):  # an entry keeps its latest alias only
+            for rid in range(3):  # the same line under three ids: one alias
                 self._aliased(tier, key, rid)
         assert len(tier._aliases) == 2
         tier.put("k3", self.PAYLOAD)  # evicts k1 and its alias
@@ -910,12 +911,26 @@ class TestAliasBookkeeping:
         assert tier.match(b'{"id":5,"k":"k2"}') is not None
         assert len(tier._aliases) == 1
 
+    def test_an_entry_keeps_its_first_alias(self, monkeypatch):
+        decodes = []
+        monkeypatch.setattr(tier_module, "decode_json",
+                            lambda raw: decodes.append(raw) or decode_json(raw))
+        tier = ResponseTier()
+        tier.put("k1", self.PAYLOAD)
+        tier.alias(b'{"id":1,"k":"k1","tenant":"a"}', {"id": 1}, "k1", None, "a")
+        assert len(decodes) == 1
+        tier.alias(b'{"id":2,"k":"k1","tenant":"b"}', {"id": 2}, "k1", None, "b")
+        assert len(decodes) == 1  # no second decode, digest or replacement
+        assert tier.match(b'{"id":3,"k":"k1","tenant":"a"}')[3] == "a"
+        assert tier.match(b'{"id":4,"k":"k1","tenant":"b"}') is None
+
     def test_an_alias_needs_a_stored_entry_and_a_matching_id(self):
         tier = ResponseTier()
         tier.alias(b'{"id":1,"k":"k1"}', {"id": 1, "k": "k1"}, "k1", None, None)
         tier.put("k1", self.PAYLOAD)
         tier.alias(b'{"id":1,"k":"k1"}', {"id": True, "k": "k1"}, "k1", None, None)
         tier.alias(b'{"id":1,"k":"k1"}', {"id": 1.0, "k": "k1"}, "k1", None, None)
+        tier.alias(b'{"id":1,"k":"k1"}', {"id": "1", "k": "k1"}, "k1", None, None)
         tier.alias(b'{"id":1,"k":"k1"}', {"id": 1, "k": "k1", "trace": None}, "k1", None, None)
         assert tier.match(b'{"id":2,"k":"k1"}') is None
 
@@ -956,9 +971,9 @@ class TestAliasOverTcp:
             assert len(decodes) == 3
             via_leading = await wire.raw(json.loads(_leading(body, 4)))
             assert len(decodes) == 3  # answered by the alias
-            via_trailing = await self._line(wire, _trailing(body, '"c9"'))
-            assert len(decodes) == 3 and via_trailing["id"] == "c9"
-            assert json.loads(via_leading) == {**via_trailing, "id": 4}
+            via_string = await self._line(wire, _trailing(body, '"c9"'))
+            assert len(decodes) == 4 and via_string["id"] == "c9"  # a string id decodes
+            assert json.loads(via_leading) == {**via_string, "id": 4}
             assert svc.stats().cache_hits == 4 and svc.stats().lost == 0
 
         self._scenario(inst, check)
@@ -982,13 +997,14 @@ class TestAliasOverTcp:
 
         self._scenario(inst, check)
 
-    @pytest.mark.parametrize("rid", ['"a\\"b"', '"a\\\\b"', '"\\u00e9"', '"é"', '"a\\tb"'])
-    def test_string_ids_that_need_an_escape(self, inst, decodes, rid):
+    @pytest.mark.parametrize("rid", ['"c9"', '""', '"a\\"b"', '"a\\\\b"', '"\\u00e9"', '"é"',
+                                     '"a\\tb"'])
+    def test_string_ids_decode(self, inst, decodes, rid):
         body = _body(inst)
 
         async def check(svc, wire):
             for k in range(3):
-                assert (await self._line(wire, _trailing(body, f'"c{k}"')))["ok"]
+                assert (await self._line(wire, _leading(body, k)))["ok"]
             before = len(decodes)
             response = await self._line(wire, _trailing(body, rid))
             assert len(decodes) == before + 1
@@ -1029,18 +1045,33 @@ class TestAliasOverTcp:
 
         self._scenario(inst, check)
 
-    def test_qos_and_timeout_errors_match_the_decoding_path(self, inst, monkeypatch):
-        """With QoS on, aliased lines and their hostile variants give the decoding path's
-        error lines and per-tenant ledgers: compared against a run whose
-        tier answers no line from its raw bytes."""
-        tenants = TenantRegistry([TenantConfig("t", rate=0.001, burst=6), TenantConfig("u")],
-                                 default="u")
-        lines = [_leading(_body(inst, tenant="t"), k) for k in range(8)]
-        for tenant in ("nobody", ""):
-            lines += [_leading(_body(inst, tenant=tenant), k) for k in range(2)]
-        for timeout in (-1, 0, "soon", True, 5.0):
-            lines += [_leading(_body(inst, tenant="u", timeout=timeout), k) for k in range(4)]
-        lines += [_trailing(_body(inst, tenant="t"), f'"r{k}"') for k in range(2)]
+    def test_two_versions_of_a_request_decode_once_a_line(self, inst, decodes, monkeypatch):
+        """Two tenants alternate on one request: the first version to reach
+        the tier keeps the alias, the other decodes once a line."""
+        cut_decodes = []
+        monkeypatch.setattr(tier_module, "decode_json",
+                            lambda raw: cut_decodes.append(raw) or decode_json(raw))
+        tenants = TenantRegistry([TenantConfig("a"), TenantConfig("b")], default="a")
+        lines = [_leading(_body(inst, tenant=t), k) for k, t in enumerate("ab" * 8)]
+
+        async def check(svc, wire):
+            for line in lines[:3]:  # a miss, a cache hit the tier admits, a tier hit
+                assert (await self._line(wire, line))["ok"]
+            assert len(cut_decodes) == 1  # tenant "a" aliased
+            for k, line in enumerate(lines[3:], start=3):
+                before = len(decodes)
+                assert (await self._line(wire, line))["id"] == k
+                assert len(decodes) - before == k % 2  # only tenant "b" decodes
+            assert len(cut_decodes) == 1
+            assert svc.stats().tenants["b"]["cache_hits"] == 8
+
+        self._scenario(inst, check, ServiceConfig(workers=1, cache=LRUCache(),
+                                                  tenants=tenants))
+
+    def _served(self, inst, monkeypatch, tenants, lines, burst=()) -> tuple:
+        """The answers to ``lines`` sent one at a time and then ``burst`` in
+        one write (sorted by id), and the per-tenant ledgers; asserted equal
+        to a run whose tier answers no line from its raw bytes."""
 
         def served(match) -> tuple:
             monkeypatch.setattr(ResponseTier, "match", match)
@@ -1051,6 +1082,11 @@ class TestAliasOverTcp:
                     wire.writer.write(line)
                     await wire.writer.drain()
                     answers.append(await asyncio.wait_for(wire.reader.readline(), 60))
+                wire.writer.write(b"".join(burst))
+                await wire.writer.drain()
+                answers.extend(sorted(
+                    [await asyncio.wait_for(wire.reader.readline(), 60) for _ in burst],
+                    key=lambda line: json.loads(line)["id"]))
                 stats = svc.stats()
                 assert stats.lost == 0
                 ledgers.update({name: (
@@ -1064,11 +1100,36 @@ class TestAliasOverTcp:
             return [_without_wall_time(a) for a in answers], ledgers
 
         aliased = served(ResponseTier.match)
-        decoded = served(lambda tier, line: None)
-        assert aliased == decoded
-        answers, ledgers = aliased
+        assert aliased == served(lambda tier, line: None)
+        return aliased
+
+    def test_qos_and_timeout_errors_match_the_decoding_path(self, inst, monkeypatch):
+        """With QoS on, aliased lines and their hostile variants give the decoding path's
+        error lines and per-tenant ledgers."""
+        tenants = TenantRegistry([TenantConfig("t", rate=0.001, burst=6), TenantConfig("u")],
+                                 default="u")
+        lines = [_leading(_body(inst, tenant="t"), k) for k in range(8)]
+        for tenant in ("nobody", ""):
+            lines += [_leading(_body(inst, tenant=tenant), k) for k in range(2)]
+        for timeout in (-1, 0, "soon", True, 5.0):
+            lines += [_leading(_body(inst, tenant="u", timeout=timeout), k) for k in range(4)]
+        lines += [_trailing(_body(inst, tenant="t"), f'"r{k}"') for k in range(2)]
+        answers, ledgers = self._served(inst, monkeypatch, tenants, lines)
         assert sum(b'"rate_limited"' in a for a in answers) == 4
         assert ledgers["t"][0]["rejected"] == 4
+
+    def test_pipelined_lines_are_charged_in_line_order(self, inst, monkeypatch):
+        """A burst in one write under a token bucket: a miss ahead of aliased
+        lines takes its token first, as on the decoding path."""
+        tenants = TenantRegistry([TenantConfig("t", rate=0.001, burst=6)], default="t")
+        other = Instance.from_lists(p=[2.5, 1, 3], s=[1, 1.5, 2], m=2)
+        lines = [_leading(_body(inst, tenant="t"), k) for k in range(3)]  # aliases inst
+        burst = [_leading(_body(other, tenant="t"), 10)]
+        burst += [_leading(_body(inst, tenant="t"), k) for k in range(11, 16)]
+        answers, ledgers = self._served(inst, monkeypatch, tenants, lines, burst)
+        assert json.loads(answers[3])["ok"]  # the miss, first in line
+        assert [b'"rate_limited"' in a for a in answers[4:]] == [False] * 2 + [True] * 3
+        assert ledgers["t"][0]["rejected"] == 3
 
 
 def _without_wall_time(line: bytes) -> bytes:

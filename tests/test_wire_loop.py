@@ -70,11 +70,11 @@ BODIES = [_solve_body(instance) for instance in INSTANCES]
 #: that socket, so the client would not see the server hang up.
 POOL_START = solve_request(Instance.from_lists(p=[1, 2], s=[2, 1], m=2), "lpt")
 
-#: One step of a stream: a solve of a warm instance with its id in the
-#: leading form, the trailing form or neither; a variant the tier only
-#: answers after a decode; a solve of an instance no one asked for
-#: before; a blank line; a line that is not JSON; an unknown op; an
-#: unacknowledged submit.
+#: One step of a stream: a solve of a warm instance with an integer id
+#: leading (the form the tier aliases), a string id trailing or an integer
+#: id after the op; a variant the tier only answers after a decode; a
+#: solve of an instance no one asked for before; a blank line; a line
+#: that is not JSON; an unknown op; an unacknowledged submit.
 steps = st.one_of(
     st.tuples(st.just("warm"), st.integers(0, len(INSTANCES) - 1),
               st.sampled_from(["leading", "leading", "trailing", "middle"])),
@@ -289,11 +289,10 @@ class TestRawBytesOneLineOut:
                 front = await serve_tcp(svc, port=0)
                 port = front.sockets[0].getsockname()[1]
                 # A cache hit the tier admits, a tier hit that aliases the
-                # line, then a repeat answered from its bytes.
+                # line, then repeats answered from their bytes.
                 for line in lines:
                     await send_stream(port, line + b"\n", [])
-                burst = render([("warm", 0, "leading"), ("warm", 0, "trailing")] * 20,
-                               "none", itertools.count())
+                burst = render([("warm", 0, "leading")] * 40, "none", itertools.count())
                 answers = await send_stream(port, b"\n".join(burst) + b"\n", [0.3, 0.7])
                 front.close()
                 await front.wait_closed()
