@@ -304,11 +304,56 @@ async def _close_server(server: object) -> None:
     await server.wait_closed()  # type: ignore[attr-defined]
 
 
+async def _serve_front_end(front, args: argparse.Namespace, banner) -> None:
+    """Serve ``front`` (a service or a cluster router) until it is told to stop.
+
+    The one serving scaffold of ``repro serve`` and ``repro cluster``:
+    the ``--metrics-port`` endpoint, which renders ``/metrics`` by
+    scraping the front end's own ``metrics`` op (so the HTTP and wire
+    expositions cannot diverge); the listener, stdio when ``args.port``
+    is ``None`` and TCP otherwise; the banner ``banner(where)`` on stderr
+    (stdout stays protocol-clean); then a wait for EOF on stdio or a
+    ``shutdown`` op on TCP, and every listener closed on the way out.
+    """
+    import asyncio
+
+    from repro.service.server import serve_stdio, serve_tcp
+
+    metrics_server = None
+    if args.metrics_port is not None:
+        from repro.obs.httpd import start_metrics_server
+
+        async def render_metrics() -> str:
+            response = await front.handle({"op": "metrics", "id": 0})
+            return str(response.get("text", ""))
+
+        metrics_server = await start_metrics_server(
+            render_metrics, host=args.host, port=args.metrics_port
+        )
+    server = None
+    try:
+        if args.port is None:
+            print(banner("on stdio"), file=sys.stderr, flush=True)
+            _print_metrics_banner(metrics_server)
+            await serve_stdio(front)
+        else:
+            shutdown = asyncio.Event()
+            server = await serve_tcp(front, args.host, args.port, shutdown)
+            # The banner reports the actual port, so --port 0 is
+            # test/script friendly.
+            port = server.sockets[0].getsockname()[1]
+            print(banner(f"listening on {args.host}:{port}"), file=sys.stderr, flush=True)
+            _print_metrics_banner(metrics_server)
+            await shutdown.wait()
+    finally:
+        await _close_server(server)
+        await _close_server(metrics_server)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service import ServiceConfig, SolverService
-    from repro.service.server import serve_stdio, serve_tcp
 
     if args.stdio and args.port is not None:
         print("error: --stdio and --port are mutually exclusive", file=sys.stderr)
@@ -333,53 +378,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    def banner(where: str) -> str:
+        return (
+            f"repro service {where} ({config.workers} workers, "
+            f"max_pending={config.max_pending}, policy={config.backpressure})"
+            + (f", cache={args.cache}" if args.cache else "")
+            + (f", tenants={len(config.tenants)}" if config.tenants is not None else "")
+        )
+
     async def run() -> None:
         async with SolverService(config) as svc:
-            metrics_server = None
-            if args.metrics_port is not None:
-                from repro.obs.adapters import build_metrics_registry
-                from repro.obs.httpd import start_metrics_server
-
-                def render_metrics() -> str:
-                    return build_metrics_registry(svc.stats().to_dict()).render()
-
-                metrics_server = await start_metrics_server(
-                    render_metrics, host=args.host, port=args.metrics_port
-                )
-            if args.port is None:
-                print(
-                    f"repro service on stdio ({config.workers} workers, "
-                    f"max_pending={config.max_pending}, policy={config.backpressure})"
-                    + (f", cache={args.cache}" if args.cache else ""),
-                    file=sys.stderr, flush=True,
-                )
-                _print_metrics_banner(metrics_server)
-                try:
-                    await serve_stdio(svc)
-                finally:
-                    await _close_server(metrics_server)
-            else:
-                shutdown = asyncio.Event()
-                server = await serve_tcp(svc, args.host, args.port, shutdown)
-                port = server.sockets[0].getsockname()[1]
-                # The banner goes to stderr (stdout stays protocol-clean) and
-                # reports the actual port so --port 0 is test/script friendly.
-                print(
-                    f"repro service listening on {args.host}:{port} "
-                    f"({config.workers} workers, max_pending={config.max_pending}, "
-                    f"policy={config.backpressure})"
-                    + (f", cache={args.cache}" if args.cache else "")
-                    + (f", tenants={len(config.tenants)}"
-                       if config.tenants is not None else ""),
-                    file=sys.stderr, flush=True,
-                )
-                _print_metrics_banner(metrics_server)
-                try:
-                    await shutdown.wait()
-                finally:
-                    server.close()
-                    await server.wait_closed()
-                    await _close_server(metrics_server)
+            await _serve_front_end(svc, args, banner)
 
     try:
         asyncio.run(run())
@@ -395,7 +404,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.cluster import Autoscaler, ClusterConfig, ClusterRouter, ShardStartError
-    from repro.service.server import serve_tcp
 
     try:
         config = ClusterConfig(
@@ -429,46 +437,25 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         async with ClusterRouter(config) as router:
+            def banner(where: str) -> str:
+                return (
+                    f"repro cluster {where} "
+                    f"({len(router.shard_names())} {config.backend} shards, "
+                    f"workers={config.workers}/shard, "
+                    f"scale=[{config.min_shards},{config.max_shards}] "
+                    f"@ queue {config.scale_down_at:g}..{config.scale_up_at:g})"
+                    + (f", attached={len(config.attach)}" if config.attach else "")
+                    + (f", cache={args.cache}" if args.cache else "")
+                    + (f", tenants={len(config.tenants)}"
+                       if config.tenants is not None else "")
+                )
+
             autoscaler = Autoscaler(router)
             if not args.no_autoscale:
                 autoscaler.start()
-            metrics_server = None
-            if args.metrics_port is not None:
-                from repro.obs.httpd import start_metrics_server
-
-                async def render_metrics() -> str:
-                    # Scrape the `metrics` wire op itself, so the HTTP and
-                    # wire expositions cannot diverge.
-                    response = await router.handle({"op": "metrics", "id": 0})
-                    return str(response.get("text", ""))
-
-                metrics_server = await start_metrics_server(
-                    render_metrics, host=args.host, port=args.metrics_port
-                )
-            shutdown = asyncio.Event()
-            server = await serve_tcp(
-                None, args.host, args.port, shutdown, handler=router.handle
-            )
-            port = server.sockets[0].getsockname()[1]
-            print(
-                f"repro cluster listening on {args.host}:{port} "
-                f"({len(router.shard_names())} {config.backend} shards, "
-                f"workers={config.workers}/shard, "
-                f"scale=[{config.min_shards},{config.max_shards}] "
-                f"@ queue {config.scale_down_at:g}..{config.scale_up_at:g})"
-                + (f", attached={len(config.attach)}" if config.attach else "")
-                + (f", cache={args.cache}" if args.cache else "")
-                + (f", tenants={len(config.tenants)}"
-                   if config.tenants is not None else ""),
-                file=sys.stderr, flush=True,
-            )
-            _print_metrics_banner(metrics_server)
             try:
-                await shutdown.wait()
+                await _serve_front_end(router, args, banner)
             finally:
-                server.close()
-                await server.wait_closed()
-                await _close_server(metrics_server)
                 await autoscaler.stop()
 
     try:

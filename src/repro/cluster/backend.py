@@ -12,7 +12,7 @@ two implementations are interchangeable:
   multiplexes requests over a :class:`~repro.service.client.ServiceClient`
   TCP connection.  Real process isolation, real wire costs.
 * :class:`InprocShard` — embeds the service in the router's own event
-  loop and calls :func:`~repro.service.server.handle_request` directly.
+  loop and calls its :meth:`~repro.service.SolverService.handle` directly.
   No subprocess, no sockets: cheap, deterministic, ideal for tests and
   quickstarts, with identical protocol semantics.
 * :class:`RemoteShard` — the multi-host shape: *attaches* to an
@@ -137,12 +137,10 @@ class InprocShard(ShardHandle):
         )
 
     async def request(self, payload: Dict[str, object]) -> Mapping[str, object]:
-        from repro.service.server import handle_request
-
         if not self.alive:
             raise ConnectionError(f"shard {self.name} is down")
         try:
-            response = await handle_request(self._service, payload)
+            response = await self._service.handle(payload)
         except asyncio.CancelledError:
             # A kill closes the embedded service un-drained, cancelling its
             # in-flight waiters.  A dead *process* shard surfaces the same
@@ -160,11 +158,9 @@ class InprocShard(ShardHandle):
         return response
 
     async def send(self, payload: Dict[str, object]) -> None:
-        from repro.service.server import handle_request
-
         if not self.alive:
             raise ConnectionError(f"shard {self.name} is down")
-        await handle_request(self._service, payload)
+        await self._service.handle(payload)
 
     async def stop(self) -> None:
         if self._service is not None and self._service.is_running:

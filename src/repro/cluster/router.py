@@ -43,10 +43,15 @@ attached :class:`~repro.cluster.backend.RemoteShard` is on another host
 entirely.  Cross-shard reuse is a property of *routing*, not storage —
 ``request_key`` rendezvous-hashes identical solve requests to the same
 shard, so each key's repeats land where its result is already cached;
-on top of that the router keeps its own bounded read-through tier
-(``ClusterConfig.router_cache``) consulted before routing, which keeps
-repeats warm even across shard churn (a key remapped by a crash finds
-its result at the router without recomputing).  The one invariant to
+on top of that the router keeps its own bounded response tier
+(``ClusterConfig.router_cache``), which keeps repeats warm even across
+shard churn (a key remapped by a crash finds its result at the router
+without recomputing).  The router is a
+:class:`~repro.service.server.FrontEnd` like a service: a ``solve``
+runs the shared :func:`~repro.service.server.tier_stage` first, so a
+repeat is answered from the tier before admission and routing, ledgered
+slot-free (:meth:`ClusterRouter.count_tier_hit`), and its next repeat
+on a connection from its raw bytes.  The one invariant to
 preserve when changing routing: *a given key must map to one routable
 shard at a time* — rendezvous hashing guarantees it for any live set.
 
@@ -74,7 +79,7 @@ from repro.cluster.backend import (
 )
 from repro.cluster.config import ClusterConfig
 from repro.cluster.journal import SessionJournal
-from repro.cluster.routing import rank, request_key
+from repro.cluster.routing import rank
 from repro.cluster.stats import ClusterStats, merge_shard_stats
 from repro.obs.logging import log_event
 from repro.obs.trace import (
@@ -88,15 +93,13 @@ from repro.obs.trace import (
 from repro.qos.admission import AdmissionController
 from repro.qos.tenants import CLASS_URGENCY
 from repro.service.config import ServiceConfig
-from repro.service.protocol import (
-    PROTOCOL_VERSION, ProtocolError, result_response, solve_request,
-)
+from repro.service.protocol import PROTOCOL_VERSION, ProtocolError, solve_request
 from repro.service.server import (
-    _ack_field, _metrics_response, _session_id, _shutdown, _submit_tasks,
-    _tenant_field, _timeout_field, _trace_fields, _trace_response, dispatch,
+    Miss, _ack_field, _metrics_response, _session_id, _shutdown, _submit_tasks,
+    _tenant_field, _timeout_field, _trace_fields, _trace_response, dispatch, tier_stage,
 )
 from repro.service.sessions import UnknownSessionError
-from repro.service.tier import ResponseTier
+from repro.service.tier import ResponseTier, TierEntry
 
 __all__ = [
     "ClusterRouter",
@@ -138,8 +141,8 @@ class ClusterRouter:
         async with ClusterRouter(config) as router:
             payload = await router.solve(instance, "sbo(delta=1.0)")
 
-    or drive the wire front end by passing :meth:`handle` to
-    :func:`repro.service.server.serve_tcp` — that is exactly what
+    or serve the wire protocol with ``serve_tcp(router)``
+    (:func:`repro.service.server.serve_tcp`) — that is exactly what
     ``repro cluster`` does.
     """
 
@@ -181,9 +184,9 @@ class ClusterRouter:
         #: lets a later op on a lost session fail with the typed
         #: ``session_lost`` code instead of a generic unknown-session error.
         self._lost_sessions: "OrderedDict[str, str]" = OrderedDict()
-        #: The router's own read-through response tier over request_key
-        #: (``None`` when ``router_cache`` is 0): every ok solve response.
-        self._tier: Optional[ResponseTier] = (
+        #: The router's own response tier over request_key (``None`` when
+        #: ``router_cache`` is 0): it admits every ok solve response.
+        self.response_tier: Optional[ResponseTier] = (
             ResponseTier(config.router_cache) if config.router_cache > 0 else None
         )
         self._probe_task: Optional["asyncio.Task"] = None
@@ -482,14 +485,35 @@ class ClusterRouter:
     async def handle(self, request: Dict[str, object]) -> Optional[Mapping[str, object]]:
         """One decoded request in, one response payload (or ``None``) out.
 
-        Plug-compatible with :data:`repro.service.server.Handler` — pass
-        it to ``serve_tcp(None, ..., handler=router.handle)`` and the
-        stock transports serve the whole cluster.  Dispatches through the
-        router's op table (:data:`_OPS`) with the service's own
+        The :class:`~repro.service.server.FrontEnd` entry point, so
+        ``serve_tcp(router)`` serves the whole cluster.  Dispatches through
+        the router's op table (:data:`_OPS`) with the service's own
         :func:`~repro.service.server.dispatch`, so both front ends check
         ops and answer errors the same way.
         """
         return await dispatch(self._OPS, self, request)
+
+    def count_tier_hit(
+        self, entry: TierEntry, started: float, *, timeout: Optional[float] = None,
+        tenant: Optional[str] = None, trace: object = None,
+    ) -> None:
+        """Ledger one solve the router's tier answered, as a service ledgers a cache hit.
+
+        The tenant passes QoS attribution and its rate limit and is
+        admitted slot-free (``cache_hits``); no shard is asked, so no
+        routing decision is counted.  ``timeout`` was validated by the
+        tier stage and has nothing left to bound.
+        """
+        if self._qos is not None:
+            self._qos.admit_fast(self._qos.begin(tenant), "cache_hits")
+        self._counters["router_cache_hits"] += 1
+        if RECORDER.enabled:
+            # The router is the ingress: adopt the client's trace or mint one.
+            tctx = parse_wire_trace(trace) or (new_trace_id(), None)
+            RECORDER.record(
+                "cache_consult", "router", tctx[0], new_span_id(), tctx[1],
+                started, time.perf_counter() - started, hit=True,
+            )
 
     async def _handoff_op(self, request: Dict[str, object]) -> Dict[str, object]:
         session_id = _session_id(request)
@@ -522,29 +546,29 @@ class ClusterRouter:
     # solve routing
     # ------------------------------------------------------------------ #
     async def _admit_solve(self, request: Dict[str, object]) -> Mapping[str, object]:
-        """QoS-gate one solve request, then route it.
+        """The router's ``solve`` op: :func:`~repro.service.server.tier_stage`,
+        then QoS admission and routing on a miss.
 
-        The fields the routing key leaves out (``timeout``, ``tenant``)
-        are validated first, exactly as a shard would, so a router-tier
-        hit cannot accept what a shard rejects.  With no tenants
-        configured this is then :meth:`_forward_solve`.  Otherwise the
-        request passes the cluster-wide admission controller first — rate
-        limiter, quota, then a weighted-fair slot — and its outcome
+        With no tenants configured a miss is :meth:`_forward_solve`.
+        Otherwise it passes the cluster-wide admission controller first —
+        rate limiter, quota, then a weighted-fair slot — and its outcome
         (completed / failed / abandoned) is ledgered against the tenant,
         keeping per-tenant ``admitted + rejected == submitted``.
         """
-        _timeout_field(request)
-        tenant = _tenant_field(request)
+        miss = await tier_stage(self, request)
+        if not isinstance(miss, Miss):
+            return miss
+        key = await miss.digest(request)
         if self._qos is None:
-            return await self._forward_solve(request)
-        cfg = self._qos.begin(tenant)
+            return await self._forward_solve(request, key)
+        cfg = self._qos.begin(miss.tenant)
         await self._qos.acquire_slot(
             cfg, reject_on_full=self.config.backpressure == "reject"
         )
         self._qos.job_admitted(cfg)
         outcome = "abandoned"
         try:
-            response = await self._forward_solve(request)
+            response = await self._forward_solve(request, key)
             outcome = "completed" if response.get("ok") else "failed"
         except NoShardAvailableError:
             outcome = "failed"  # a routing failure, like a relayed error
@@ -554,8 +578,7 @@ class ClusterRouter:
             self._qos.finish(cfg, outcome)
         return response
 
-    async def _forward_solve(self, request: Dict[str, object]) -> Mapping[str, object]:
-        key = request_key(request)
+    async def _forward_solve(self, request: Dict[str, object], key: str) -> Mapping[str, object]:
         # Trace context: adopt the client's when the request carries one,
         # otherwise — the router being the ingress — mint a fresh trace id.
         # One ``RECORDER.enabled`` check is the whole disabled-path cost;
@@ -564,21 +587,12 @@ class ClusterRouter:
         tctx: Optional[Tuple[str, Optional[str]]] = None
         if RECORDER.enabled:
             tctx = parse_wire_trace(request.get("trace")) or (new_trace_id(), None)
-        # Read-through response tier *before* routing: a hit never touches
-        # a shard (and makes no routing decision, so ``routed`` holds
-        # still).  Sound because solvers are deterministic and results
-        # content-addressed by the same key rendezvous routing hashes.
-        cached = self._tier.get(key) if self._tier is not None else None
-        if self._tier is not None:
-            outcome = "misses" if cached is None else "hits"
-            self._counters[f"router_cache_{outcome}"] += 1
-        if tctx is not None:
-            RECORDER.record(
+            RECORDER.record(  # the tier stage missed (a hit never gets here)
                 "cache_consult", "router", tctx[0], new_span_id(), tctx[1],
-                time.perf_counter(), 0.0, hit=cached is not None,
+                time.perf_counter(), 0.0, hit=False,
             )
-        if cached is not None:
-            return result_response(request.get("id"), cached.body)
+        if self.response_tier is not None:
+            self._counters["router_cache_misses"] += 1
         inner = dict(request)
         inner.pop("id", None)
         tried: set = set()
@@ -638,8 +652,9 @@ class ClusterRouter:
             # with a spliced response, which is read-only.
             response = dict(response)
             result = response.get("result")
-            if self._tier is not None and response.get("ok") and isinstance(result, dict):
-                self._tier.put(key, result)
+            tier = self.response_tier
+            if tier is not None and response.get("ok") and isinstance(result, dict):
+                tier.put(key, result)
             response["id"] = request.get("id")
             return response
 

@@ -25,8 +25,11 @@ buckets — the cluster and tenant merges are built on it.
 Each serving process owns its histograms (a
 :class:`~repro.service.service.SolverService` records its request and
 phase latencies into private :class:`Histogram` objects); there is no
-process-global registry.  ``to_dict`` / ``from_dict`` / ``merge`` give
-the structured wire form of a registry.
+process-global registry.  A cluster merges its shards' ``stats``
+payloads (:func:`repro.cluster.stats.merge_shard_stats`), and the
+``metrics`` op builds a registry from such a payload
+(:func:`repro.obs.adapters.build_metrics_registry`); ``to_dict`` gives
+the registry's structured form (the op's ``"format": "dict"``).
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "summarize",
     "merge_summaries",
-    "merge_registry_dicts",
 ]
 
 #: Default latency bucket upper bounds (seconds): 100 µs .. 30 s.
@@ -471,8 +473,7 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     # ------------------------------------------------------------------ #
-    # structured wire form (the `metrics` op payload; exact cross-shard
-    # merge happens on these dicts)
+    # structured form (the `metrics` op's "dict" format)
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
         with self._lock:
@@ -491,64 +492,3 @@ class MetricsRegistry:
             }
             out[name] = entry
         return out
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(payload)
-        return registry
-
-    def merge(self, payload: Mapping[str, object]) -> None:
-        """Fold a :meth:`to_dict` payload into this registry.
-
-        Counters and histogram series **add**; gauges add too (the
-        cluster reading of a gauge like queue depth is the sum over
-        shards).  Histogram addition is exact: same boundaries, bucket
-        counts summed.
-        """
-        for name, entry in payload.items():
-            if not isinstance(entry, Mapping):
-                continue
-            kind = entry.get("kind")
-            help_text = str(entry.get("help", ""))
-            labelnames = tuple(str(n) for n in entry.get("labels", ()))
-            series = entry.get("series", {})
-            if not isinstance(series, Mapping):
-                continue
-            if kind == "histogram":
-                boundaries = tuple(
-                    float(b) for b in entry.get("boundaries", DEFAULT_LATENCY_BUCKETS)
-                )
-                metric = self.histogram(name, help_text, labelnames, boundaries)
-                for packed, data in series.items():
-                    if not isinstance(data, Mapping):
-                        continue
-                    key = tuple(str(packed).split("\t")) if labelnames else ()
-                    # A non-finite maximum arrives as null on the wire.
-                    peak = data.get("max")
-                    metric.merge_series(
-                        key,
-                        [int(c) for c in data.get("buckets", [])],
-                        float(data.get("sum", 0.0)),
-                        int(data.get("count", 0)),
-                        float(peak) if isinstance(peak, (int, float)) else -math.inf,
-                    )
-            elif kind == "gauge":
-                metric = self.gauge(name, help_text, labelnames)
-                for packed, value in series.items():
-                    key = tuple(str(packed).split("\t")) if labelnames else ()
-                    metric.inc(float(value), *key)
-            elif kind == "counter":
-                metric = self.counter(name, help_text, labelnames)
-                for packed, value in series.items():
-                    key = tuple(str(packed).split("\t")) if labelnames else ()
-                    metric.inc(float(value), *key)
-
-
-def merge_registry_dicts(payloads: Iterable[Mapping[str, object]]) -> MetricsRegistry:
-    """One registry holding the exact sum of several ``to_dict`` payloads."""
-    merged = MetricsRegistry()
-    for payload in payloads:
-        merged.merge(payload)
-    return merged
-

@@ -11,8 +11,9 @@ long-running service (the ROADMAP's production-serving seam):
 * :mod:`repro.service.config` — :class:`ServiceConfig`;
 * :mod:`repro.service.stats` — :class:`ServiceStats` snapshots;
 * :mod:`repro.service.protocol` — the line-delimited JSON wire format;
-* :mod:`repro.service.server` — stdio and TCP front ends used by
-  ``repro serve``;
+* :mod:`repro.service.server` — the stdio and TCP transports of
+  ``repro serve`` and ``repro cluster``, and the ``solve`` tier stage
+  both front ends share;
 * :mod:`repro.service.sessions` — per-session state for streaming
   (online) solving: ``session_open`` / ``session_submit`` /
   ``session_result`` / ``session_close`` ops backed by

@@ -284,8 +284,9 @@ class ServiceClient:
         """Unified metrics from the server (``metrics`` op).
 
         ``format="text"`` returns the Prometheus exposition text;
-        ``format="dict"`` returns the mergeable registry dict
-        (:meth:`repro.obs.metrics.MetricsRegistry.to_dict`).
+        ``format="dict"`` returns the registry's structured form
+        (:meth:`repro.obs.metrics.MetricsRegistry.to_dict`).  A cluster's
+        answer is already merged over its shards (from their ``stats``).
         """
         response = await self.request({"op": "metrics", "format": format})
         return response["text" if format == "text" else "metrics"]

@@ -79,10 +79,6 @@ class ServiceConfig:
         ``None`` defers to the process default installed via
         :func:`repro.solvers.cache.configure_cache`, ``False`` disables,
         a directory path or cache object enables.
-    coalesce:
-        Merge concurrent requests for the same ``(instance content,
-        canonical bound spec)`` into one computation (every solver in the
-        package is deterministic, so all callers receive the same result).
     start_method:
         Optional multiprocessing start method for the worker pool
         (``"fork"``, ``"spawn"``, ``"forkserver"``); ``None`` uses the
@@ -133,7 +129,6 @@ class ServiceConfig:
     auto_timeout_ceiling: Optional[float] = 300.0
     auto_timeout_min_samples: int = 20
     cache: CacheLike = None
-    coalesce: bool = True
     start_method: Optional[str] = None
     max_sessions: int = 64
     max_session_tasks: int = 1_000_000

@@ -1,4 +1,12 @@
-"""Network front ends for :class:`~repro.service.service.SolverService`.
+"""The line-protocol transports, shared by both front ends.
+
+A *front end* is what the transports serve: a
+:class:`~repro.service.service.SolverService` (``repro serve``) or a
+:class:`~repro.cluster.router.ClusterRouter` (``repro cluster``).  Both
+satisfy :class:`FrontEnd`: ``handle(request)`` answers one decoded
+request, ``response_tier`` is the digest-keyed response tier (or
+``None``), and ``count_tier_hit`` ledgers one answer the tier gave.
+Everything here runs the same code for either of them.
 
 Two transports speak the line-delimited JSON protocol of
 :mod:`repro.service.protocol`:
@@ -10,11 +18,11 @@ Two transports speak the line-delimited JSON protocol of
 Both process requests *concurrently*.  A connection reads whatever its
 client has sent and takes every complete line in it in one pass.  A
 ``solve`` line that repeats, byte for byte but for its id, a line the
-service's response tier already served is answered on the spot from its
-raw bytes (:meth:`~repro.service.tier.ResponseTier.match`): no decode,
-no digest, no task — unless a task started for an earlier line has not
-run yet, so lines are still charged to their tenants in line order.
-Every other line gets one task, in line order, and
+front end's response tier already served is answered on the spot from
+its raw bytes (:meth:`~repro.service.tier.ResponseTier.match`): no
+decode, no digest, no task — unless a task started for an earlier line
+has not run yet, so lines are still charged to their tenants in line
+order.  Every other line gets one task, in line order, and
 its response is written when it completes (the ``id`` echo lets clients
 match them); the answers ready in a pass go out in one write.  While the
 transport holds more unsent responses than its high-water mark the
@@ -23,6 +31,10 @@ cannot make the server buffer without bound.
 Request-level failures (bad JSON, unknown solver, capability errors,
 timeouts, backpressure rejections, session errors) are reported as error
 responses on the same connection — they never tear the server down.
+
+A decoded ``solve`` runs :func:`tier_stage` first on both front ends:
+it checks the fields the digest leaves out and answers a repeat from
+the tier before anything else happens.
 
 The streaming ``session_*`` ops execute synchronously on the event loop
 (placements are O(m) CPU work), so ops pipelined on one connection are
@@ -44,8 +56,10 @@ import math
 import sys
 import time
 from contextvars import ContextVar
-from functools import partial
-from typing import Awaitable, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Awaitable, Callable, Dict, List, Mapping, NamedTuple, Optional, Protocol,
+    Set, Tuple, Union,
+)
 
 from repro.obs.trace import RECORDER, new_span_id, parse_wire_trace
 from repro.service.protocol import (
@@ -62,20 +76,39 @@ from repro.service.protocol import (
     sanitize_non_finite,
     task_from_payload,
 )
-from repro.service.service import OFFLOAD_TASK_COUNT, SolverService
 
-__all__ = ["handle_request", "dispatch", "serve_connection", "serve_tcp", "serve_stdio", "Handler"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.service.service import SolverService
+    from repro.service.tier import ResponseTier, TierEntry
 
-#: A request handler: one decoded request in, one response payload out —
-#: a dict, or an :class:`~repro.service.protocol.EncodedResponse` for a
-#: solve answered from a response tier — or ``None`` for fire-and-forget
-#: requests that must not produce a response line (unacknowledged
-#: ``session_submit`` ops).  The transports
-#: (:func:`serve_connection` / :func:`serve_tcp` / :func:`serve_stdio`)
-#: default to ``handle_request`` bound to a :class:`SolverService`, but
-#: accept any handler — the cluster layer reuses the exact same line protocol,
-#: concurrency, and shutdown machinery with its router's handler.
-Handler = Callable[[Dict[str, object]], Awaitable[Optional[Mapping[str, object]]]]
+__all__ = [
+    "FrontEnd", "Miss", "dispatch", "tier_stage",
+    "serve_connection", "serve_tcp", "serve_stdio",
+]
+
+
+class FrontEnd(Protocol):
+    """What the transports serve: a ``SolverService`` or a ``ClusterRouter``.
+
+    ``handle`` answers one decoded request: a dict, an
+    :class:`~repro.service.protocol.EncodedResponse` for a solve the tier
+    answered, or ``None`` where no response line is written (an
+    unacknowledged ``session_submit``).  ``response_tier`` is the front
+    end's tier or ``None``; ``count_tier_hit`` ledgers one solve the tier
+    answered, or raises its rejection.
+    """
+
+    response_tier: Optional["ResponseTier"]
+
+    async def handle(self, request: Dict[str, object]) -> Optional[Mapping[str, object]]:
+        ...
+
+    def count_tier_hit(
+        self, entry: "TierEntry", started: float, *, timeout: Optional[float] = None,
+        tenant: Optional[str] = None, trace: object = None,
+    ) -> None:
+        ...
+
 
 #: Per-line limit of the connection loop and buffer limit of the stream
 #: readers.  The default asyncio limit (64 KiB) is far too small for a
@@ -85,13 +118,18 @@ Handler = Callable[[Dict[str, object]], Awaitable[Optional[Mapping[str, object]]
 READER_LIMIT = 32 * 1024 * 1024
 
 #: Request lines at or above this size are JSON-decoded off-loop, and solve
-#: payloads with at least :data:`~repro.service.service.OFFLOAD_TASK_COUNT`
-#: tasks are rebuilt off-loop, so one huge request cannot head-of-line block
-#: every other connection.
+#: payloads with at least :data:`OFFLOAD_TASK_COUNT` tasks are digested and
+#: rebuilt off-loop, so one huge request cannot head-of-line block every
+#: other connection.
 INLINE_DECODE_LIMIT = 256 * 1024
 
-#: The raw line of the request a service connection's task is serving,
-#: when it is short enough to alias (see :func:`_solve`).
+#: Instances at or above this task count are processed off-loop: their
+#: payload here, their content hash in the service.
+OFFLOAD_TASK_COUNT = 10_000
+
+#: The raw line of the request a connection's task is serving, when it is
+#: short enough to alias (see :func:`tier_stage`).  A router forwards a
+#: request without its id, so an in-process shard never aliases the line.
 _RAW_LINE: ContextVar[Optional[bytes]] = ContextVar("raw_line", default=None)
 
 
@@ -135,64 +173,88 @@ def _is_huge(data: object) -> bool:
     )
 
 
-async def _solve(service: SolverService, request: Dict[str, object]) -> Mapping[str, object]:
-    """The ``solve`` op: the response tier first, the full path on a miss.
+class Miss(NamedTuple):
+    """A ``solve`` request :func:`tier_stage` did not answer, with its checked fields."""
 
-    With a result cache configured, the request digest is looked up in
-    the service's response tier before anything else.  An entry exists
-    only for exactly this decoded (instance, spec, params) after a full
-    validated solve whose answer the cache served, so a hit skips the
-    instance rebuild, the content hash and the cache read; the fields the
-    digest leaves out (``timeout``, ``tenant``) are still validated, and
-    the hit is ledgered like a cache hit.  The response splices the
-    tier's stored result bytes behind the request id
-    (:func:`~repro.service.protocol.result_response`).
+    timeout: Optional[float]
+    tenant: Optional[str]
+    #: Whether the instance payload is processed off-loop (:func:`_is_huge`).
+    huge: bool
+    #: The request digest, when the stage computed it.
+    key: Optional[str] = None
 
-    The digest is computed only where it can pay off: to look up a tier
-    that holds entries, and to admit a response.  A stream of one-off
-    misses leaves the tier empty and never pays for it.
-
-    A tier hit from a wire line also admits that line as an alias of the
-    entry (:meth:`~repro.service.tier.ResponseTier.alias`), so its next
-    repeat is answered by :func:`serve_connection` from its raw bytes.
-
-    On a miss the QoS attribution (:meth:`SolverService.attribute`) runs
-    before the instance is rebuilt and the spec is checked, as a router
-    does: an unknown tenant is one ``UnknownTenantError`` on both front
-    ends, whatever else the request gets wrong.
-    """
-    request_id = request.get("id")
-    timeout = _timeout_field(request)
-    tenant = _tenant_field(request)
-    data = request.get("instance")
-    huge = _is_huge(data)
-    loop = asyncio.get_running_loop()
-
-    async def digest() -> str:
-        if huge:
-            return await loop.run_in_executor(None, request_key, request)
+    async def digest(self, request: Dict[str, object]) -> str:
+        """The request digest: the stage's, else computed now (off-loop when huge)."""
+        if self.key is not None:
+            return self.key
+        if self.huge:
+            return await asyncio.get_running_loop().run_in_executor(None, request_key, request)
         return request_key(request)
 
-    tier = service.response_tier
-    key = None
-    if tier is not None and len(tier) > 0:
-        started = time.perf_counter()
-        key = await digest()
-        entry = tier.get(key)
-        if entry is not None:
-            service.count_tier_hit(
-                entry, started, timeout=timeout, tenant=tenant, trace=request.get("trace"),
-            )
-            line = _RAW_LINE.get()
-            if line is not None:
-                tier.alias(line, request, key, timeout, tenant)
-            return result_response(request_id, entry.body)
-    tenant_cfg = service.attribute(tenant)
+
+async def tier_stage(
+    front: FrontEnd, request: Dict[str, object]
+) -> Union[Mapping[str, object], Miss]:
+    """Stage 0 of a ``solve`` on both front ends: the response tier.
+
+    Validates the fields the request digest leaves out (``timeout``,
+    ``tenant``), so a tier hit cannot accept what the full path rejects.
+    When the front end's tier holds entries it looks the digest up; an
+    entry exists only for exactly this decoded (instance, spec, params),
+    so a hit skips the instance rebuild, the content hash, the cache read
+    and, on a router, the shards.  The hit is ledgered by
+    ``front.count_tier_hit`` (slot-free, like a cache hit), admits the
+    request's raw line as an alias of the entry
+    (:meth:`~repro.service.tier.ResponseTier.alias`) so its next repeat
+    is answered by :func:`serve_connection` from its bytes, and returns
+    the response spliced from the stored result bytes
+    (:func:`~repro.service.protocol.result_response`).
+
+    The digest is computed only where it can pay off: a stream of one-off
+    misses leaves the tier empty and never pays for it.  Anything else
+    returns a :class:`Miss` for the front end's own path.
+    """
+    timeout = _timeout_field(request)
+    tenant = _tenant_field(request)
+    miss = Miss(timeout, tenant, _is_huge(request.get("instance")))
+    tier = front.response_tier
+    if tier is None or len(tier) == 0:
+        return miss
+    started = time.perf_counter()
+    key = await miss.digest(request)
+    entry = tier.get(key)
+    if entry is None:
+        return miss._replace(key=key)
+    front.count_tier_hit(entry, started, timeout=timeout, tenant=tenant,
+                         trace=request.get("trace"))
+    line = _RAW_LINE.get()
+    if line is not None:
+        tier.alias(line, request, key, timeout, tenant)
+    return result_response(request.get("id"), entry.body)
+
+
+async def _solve(service: SolverService, request: Dict[str, object]) -> Mapping[str, object]:
+    """The service's ``solve`` op: :func:`tier_stage`, then the full path on a miss.
+
+    The service's tier admits only answers its result cache served, so
+    one-off misses, coalesced joins and errors cost it no memory.  On a
+    miss the QoS attribution (:meth:`SolverService.attribute`) runs before
+    the instance is rebuilt and the spec is checked, as a router does: an
+    unknown tenant is one ``UnknownTenantError`` on both front ends,
+    whatever else the request gets wrong.
+    """
+    miss = await tier_stage(service, request)
+    if not isinstance(miss, Miss):
+        return miss
+    tenant_cfg = service.attribute(miss.tenant)
+    data = request.get("instance")
     try:
-        if huge:
+        if miss.huge:
             # Rebuilding a huge instance is CPU work — keep it off the event
             # loop so other connections stay responsive.
-            instance = await loop.run_in_executor(None, instance_from_payload, data)
+            instance = await asyncio.get_running_loop().run_in_executor(
+                None, instance_from_payload, data
+            )
         else:
             instance = instance_from_payload(data)
         spec = request.get("spec")
@@ -205,20 +267,17 @@ async def _solve(service: SolverService, request: Dict[str, object]) -> Mapping[
         service.refuse(tenant_cfg)
         raise
     kwargs: Dict[str, object] = dict(params)
-    if timeout is not None:
-        kwargs["timeout"] = timeout
+    if miss.timeout is not None:
+        kwargs["timeout"] = miss.timeout
     trace_ctx = request.get("trace")
     if trace_ctx is not None:
         kwargs["trace"] = trace_ctx
     result = await service.solve_attributed(tenant_cfg, instance, spec, **kwargs)
     payload = result_to_payload(result)
+    tier = service.response_tier
     if tier is not None and result.provenance.get("cache") == "hit":
-        # Admission: only answers the result cache served, so misses
-        # (one-off requests), coalesced joins and errors cost no memory.
-        if key is None:
-            key = await digest()
-        tier.put(key, payload, family=result.solver)
-    return {"id": request_id, "ok": True, "result": payload}
+        tier.put(await miss.digest(request), payload, family=result.solver)
+    return {"id": request.get("id"), "ok": True, "result": payload}
 
 
 def _session_id(request: Dict[str, object]) -> str:
@@ -303,9 +362,9 @@ def _ack_field(request: Dict[str, object]) -> bool:
     return ack
 
 
-#: One entry of a front end's op table: the front end's target (a
+#: One entry of a front end's op table: the front end (a
 #: :class:`SolverService`, or the cluster router) and the decoded request
-#: in, the response payload (or ``None``, see :data:`Handler`) out.
+#: in, the response payload (or ``None``, see :meth:`FrontEnd.handle`) out.
 Op = Callable[[object, Dict[str, object]], Awaitable[Optional[Mapping[str, object]]]]
 
 
@@ -323,8 +382,8 @@ async def dispatch(
 ) -> Optional[Mapping[str, object]]:
     """Run one decoded request through a front end's op table.
 
-    The one dispatch of both front ends (``handle_request`` and the
-    cluster router's ``handle``): ``op`` defaults to ``solve``; an op that
+    The one dispatch of both front ends (``SolverService.handle`` and
+    ``ClusterRouter.handle``): ``op`` defaults to ``solve``; an op that
     is not a string naming a table entry is a ``ProtocolError`` listing
     the table's ops; and every request-level failure becomes one error
     response carrying ``type``, ``message`` and, for a rejection with a
@@ -495,41 +554,20 @@ _SERVICE_OPS: Dict[str, Op] = {
 }
 
 
-async def handle_request(
-    service: SolverService, request: Dict[str, object]
-) -> Optional[Mapping[str, object]]:
-    """Execute one decoded request against ``service`` and build the response.
-
-    Dispatches through the service's op table (:func:`dispatch`).  Returns
-    ``None`` for successfully applied *unacknowledged* submissions
-    (``ack: false``) — the transport writes no response line for those.
-    """
-    return await dispatch(_SERVICE_OPS, service, request)
-
-
 async def serve_connection(
-    service: Optional[SolverService],
+    front: FrontEnd,
     reader: "asyncio.StreamReader",
     writer: "asyncio.StreamWriter",
     shutdown: Optional["asyncio.Event"] = None,
-    handler: Optional[Handler] = None,
 ) -> None:
     """Serve one client connection until EOF (or a ``shutdown`` request).
 
-    Requests run concurrently; in-flight ones are awaited before the
-    connection closes so no accepted request goes unanswered.  The
-    default ``handler`` is :func:`handle_request` bound to ``service``,
-    and only then are repeat lines answered from the service's response
-    tier by their raw bytes; passing another handler (the cluster
-    router's) reuses this line protocol and lifecycle unchanged —
-    ``service`` may then be ``None``.
+    Requests run concurrently through ``front.handle``; in-flight ones
+    are awaited before the connection closes so no accepted request goes
+    unanswered.  Repeat lines are answered from ``front.response_tier``
+    by their raw bytes.  Cancelled at loop teardown, the connection still
+    cleans up and ends normally.
     """
-    if handler is None:
-        if service is None:
-            raise ValueError("serve_connection needs a service or an explicit handler")
-        handler = partial(handle_request, service)
-    else:
-        service = None  # the handler owns every request
     limit = READER_LIMIT
     transport = writer.transport
     high_water = transport.get_write_buffer_limits()[1]
@@ -547,7 +585,7 @@ async def serve_connection(
 
     def answer_from_tier(line: bytes) -> Optional[bytes]:
         """The response line to a repeat of an aliased line, else ``None``."""
-        tier = service.response_tier
+        tier = front.response_tier
         if tier is None:
             return None
         started = time.perf_counter()
@@ -556,7 +594,7 @@ async def serve_connection(
             return None
         request_id, entry, timeout, tenant = match
         try:
-            service.count_tier_hit(entry, started, timeout=timeout, tenant=tenant)
+            front.count_tier_hit(entry, started, timeout=timeout, tenant=tenant)
         except Exception as exc:
             return encode_message(_error_response(request_id, exc))
         return encode_message(result_response(request_id, entry.body))
@@ -585,7 +623,7 @@ async def serve_connection(
             )
         if aliasable:
             _RAW_LINE.set(raw)  # this task's own context
-        response = await handler(request)
+        response = await front.handle(request)
         if response is None:  # unacknowledged op: no response line
             return
         if tctx is not None:
@@ -606,7 +644,7 @@ async def serve_connection(
         nonlocal unstarted
         if not line or line.isspace():
             return
-        aliasable = service is not None and len(line) < INLINE_DECODE_LIMIT
+        aliasable = len(line) < INLINE_DECODE_LIMIT
         if aliasable and not unstarted:
             response = answer_from_tier(line)
             if response is not None:
@@ -682,6 +720,12 @@ async def serve_connection(
                     await reading
                 except asyncio.CancelledError:
                     pass
+    except asyncio.CancelledError:
+        # Loop teardown cancelled the connection in its read.  Clean up
+        # below and end *normally*: CPython 3.11's streams connection
+        # callback calls ``task.exception()`` on a cancelled connection
+        # task, which logs a ``CancelledError`` traceback.
+        pass
     finally:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
@@ -689,12 +733,7 @@ async def serve_connection(
             writer.close()
             await writer.wait_closed()
         except asyncio.CancelledError:
-            # Loop shutdown cancelled the tail flush.  The transport is
-            # already closing; ending this coroutine *normally* keeps the
-            # task out of the cancelled state, which CPython 3.11's
-            # streams connection callback reports loudly (it calls
-            # ``task.exception()`` on cancelled connection tasks).
-            pass
+            pass  # loop teardown cancelled the tail flush, as above
         except (ConnectionError, OSError):  # pragma: no cover - peer went away
             pass
         except NotImplementedError:
@@ -704,31 +743,27 @@ async def serve_connection(
 
 
 async def serve_tcp(
-    service: Optional[SolverService],
+    front: FrontEnd,
     host: str = "127.0.0.1",
     port: int = 0,
     shutdown: Optional["asyncio.Event"] = None,
-    handler: Optional[Handler] = None,
 ) -> "asyncio.base_events.Server":
-    """Start a TCP server; returns the listening ``asyncio.Server``.
+    """Start a TCP server for ``front``; returns the listening ``asyncio.Server``.
 
     ``port=0`` picks a free port (``server.sockets[0].getsockname()[1]``).
     The caller owns the server object: close it (or set ``shutdown`` via a
     client's ``shutdown`` op and watch the event) to stop accepting.
-    ``handler`` overrides the per-request handler (cluster front end).
     """
     return await asyncio.start_server(
-        lambda reader, writer: serve_connection(service, reader, writer, shutdown, handler),
+        lambda reader, writer: serve_connection(front, reader, writer, shutdown),
         host=host,
         port=port,
         limit=READER_LIMIT,
     )
 
 
-async def serve_stdio(
-    service: Optional[SolverService], handler: Optional[Handler] = None
-) -> None:
-    """Serve one client on this process's stdin/stdout until EOF."""
+async def serve_stdio(front: FrontEnd) -> None:
+    """Serve one client of ``front`` on this process's stdin/stdout until EOF."""
     loop = asyncio.get_running_loop()
     reader = asyncio.StreamReader(limit=READER_LIMIT)
     protocol = asyncio.StreamReaderProtocol(reader)
@@ -738,4 +773,4 @@ async def serve_stdio(
     )
     writer = asyncio.StreamWriter(transport, writer_protocol, None, loop)
     shutdown = asyncio.Event()
-    await serve_connection(service, reader, writer, shutdown, handler)
+    await serve_connection(front, reader, writer, shutdown)

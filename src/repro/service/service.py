@@ -7,7 +7,7 @@ Many concurrent clients share one persistent fleet of solver workers::
 
 The request path, in order (a wire ``solve`` request first consults the
 digest-keyed response tier, :attr:`SolverService.response_tier`, before
-its instance is even rebuilt — see :func:`repro.service.server.handle_request`):
+its instance is even rebuilt — see :func:`repro.service.server.tier_stage`):
 
 1. **validate** — :func:`repro.solvers.prepare` parses and binds the spec
    and checks instance capabilities, so malformed requests fail before
@@ -48,6 +48,7 @@ direct cached ``solve``).
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import time
 from collections import OrderedDict
 from concurrent.futures import Future as ConcurrentFuture
@@ -65,13 +66,14 @@ from repro.obs.trace import RECORDER, enable_tracing, new_span_id, parse_wire_tr
 from repro.qos.admission import AdmissionController
 from repro.qos.tenants import QosError, TenantConfig
 from repro.service.config import ServiceConfig
+from repro.service.server import _SERVICE_OPS, OFFLOAD_TASK_COUNT, dispatch
 from repro.service.sessions import Session, SessionManager
 from repro.service.stats import ServiceStats
 from repro.service.tier import ResponseTier, TierEntry
 from repro.solvers.api import PreparedSolve, prepare, solve
 from repro.solvers.batch import shippable_custom_entries
 from repro.solvers.cache import DiskCache, LRUCache, cache_key, resolve_cache
-from repro.solvers.registry import register
+from repro.solvers.registry import available_solvers, register
 from repro.solvers.single import PTAS_EPSILONS
 from repro.solvers.spec import SolverSpec
 
@@ -88,10 +90,6 @@ AnyInstance = Union[Instance, DAGInstance]
 #: Sentinel distinguishing "no timeout argument" from an explicit ``None``
 #: (which disables the configured default for this one request).
 _UNSET = object()
-
-#: Instances at or above this task count have their content hash computed
-#: off-loop; the server rebuilds solve payloads this large off-loop too.
-OFFLOAD_TASK_COUNT = 10_000
 
 #: A cold miss whose predicted kernel time is below this (seconds) is
 #: solved on the event loop instead of in the process pool: a pool round
@@ -323,19 +321,24 @@ class SolverService:
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> "SolverService":
-        """Create the worker pool and queue primitives (idempotent)."""
+        """Create the worker pool (forking its workers now under ``fork``) and
+        the queue primitives (idempotent)."""
         if self._closed:
             raise ServiceClosedError("service already closed; create a new one")
         if self._started:
             return self
-        mp_context = None
-        if self.config.start_method is not None:
-            import multiprocessing
-
-            mp_context = multiprocessing.get_context(self.config.start_method)
+        mp_context = multiprocessing.get_context(self.config.start_method)
         self._pool = ProcessPoolExecutor(
             max_workers=self.config.workers, mp_context=mp_context
         )
+        if mp_context.get_start_method() == "fork":
+            # A forking pool forks every worker at its first job.  Fork them
+            # now, with the solver registry loaded and before any client
+            # connection exists: a worker forked later would hold the
+            # sockets open at that moment, and their clients would never
+            # see the server hang up.
+            available_solvers()
+            self._pool.submit(int)
         self._cache = resolve_cache(self.config.cache)
         if self._cache is not None:
             self._tier = ResponseTier()
@@ -531,7 +534,7 @@ class SolverService:
                 return replace(hit, provenance={**hit.provenance, "cache": "hit"})
             self._counters["cache_misses"] += 1
 
-        job = self._inflight.get(coalesce_key) if self.config.coalesce else None
+        job = self._inflight.get(coalesce_key)
         if job is not None:
             self._counters["coalesced"] += 1
             if tenant_cfg is not None:
@@ -560,13 +563,21 @@ class SolverService:
     # ------------------------------------------------------------------ #
     # the response tier (answers repeats before the instance is rebuilt)
     # ------------------------------------------------------------------ #
+    async def handle(self, request: Dict[str, object]):
+        """One decoded wire request in, its response out (:class:`~repro.service.server.FrontEnd`).
+
+        Dispatches through the service's op table; ``None`` for an applied
+        unacknowledged submission, which gets no response line.
+        """
+        return await dispatch(_SERVICE_OPS, self, request)
+
     @property
     def response_tier(self) -> Optional[ResponseTier]:
         """The digest-keyed response tier, or ``None`` (no cache, or not running).
 
-        Wire front ends consult it with the request digest before
-        rebuilding the instance and admit only responses the result cache
-        served (see :func:`repro.service.server.handle_request`).
+        Wire requests consult it with the request digest before the
+        instance is rebuilt, and it admits only responses the result
+        cache served (see :func:`repro.service.server.tier_stage`).
         """
         return self._tier if self.is_running else None
 
@@ -701,18 +712,17 @@ class SolverService:
                 if tenant_cfg is not None:
                     self._qos.admit_fast(tenant_cfg, "cache_hits")
                 return replace(hit, provenance={**hit.provenance, "cache": "hit"})
-        if self.config.coalesce:
-            # Final synchronous re-check right before creation: the waits
-            # above (admission and/or cache I/O) may have yielded to an
-            # identical submitter that already created the job — join it
-            # rather than compute twice.
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self._release_admission(tenant_cfg)
-                self._counters["coalesced"] += 1
-                if tenant_cfg is not None:
-                    self._qos.admit_fast(tenant_cfg, "coalesced")
-                return existing
+        # Final synchronous re-check right before creation: the waits above
+        # (admission and/or cache I/O) may have yielded to an identical
+        # submitter that already created the job — join it rather than
+        # compute twice.
+        existing = self._inflight.get(key)
+        if existing is not None:
+            self._release_admission(tenant_cfg)
+            self._counters["coalesced"] += 1
+            if tenant_cfg is not None:
+                self._qos.admit_fast(tenant_cfg, "coalesced")
+            return existing
         loop = asyncio.get_running_loop()
         job = _Job(key, content_key, loop.create_future(), tenant=tenant_cfg)
         if tctx is not None:
@@ -726,8 +736,7 @@ class SolverService:
         job.future.add_done_callback(
             lambda f: None if f.cancelled() else f.exception()
         )
-        if self.config.coalesce:
-            self._inflight[key] = job
+        self._inflight[key] = job
         self._pending += 1
         job.task = asyncio.create_task(self._run_job(job, instance, prepared))
         self._tasks.add(job.task)

@@ -13,7 +13,9 @@ bytes behind the request's id (:func:`~repro.service.protocol.result_response`),
 so serving a repeat builds no dict and runs no encoder.
 
 Two owners, one class, different admission rules (the owner decides what
-to :meth:`ResponseTier.put`):
+to :meth:`ResponseTier.put`); both are served by the same code, the
+tier stage :func:`repro.service.server.tier_stage` and the connection
+loop's raw-byte path:
 
 * :class:`~repro.service.service.SolverService` admits only responses the
   result cache served (``provenance.cache == "hit"``), so one-off misses
@@ -25,8 +27,8 @@ Stored results are stamped ``provenance.cache = "hit"``: whatever the
 original computation said, a response served from here came from a cache.
 
 **Aliases: repeat lines by their raw bytes.**  Clients repeat a request
-line byte for byte but for its id, so the service's tier also keeps, per
-entry, at most one *alias*: the SHA-256 of a served line with its id
+line byte for byte but for its id, so either owner's tier also keeps,
+per entry, at most one *alias*: the SHA-256 of a served line with its id
 member cut out (:func:`split_id`), mapped to the entry's key and the
 line's validated ``timeout`` and ``tenant``.  :meth:`ResponseTier.match`
 finds the entry of a line from its bytes alone, before any decode or

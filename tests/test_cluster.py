@@ -756,8 +756,7 @@ class TestProcessClusterEndToEnd:
             )
             async with ClusterRouter(config) as router:
                 shutdown = asyncio.Event()
-                server = await serve_tcp(None, port=0, shutdown=shutdown,
-                                         handler=router.handle)
+                server = await serve_tcp(router, port=0, shutdown=shutdown)
                 port = server.sockets[0].getsockname()[1]
                 client = await ServiceClient.connect(port=port)
                 try:
@@ -1034,14 +1033,13 @@ class TestReviewRegressionsRoundTwo:
     def test_integer_ack_rejected_not_treated_as_acked(self):
         """`0 == False` must not let a non-bool ack slip through."""
         from repro.service import ServiceConfig, SolverService
-        from repro.service.server import handle_request
 
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
-                return await handle_request(svc, {
+                return await svc.handle({
                     "op": "session_submit", "session": opened["session"],
                     "ack": 0, "task": {"id": 0, "p": 1.0, "s": 1.0}})
 
@@ -1123,15 +1121,14 @@ class TestProcessorCap:
 
     def test_service_rejects_before_building(self):
         from repro.service import ServiceConfig, SolverService
-        from repro.service.server import handle_request
 
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
                 start = time.perf_counter()
-                responses = [await handle_request(svc, dict(r)) for r in self.HOSTILE]
+                responses = [await svc.handle(dict(r)) for r in self.HOSTILE]
                 elapsed = time.perf_counter() - start
                 # The cap is exactly MAX_PROCESSORS: the largest allowed m still works.
-                edge = await handle_request(svc, {
+                edge = await svc.handle({
                     "op": "session_open", "spec": "online_greedy", "m": MAX_PROCESSORS})
                 return responses, elapsed, edge
 

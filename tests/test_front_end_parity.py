@@ -1,7 +1,6 @@
 """Differential and fuzz net over the two wire front ends.
 
-``repro serve`` (:func:`repro.service.server.handle_request` over a
-:class:`~repro.service.SolverService`) and ``repro cluster``
+``repro serve`` (:meth:`repro.service.SolverService.handle`) and ``repro cluster``
 (:meth:`repro.cluster.ClusterRouter.handle` over inproc shards) speak one
 protocol, so the same request sequence must get the same answers from
 both:
@@ -37,7 +36,6 @@ from repro.extensions.uniform_machines import UniformInstance
 from repro.qos.tenants import TenantConfig, TenantRegistry
 from repro.service import SolverService
 from repro.service.protocol import encode_message, solve_request
-from repro.service.server import handle_request
 from repro.solvers import LRUCache
 
 pytestmark = pytest.mark.cluster
@@ -225,7 +223,7 @@ async def drive(step_list, qos: bool):
                            cache=LRUCache(), session_ttl=None, tenants=tenants)
     async with SolverService(workers=1, cache=LRUCache(), tenants=tenants) as svc:
         async with ClusterRouter(config) as router:
-            service = FrontEnd(lambda request: handle_request(svc, request))
+            service = FrontEnd(svc.handle)
             cluster = FrontEnd(router.handle)
             for step in step_list:
                 request, served = await service.apply(step)
@@ -283,7 +281,7 @@ async def both(requests, qos: bool = False, warm=()):
     answers = []
     async with SolverService(workers=1, cache=LRUCache(), tenants=tenants) as svc:
         async with ClusterRouter(config) as router:
-            for handle in (lambda request: handle_request(svc, request), router.handle):
+            for handle in (svc.handle, router.handle):
                 for request in warm:
                     assert (await handle(dict(request)))["ok"]
                 answers.append([await handle(dict(request)) for request in requests])
@@ -358,7 +356,7 @@ class TestRegressions:
             async with SolverService(workers=1, cache=LRUCache(), tenants=TENANTS) as svc:
                 async with ClusterRouter(config) as router:
                     answers = {}
-                    for name, handle in (("served", lambda r: handle_request(svc, r)),
+                    for name, handle in (("served", svc.handle),
                                          ("routed", router.handle)):
                         answers[name] = [[await handle(request) for request in requests(tenant)]
                                          for tenant in ("zz", "a")]

@@ -51,7 +51,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_registry_dicts,
 )
 from repro.obs.profile import (
     PROFILER,
@@ -75,7 +74,7 @@ from repro.service.protocol import (
     sanitize_non_finite,
     solve_request,
 )
-from repro.service.server import handle_request, serve_tcp
+from repro.service.server import serve_tcp
 from repro.service.service import MAX_FAMILIES, SolverService
 
 from _service_helpers import make_sleepy_entry, registered
@@ -268,11 +267,13 @@ class TestHistogramMergeProperty:
     )
     def test_merge_equals_concatenation(self, shards):
         """Per-shard histograms merged == histogram of all samples."""
-        merged = merge_registry_dicts(
-            [{"lat": _registry_entry(_hist_of(chunk))} for chunk in shards]
-        )
+        merged = _hist_of([])
+        for chunk in shards:
+            for key, data in _hist_of(chunk).collect().items():
+                merged.merge_series(key, data["buckets"], data["sum"], data["count"],
+                                    data["max"])
         combined = _hist_of([v for chunk in shards for v in chunk])
-        got = merged.get("lat").collect()
+        got = merged.collect()
         want = combined.collect()
         if not want:
             assert got == want  # no samples anywhere → no series anywhere
@@ -282,44 +283,12 @@ class TestHistogramMergeProperty:
         assert got[("x",)]["sum"] == pytest.approx(want[("x",)]["sum"])
         # Estimated quantiles agree too (same buckets → same estimate).
         for q in (0.5, 0.9, 0.99):
-            assert merged.get("lat").quantile(q, "x") == combined.quantile(q, "x")
+            assert merged.quantile(q, "x") == combined.quantile(q, "x")
 
     def test_merge_series_rejects_mismatched_buckets(self):
         h = Histogram("lat", boundaries=_BOUNDS)
         with pytest.raises(ValueError):
             h.merge_series((), [1, 2], 0.1, 3)
-
-
-def _registry_entry(histogram):
-    reg = MetricsRegistry()
-    reg._metrics[histogram.name] = histogram  # private: pack one metric
-    return reg.to_dict()[histogram.name]
-
-
-# --------------------------------------------------------------------------- #
-# structured wire form
-# --------------------------------------------------------------------------- #
-class TestRegistryWireForm:
-    def _populated(self):
-        reg = MetricsRegistry()
-        reg.counter("c_total", "c", ("k",)).inc(3, "a")
-        reg.gauge("g", "g").set(7)
-        reg.histogram("h", "h", boundaries=(0.1, 1.0)).observe(0.5)
-        return reg
-
-    def test_round_trip(self):
-        reg = self._populated()
-        clone = MetricsRegistry.from_dict(reg.to_dict())
-        assert clone.render() == reg.render()
-        # JSON-serializable (it rides the `metrics` wire op).
-        json.dumps(reg.to_dict())
-
-    def test_merge_sums(self):
-        a, b = self._populated(), self._populated()
-        merged = merge_registry_dicts([a.to_dict(), b.to_dict()])
-        assert merged.get("c_total").value("a") == 6
-        assert merged.get("g").value() == 14  # gauges sum across shards
-        assert merged.get("h").collect()[()]["count"] == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -444,12 +413,12 @@ class TestStatsWireShape:
             with registered(make_sleepy_entry()):
                 config = ServiceConfig(workers=1, tenants=TENANTS)
                 async with SolverService(config) as svc:
-                    idle = (await handle_request(svc, {"op": "stats"}))["stats"]
+                    idle = (await svc.handle({"op": "stats"}))["stats"]
                     await svc.solve(inst, "lpt")
                     slow = asyncio.create_task(svc.solve(inst, "sleepy(seconds=0.3)"))
                     while svc.load_summary()["in_flight"] == 0:
                         await asyncio.sleep(0.01)
-                    busy = (await handle_request(svc, {"op": "stats"}))["stats"]
+                    busy = (await svc.handle({"op": "stats"}))["stats"]
                     await slow
             return idle, busy
 
@@ -481,10 +450,12 @@ class TestStatsWireShape:
         assert set(stats["totals"]) == CLUSTER_TOTALS_KEYS
         assert set(stats["router"]) == ROUTER_KEYS
         _assert_breakdowns(stats)
-        # The repeat is answered by the router tier, before any shard.
+        # The repeat is answered by the router tier, before any shard and
+        # without an admission slot, so it waits in no queue.
         assert stats["families"]["lpt"]["count"] == 1
         assert stats["router"]["router_cache_hits"] == 1
-        assert stats["tenants"]["a"]["queue_wait"]["count"] == 3
+        assert stats["tenants"]["a"]["queue_wait"]["count"] == 2
+        assert stats["tenants"]["a"]["cache_hits"] == 1
         for shard in stats["shards"].values():
             assert set(shard) == SERVICE_KEYS
 

@@ -2,7 +2,7 @@
 
 Covers the :class:`~repro.service.sessions.SessionManager` (admission
 bounds, idle expiry, isolation), the ``session_*`` protocol ops through
-:func:`~repro.service.server.handle_request`, the async
+:meth:`~repro.service.SolverService.handle`, the async
 :class:`~repro.service.client.ServiceClient`, per-solver-family latency
 stats, and the acceptance-criterion end-to-end test: a streaming session
 against a live ``repro serve`` subprocess whose finalized schedule is
@@ -34,7 +34,7 @@ from repro.service import (
     SolverService,
     UnknownSessionError,
 )
-from repro.service.server import handle_request, serve_tcp
+from repro.service.server import serve_tcp
 from repro.solvers import SpecError, solve
 
 from make_golden import golden_instances
@@ -189,20 +189,20 @@ class TestServiceSessions:
     def test_handle_request_session_flow(self, trace):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_sbo(delta=1.0)", "m": 4}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_sbo(delta=1.0)", "m": 4}
                 )
                 assert opened["ok"], opened
                 sid = opened["session"]
                 for event in trace:
-                    ack = await handle_request(svc, {
+                    ack = await svc.handle({
                         "op": "session_submit", "session": sid,
                         "task": {"id": event.task.id, "p": event.task.p, "s": event.task.s},
                     })
                     assert ack["ok"] and len(ack["placements"]) == 1
-                final = await handle_request(svc, {"op": "session_result", "session": sid})
-                closed = await handle_request(svc, {"op": "session_close", "session": sid})
-                stats = await handle_request(svc, {"op": "stats"})
+                final = await svc.handle({"op": "session_result", "session": sid})
+                closed = await svc.handle({"op": "session_close", "session": sid})
+                stats = await svc.handle({"op": "stats"})
                 return final, closed, stats
 
         final, closed, stats = run(scenario())
@@ -220,15 +220,15 @@ class TestServiceSessions:
     def test_batch_submit_matches_sequential(self, trace):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 4}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 4}
                 )
                 sid = opened["session"]
                 tasks = [
                     {"id": e.task.id, "p": e.task.p, "s": e.task.s} for e in trace
                 ]
-                ack = await handle_request(
-                    svc, {"op": "session_submit", "session": sid, "tasks": tasks}
+                ack = await svc.handle(
+                    {"op": "session_submit", "session": sid, "tasks": tasks}
                 )
                 return ack
 
@@ -250,7 +250,7 @@ class TestServiceSessions:
     def test_malformed_session_requests(self, request_payload, fragment):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                return await handle_request(svc, request_payload)
+                return await svc.handle(request_payload)
 
         response = run(scenario())
         assert not response["ok"]
@@ -259,11 +259,11 @@ class TestServiceSessions:
     def test_wire_batch_with_bad_tail_is_atomic(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
                 sid = opened["session"]
-                bad = await handle_request(svc, {
+                bad = await svc.handle({
                     "op": "session_submit", "session": sid,
                     "tasks": [{"id": 0, "p": 1, "s": 1}, {"id": 0, "p": 2, "s": 2}],
                 })
@@ -277,8 +277,8 @@ class TestServiceSessions:
     def test_unknown_session_is_an_error_response(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                return await handle_request(
-                    svc, {"op": "session_result", "session": "sess-404"}
+                return await svc.handle(
+                    {"op": "session_result", "session": "sess-404"}
                 )
 
         response = run(scenario())
@@ -288,16 +288,16 @@ class TestServiceSessions:
     def test_submit_after_result_rejected(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
                 sid = opened["session"]
-                await handle_request(svc, {
+                await svc.handle({
                     "op": "session_submit", "session": sid,
                     "task": {"id": 0, "p": 1, "s": 1},
                 })
-                await handle_request(svc, {"op": "session_result", "session": sid})
-                return await handle_request(svc, {
+                await svc.handle({"op": "session_result", "session": sid})
+                return await svc.handle({
                     "op": "session_submit", "session": sid,
                     "task": {"id": 1, "p": 1, "s": 1},
                 })
@@ -469,7 +469,7 @@ class TestUniformOverWire:
 
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                return await handle_request(svc, {
+                return await svc.handle({
                     "op": "solve", "instance": uni.to_dict(),
                     "spec": "uniform_rls(delta=2.5)",
                 })
@@ -530,7 +530,7 @@ class TestFamilyLatency:
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
                 await svc.solve(inst, "lpt")
-                return await handle_request(svc, {"op": "stats"})
+                return await svc.handle({"op": "stats"})
 
         response = run(scenario())
         assert response["ok"]
@@ -695,8 +695,8 @@ class TestWindowedAcks:
 
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": self.SPEC, "m": trace.m}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": self.SPEC, "m": trace.m}
                 )
                 sid = opened["session"]
                 responses = 0
@@ -706,9 +706,9 @@ class TestWindowedAcks:
                                "task": {"id": task.id, "p": task.p, "s": task.s}}
                     if (index + 1) % 5 and index + 1 < len(tasks):
                         payload["ack"] = False
-                        assert await handle_request(svc, payload) is None
+                        assert await svc.handle(payload) is None
                     else:
-                        response = await handle_request(svc, payload)
+                        response = await svc.handle(payload)
                         responses += 1
                         assert response["ok"]
                         placements.extend(map(tuple, response["placements"]))
@@ -723,28 +723,28 @@ class TestWindowedAcks:
     def test_window_failure_surfaces_on_next_ack(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
                 sid = opened["session"]
-                ok = await handle_request(svc, {
+                ok = await svc.handle({
                     "op": "session_submit", "session": sid, "ack": False,
                     "task": {"id": 0, "p": 1.0, "s": 1.0}})
-                dup = await handle_request(svc, {
+                dup = await svc.handle({
                     "op": "session_submit", "session": sid, "ack": False,
                     "task": {"id": 0, "p": 2.0, "s": 2.0}})
                 # Later unacked submissions are refused while poisoned.
-                skipped = await handle_request(svc, {
+                skipped = await svc.handle({
                     "op": "session_submit", "session": sid, "ack": False,
                     "task": {"id": 1, "p": 1.0, "s": 1.0}})
-                error = await handle_request(svc, {
+                error = await svc.handle({
                     "op": "session_submit", "session": sid,
                     "task": {"id": 2, "p": 1.0, "s": 1.0}})
                 # The error cleared the window: the session is usable again.
-                recovered = await handle_request(svc, {
+                recovered = await svc.handle({
                     "op": "session_submit", "session": sid,
                     "task": {"id": 3, "p": 1.0, "s": 1.0}})
-                described = await handle_request(svc, {"op": "stats"})
+                described = await svc.handle({"op": "stats"})
             return ok, dup, skipped, error, recovered, described
 
         ok, dup, skipped, error, recovered, described = run(scenario())
@@ -760,19 +760,19 @@ class TestWindowedAcks:
     def test_window_failure_surfaces_on_session_result(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
                 sid = opened["session"]
-                await handle_request(svc, {
+                await svc.handle({
                     "op": "session_submit", "session": sid, "ack": False,
                     "task": {"id": 0, "p": 1.0, "s": 1.0}})
-                await handle_request(svc, {
+                await svc.handle({
                     "op": "session_submit", "session": sid, "ack": False,
                     "task": {"id": 0, "p": 1.0, "s": 1.0}})  # duplicate
-                error = await handle_request(svc, {"op": "session_result",
+                error = await svc.handle({"op": "session_result",
                                                    "session": sid})
-                retry = await handle_request(svc, {"op": "session_result",
+                retry = await svc.handle({"op": "session_result",
                                                    "session": sid})
             return error, retry
 
@@ -785,10 +785,10 @@ class TestWindowedAcks:
     def test_invalid_ack_value_rejected(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
-                return await handle_request(svc, {
+                return await svc.handle({
                     "op": "session_submit", "session": opened["session"],
                     "ack": "maybe", "task": {"id": 0, "p": 1.0, "s": 1.0}})
 
@@ -848,14 +848,14 @@ class TestSessionExportRestoreOps:
         async def scenario():
             config = ServiceConfig(workers=1, max_sessions=1)
             async with SolverService(config) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
-                exported = await handle_request(
-                    svc, {"op": "session_export", "session": opened["session"]}
+                exported = await svc.handle(
+                    {"op": "session_export", "session": opened["session"]}
                 )
-                denied = await handle_request(
-                    svc, {"op": "session_restore", "export": exported["export"]}
+                denied = await svc.handle(
+                    {"op": "session_restore", "export": exported["export"]}
                 )
             return denied
 
@@ -866,26 +866,26 @@ class TestSessionExportRestoreOps:
     def test_restore_refuses_corrupt_export(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
                 sid = opened["session"]
                 for i in range(4):
-                    await handle_request(svc, {
+                    await svc.handle({
                         "op": "session_submit", "session": sid,
                         "task": {"id": i, "p": float(i + 1), "s": 1.0}})
-                exported = await handle_request(
-                    svc, {"op": "session_export", "session": sid}
+                exported = await svc.handle(
+                    {"op": "session_export", "session": sid}
                 )
                 export = exported["export"]
                 export["state"]["placements"] = [
                     (p + 1) % 2 for p in export["state"]["placements"]
                 ]
-                refused = await handle_request(
-                    svc, {"op": "session_restore", "export": export}
+                refused = await svc.handle(
+                    {"op": "session_restore", "export": export}
                 )
-                malformed = await handle_request(
-                    svc, {"op": "session_restore", "export": {"submitted": 1}}
+                malformed = await svc.handle(
+                    {"op": "session_restore", "export": {"submitted": 1}}
                 )
             return refused, malformed
 
@@ -898,21 +898,21 @@ class TestSessionExportRestoreOps:
     def test_export_carries_windowed_buffer(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
                 sid = opened["session"]
                 for i in range(3):
-                    await handle_request(svc, {
+                    await svc.handle({
                         "op": "session_submit", "session": sid, "ack": False,
                         "task": {"id": i, "p": float(i + 1), "s": 1.0}})
-                exported = await handle_request(
-                    svc, {"op": "session_export", "session": sid}
+                exported = await svc.handle(
+                    {"op": "session_export", "session": sid}
                 )
-                restored = await handle_request(
-                    svc, {"op": "session_restore", "export": exported["export"]}
+                restored = await svc.handle(
+                    {"op": "session_restore", "export": exported["export"]}
                 )
-                ack = await handle_request(svc, {
+                ack = await svc.handle({
                     "op": "session_submit", "session": restored["session"],
                     "task": {"id": 3, "p": 4.0, "s": 1.0}})
             return exported, ack
@@ -940,10 +940,10 @@ class TestDrainOp:
                         svc.solve(inst, "sleepy(seconds=0.4)")
                     )
                     await asyncio.sleep(0.1)
-                    quick = await handle_request(
-                        svc, {"op": "drain", "timeout": 0.05}
+                    quick = await svc.handle(
+                        {"op": "drain", "timeout": 0.05}
                     )
-                    full = await handle_request(svc, {"op": "drain", "timeout": 30})
+                    full = await svc.handle({"op": "drain", "timeout": 30})
                     await job
             return quick, full
 
@@ -954,7 +954,7 @@ class TestDrainOp:
     def test_drain_requires_numeric_timeout(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                return await handle_request(svc, {"op": "drain", "timeout": "x"})
+                return await svc.handle({"op": "drain", "timeout": "x"})
 
         response = run(scenario())
         assert not response["ok"]
@@ -967,10 +967,10 @@ class TestUnackedContract:
     def test_unknown_session_noack_is_dropped(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                dropped = await handle_request(svc, {
+                dropped = await svc.handle({
                     "op": "session_submit", "session": "sess-404", "ack": False,
                     "task": {"id": 0, "p": 1.0, "s": 1.0}})
-                bad_field = await handle_request(svc, {
+                bad_field = await svc.handle({
                     "op": "session_submit", "session": 7, "ack": False,
                     "task": {"id": 0, "p": 1.0, "s": 1.0}})
             return dropped, bad_field
@@ -982,14 +982,14 @@ class TestUnackedContract:
     def test_malformed_noack_task_poisons_window(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
                 sid = opened["session"]
-                malformed = await handle_request(svc, {
+                malformed = await svc.handle({
                     "op": "session_submit", "session": sid, "ack": False,
                     "task": {"id": 0}})  # missing p/s
-                error = await handle_request(svc, {
+                error = await svc.handle({
                     "op": "session_submit", "session": sid,
                     "task": {"id": 1, "p": 1.0, "s": 1.0}})
             return malformed, error
@@ -1003,22 +1003,22 @@ class TestUnackedContract:
     def test_close_reports_window_error(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                opened = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                opened = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
                 sid = opened["session"]
-                await handle_request(svc, {
+                await svc.handle({
                     "op": "session_submit", "session": sid, "ack": False,
                     "task": {"id": 0, "p": 1.0, "s": 1.0}})
-                await handle_request(svc, {
+                await svc.handle({
                     "op": "session_submit", "session": sid, "ack": False,
                     "task": {"id": 0, "p": 1.0, "s": 1.0}})  # duplicate: poisons
-                closed = await handle_request(svc, {"op": "session_close",
+                closed = await svc.handle({"op": "session_close",
                                                     "session": sid})
-                clean = await handle_request(
-                    svc, {"op": "session_open", "spec": "online_greedy", "m": 2}
+                clean = await svc.handle(
+                    {"op": "session_open", "spec": "online_greedy", "m": 2}
                 )
-                clean_close = await handle_request(svc, {"op": "session_close",
+                clean_close = await svc.handle({"op": "session_close",
                                                          "session": clean["session"]})
             return closed, clean_close
 
@@ -1032,7 +1032,7 @@ class TestReplayStateMalformedRecords:
     def test_restore_rejects_truncated_task_record_cleanly(self):
         async def scenario():
             async with SolverService(ServiceConfig(workers=1)) as svc:
-                return await handle_request(svc, {
+                return await svc.handle({
                     "op": "session_restore",
                     "export": {"state": {"spec": "online_greedy", "m": 2,
                                          "tasks": [["x"]], "placements": [0]},

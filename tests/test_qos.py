@@ -946,14 +946,16 @@ class TestClusterQos:
         async def scenario():
             async with ClusterRouter(self.config()) as router:
                 await router.solve(inst, "sbo(delta=1.0)", tenant="vip")
-                await router.solve(inst, "sbo(delta=1.0)")  # default: bulk
+                # default: bulk; a repeat the router's tier answers slot-free
+                await router.solve(inst, "sbo(delta=1.0)")
                 stats = await router.stats()
             return stats
 
         stats = run(scenario())
         tenants = stats.tenants
         assert tenants["vip"]["completed"] == 1
-        assert tenants["bulk"]["completed"] == 1
+        assert tenants["bulk"]["completed"] == 0
+        assert tenants["bulk"]["cache_hits"] == tenants["bulk"]["admitted"] == 1
         for snap in tenants.values():
             assert balanced(snap)
         payload = stats.to_dict()

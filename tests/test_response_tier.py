@@ -41,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import routing
+from repro.cluster import ClusterConfig, ClusterRouter, routing
 from repro.core.instance import DAGInstance, Instance
 from repro.extensions.uniform_machines import UniformInstance
 from repro.online.arrivals import ArrivalTrace
@@ -63,6 +63,7 @@ from repro.service import tier as tier_module
 from repro.service.tier import ResponseTier, split_id
 from repro.solvers import LRUCache
 
+from _service_helpers import make_sleepy_entry, registered
 from make_golden import golden_instances, golden_specs
 
 
@@ -358,7 +359,7 @@ async def _service_tier_hit(request: dict, payload: dict):
     async with SolverService(workers=1, cache=LRUCache()) as svc:
         # The service admits only what its cache served: stamped payloads.
         svc.response_tier.put(request_key(request), _stamped(payload), family="lpt")
-        return await server.handle_request(svc, request)
+        return await svc.handle(request)
 
 
 async def _router_tier_hit(request: dict, payload: dict):
@@ -367,7 +368,7 @@ async def _router_tier_hit(request: dict, payload: dict):
     config = ClusterConfig(shards=1, min_shards=1, max_shards=1, backend="inproc",
                            workers=1, cache=False, session_ttl=None, router_cache=8)
     async with ClusterRouter(config) as router:
-        router._tier.put(request_key(request), payload)
+        router.response_tier.put(request_key(request), payload)
         return await router.handle(request)
 
 
@@ -420,7 +421,7 @@ class TestSplicedHits:
                         assert await wire.raw(request) == full, rid
                     assert svc.stats().cache_hits == 2 * len(ids)
             async with ClusterRouter(config) as router:
-                front = await serve_tcp(None, port=0, handler=router.handle)
+                front = await serve_tcp(router, port=0)
                 port = front.sockets[0].getsockname()[1]
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
 
@@ -450,13 +451,13 @@ class TestSplicedHits:
 # the service's tier over TCP
 # --------------------------------------------------------------------------- #
 class Wire:
-    """One TCP connection to a served :class:`SolverService`."""
+    """One TCP connection to a served front end (a service or a router)."""
 
-    def __init__(self, svc: SolverService) -> None:
-        self.svc = svc
+    def __init__(self, front) -> None:
+        self.front = front
 
     async def __aenter__(self) -> "Wire":
-        self.server = await serve_tcp(self.svc, port=0)
+        self.server = await serve_tcp(self.front, port=0)
         port = self.server.sockets[0].getsockname()[1]
         self.reader, self.writer = await asyncio.open_connection(
             "127.0.0.1", port, limit=server.READER_LIMIT)
@@ -600,7 +601,7 @@ class TestServiceTier:
                     assert len(svc.response_tier) == 0
                 # Coalesced joins carry the job's miss result: not admitted.
                 joined = await asyncio.gather(*(
-                    server.handle_request(svc, solve_request(variant(9), "sbo(delta=1.0)"))
+                    svc.handle(solve_request(variant(9), "sbo(delta=1.0)"))
                     for _ in range(3)))
                 assert all(r["result"]["provenance"]["cache"] == "miss" for r in joined)
                 assert svc.stats().coalesced == 2
@@ -621,7 +622,7 @@ class TestServiceTier:
                 for seed, n in enumerate([40, 60, 30, 101, 90, 20, 100], start=1):
                     request = solve_request(sized(n, seed), "lpt")
                     for _ in range(3):
-                        response = await server.handle_request(svc, request)
+                        response = await svc.handle(request)
                         assert response["ok"]
                         assert tier.tasks <= 100
                     in_tier = tier.get(request_key(request)) is not None
@@ -649,9 +650,9 @@ class TestServiceTier:
             async with svc:
                 request = solve_request(inst, "lpt", request_id=1)
                 for _ in range(2):
-                    await server.handle_request(svc, request)
+                    await svc.handle(request)
             assert svc.response_tier is None
-            response = await server.handle_request(svc, request)
+            response = await svc.handle(request)
             assert response["error"]["type"] == "ServiceClosedError"
 
         run(scenario())
@@ -682,6 +683,35 @@ class TestRouterTier:
 
         run(scenario())
 
+
+    def test_a_tier_hit_takes_no_admission_slot(self, inst):
+        """With QoS on and the one admission slot held by a slow solve, a
+        repeat is answered from the router's tier at once and ledgered like
+        a service's cache hit."""
+        tenants = TenantRegistry([TenantConfig("t")], default="t")
+        config = ClusterConfig(shards=1, min_shards=1, max_shards=1, backend="inproc",
+                               workers=1, max_pending=1, cache=False, session_ttl=None,
+                               router_cache=8, tenants=tenants)
+
+        async def scenario():
+            with registered(make_sleepy_entry()):
+                async with ClusterRouter(config) as router:
+                    assert (await router.handle(solve_request(inst, "lpt", request_id=0)))["ok"]
+                    slow = asyncio.ensure_future(router.handle(
+                        solve_request(inst, "sleepy(seconds=1.0)", request_id=1)))
+                    while router._qos.slots_free > 0:
+                        await asyncio.sleep(0.005)
+                    hit = await asyncio.wait_for(
+                        router.handle(solve_request(inst, "lpt", request_id=2)), 30)
+                    assert not slow.done()  # answered while the slot is held
+                    assert hit["ok"] and hit["result"]["provenance"]["cache"] == "hit"
+                    assert (await slow)["ok"]
+                    return (await router.stats()).tenants["t"]
+
+        ledger = run(scenario())
+        assert ledger["cache_hits"] == 1 and ledger["completed"] == 2
+        assert ledger["admitted"] == 3 and ledger["rejected"] == 0
+        assert ledger["admitted"] + ledger["rejected"] == ledger["submitted"]
 
     def test_shard_tier_hits_pass_through_a_router_without_a_tier(self, inst, tmp_path):
         from repro.cluster import ClusterConfig, ClusterRouter
@@ -794,14 +824,14 @@ class TestStrictTimeout:
             async with SolverService(workers=1, cache=LRUCache()) as svc:
                 good = solve_request(inst, "lpt")
                 for _ in range(2):  # a miss, then a cache hit the tier admits
-                    assert (await server.handle_request(svc, good))["ok"]
+                    assert (await svc.handle(good))["ok"]
                 assert len(svc.response_tier) == 1
                 before = svc.stats()
                 # A tier hit, the full solve path, and drain.
                 for request in ({**good, "timeout": bad},
                                 {**solve_request(other, "lpt"), "timeout": bad},
                                 {"op": "drain", "timeout": bad}):
-                    _assert_timeout_rejected(await server.handle_request(svc, request))
+                    _assert_timeout_rejected(await svc.handle(request))
                 after = svc.stats()
                 assert after.submitted == before.submitted
                 assert after.lost == 0
@@ -835,8 +865,8 @@ class TestStrictTimeout:
             async with SolverService(workers=1) as svc:
                 for timeout in (None, 5, 2.5):
                     request = {**solve_request(inst, "lpt"), "timeout": timeout}
-                    assert (await server.handle_request(svc, request))["ok"]
-                drained = await server.handle_request(svc, {"op": "drain", "timeout": 1})
+                    assert (await svc.handle(request))["ok"]
+                drained = await svc.handle({"op": "drain", "timeout": 1})
                 assert drained["ok"] and drained["drained"]
 
         run(scenario())
@@ -1068,16 +1098,17 @@ class TestAliasOverTcp:
         self._scenario(inst, check, ServiceConfig(workers=1, cache=LRUCache(),
                                                   tenants=tenants))
 
-    def _served(self, inst, monkeypatch, tenants, lines, burst=()) -> tuple:
+    def _served(self, inst, monkeypatch, tenants, lines, burst=(), front="service") -> tuple:
         """The answers to ``lines`` sent one at a time and then ``burst`` in
         one write (sorted by id), and the per-tenant ledgers; asserted equal
-        to a run whose tier answers no line from its raw bytes."""
+        to a run whose tier answers no line from its raw bytes.  ``front``
+        serves them: a service, or a router over one inproc shard."""
 
         def served(match) -> tuple:
             monkeypatch.setattr(ResponseTier, "match", match)
             answers = []
 
-            async def check(svc, wire):
+            async def check(wire):
                 for line in lines:
                     wire.writer.write(line)
                     await wire.writer.drain()
@@ -1087,25 +1118,36 @@ class TestAliasOverTcp:
                 answers.extend(sorted(
                     [await asyncio.wait_for(wire.reader.readline(), 60) for _ in burst],
                     key=lambda line: json.loads(line)["id"]))
-                stats = svc.stats()
-                assert stats.lost == 0
+                stats = (await wire.front.handle({"op": "stats"}))["stats"]
+                assert (stats["totals"] if stats.get("cluster") else stats)["lost"] == 0
                 ledgers.update({name: (
                     {key: snap[key] for key in ("submitted", "admitted", "rejected",
                                                 "cache_hits", "lost")},
-                    snap["rejected_by"]) for name, snap in stats.tenants.items()})
+                    snap["rejected_by"]) for name, snap in stats["tenants"].items()})
+
+            async def scenario():
+                if front == "service":
+                    serving = SolverService(ServiceConfig(workers=1, cache=LRUCache(),
+                                                          tenants=tenants))
+                else:
+                    serving = ClusterRouter(ClusterConfig(
+                        shards=1, min_shards=1, max_shards=1, backend="inproc", workers=1,
+                        cache=False, session_ttl=None, router_cache=8, tenants=tenants))
+                async with serving, Wire(serving) as wire:
+                    await check(wire)
 
             ledgers: dict = {}
-            self._scenario(inst, check, ServiceConfig(workers=1, cache=LRUCache(),
-                                                      tenants=tenants))
+            run(scenario())
             return [_without_wall_time(a) for a in answers], ledgers
 
         aliased = served(ResponseTier.match)
         assert aliased == served(lambda tier, line: None)
         return aliased
 
-    def test_qos_and_timeout_errors_match_the_decoding_path(self, inst, monkeypatch):
-        """With QoS on, aliased lines and their hostile variants give the decoding path's
-        error lines and per-tenant ledgers."""
+    @staticmethod
+    def _hostile(inst) -> tuple:
+        """Tenants, and lines of a rate-limited tenant, unknown tenants and
+        bad timeouts around aliased lines."""
         tenants = TenantRegistry([TenantConfig("t", rate=0.001, burst=6), TenantConfig("u")],
                                  default="u")
         lines = [_leading(_body(inst, tenant="t"), k) for k in range(8)]
@@ -1114,9 +1156,29 @@ class TestAliasOverTcp:
         for timeout in (-1, 0, "soon", True, 5.0):
             lines += [_leading(_body(inst, tenant="u", timeout=timeout), k) for k in range(4)]
         lines += [_trailing(_body(inst, tenant="t"), f'"r{k}"') for k in range(2)]
-        answers, ledgers = self._served(inst, monkeypatch, tenants, lines)
+        return tenants, lines
+
+    def test_qos_and_timeout_errors_match_the_decoding_path(self, inst, monkeypatch):
+        """With QoS on, aliased lines and their hostile variants give the decoding path's
+        error lines and per-tenant ledgers."""
+        answers, ledgers = self._served(inst, monkeypatch, *self._hostile(inst))
         assert sum(b'"rate_limited"' in a for a in answers) == 4
         assert ledgers["t"][0]["rejected"] == 4
+
+    def test_router_qos_and_timeout_errors_match_the_decoding_path(self, inst, monkeypatch,
+                                                                   decodes):
+        """The same lines served by ``serve_tcp(router)``: the router's tier
+        answers repeats from their bytes, with the decoding path's lines and
+        ledgers."""
+        tenants, lines = self._hostile(inst)
+        answers, ledgers = self._served(inst, monkeypatch, tenants, lines, front="router")
+        assert sum(b'"rate_limited"' in a for a in answers) == 4
+        assert sum(b'"unknown_tenant"' in a for a in answers) == 2
+        assert ledgers["t"][0]["rejected"] == 4
+        assert ledgers["t"][0]["cache_hits"] == 5  # the first line was routed
+        # Both runs decoded every line but those the alias answered: lines 2-7
+        # of tenant "t", four hits and two rate-limited.
+        assert len(decodes) == 2 * len(lines) - 6
 
     def test_pipelined_lines_are_charged_in_line_order(self, inst, monkeypatch):
         """A burst in one write under a token bucket: a miss ahead of aliased

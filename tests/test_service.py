@@ -389,18 +389,6 @@ class TestCoalescing:
 
         run(scenario())
 
-    def test_coalescing_disabled(self, inst, tmp_path):
-        async def scenario():
-            with registered(make_sleepy_entry()):
-                async with SolverService(workers=2, coalesce=False) as svc:
-                    token = tmp_path / "runs.log"
-                    spec = f"sleepy(seconds=0.05, token='{token}')"
-                    await asyncio.gather(*(svc.solve(inst, spec) for _ in range(3)))
-                    assert count_executions(token) == 3
-                    assert svc.stats().coalesced == 0
-
-        run(scenario())
-
     def test_builtin_results_coalesce_bit_identically(self, inst):
         async def scenario():
             async with SolverService(workers=2) as svc:

@@ -16,7 +16,10 @@ tier by their raw bytes.  Covered here:
   TCP and on stdio;
 * **backpressure** — a client that pipelines without reading its answers
   stops the server reading, instead of making it buffer without bound,
-  and every line is answered once the client reads.
+  and every line is answered once the client reads;
+* **connection lifecycle** — the client of a fresh service whose first
+  request runs in the process pool sees the server hang up, and a loop
+  torn down with a connection open logs no traceback.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import logging
 import os
 import re
 import shutil
 import socket
 import sys
-from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -64,11 +67,6 @@ def _solve_body(instance: Instance) -> bytes:
 
 
 BODIES = [_solve_body(instance) for instance in INSTANCES]
-
-#: Solved once before a front end opens: a process pool forks its workers
-#: at its first job, and a worker forked while a connection is open holds
-#: that socket, so the client would not see the server hang up.
-POOL_START = solve_request(Instance.from_lists(p=[1, 2], s=[2, 1], m=2), "lpt")
 
 #: One step of a stream: a solve of a warm instance with an integer id
 #: leading (the form the tier aliases), a string id trailing or an integer
@@ -222,9 +220,8 @@ class TestRawBytesOneLineOut:
             for name in ("subject", "reference"):
                 config = ServiceConfig(workers=1, cache=_copy(warm_cache, tmp_path, name))
                 async with SolverService(config) as svc:
-                    assert (await server.handle_request(svc, POOL_START))["ok"]
-                    opened = await server.handle_request(
-                        svc, {"op": "session_open", "spec": "online_greedy", "m": 2})
+                    opened = await svc.handle(
+                        {"op": "session_open", "spec": "online_greedy", "m": 2})
                     if name == "subject":
                         lines, stream, cuts = self._stream(data, opened["session"])
                         front = await serve_tcp(svc, port=0)
@@ -233,8 +230,7 @@ class TestRawBytesOneLineOut:
                         front.close()
                         await front.wait_closed()
                     else:
-                        handle = partial(server.handle_request, svc)
-                        served.append([await decoding_path(handle, line) for line in lines])
+                        served.append([await decoding_path(svc.handle, line) for line in lines])
                     assert svc.stats().lost == 0
             self._check(*served)
 
@@ -252,12 +248,11 @@ class TestRawBytesOneLineOut:
                                        workers=1, cache=_copy(warm_cache, tmp_path, name),
                                        session_ttl=None, router_cache=8)
                 async with ClusterRouter(config) as router:
-                    assert (await router.handle(POOL_START))["ok"]
                     opened = await router.handle(
                         {"op": "session_open", "spec": "online_greedy", "m": 2})
                     if name == "subject":
                         lines, stream, cuts = self._stream(data, opened["session"])
-                        front = await serve_tcp(None, port=0, handler=router.handle)
+                        front = await serve_tcp(router, port=0)
                         port = front.sockets[0].getsockname()[1]
                         served.append(await send_stream(port, stream, cuts))
                         front.close()
@@ -285,7 +280,6 @@ class TestRawBytesOneLineOut:
         async def scenario():
             config = ServiceConfig(workers=1, cache=_copy(warm_cache, tmp_path, "alias"))
             async with SolverService(config) as svc:
-                assert (await server.handle_request(svc, POOL_START))["ok"]
                 front = await serve_tcp(svc, port=0)
                 port = front.sockets[0].getsockname()[1]
                 # A cache hit the tier admits, a tier hit that aliases the
@@ -392,7 +386,6 @@ class TestBackpressure:
 
         async def scenario():
             async with SolverService(workers=1, cache=LRUCache()) as svc:
-                assert (await server.handle_request(svc, POOL_START))["ok"]
                 front = await serve_tcp(svc, port=0)
                 front.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
                 port = front.sockets[0].getsockname()[1]
@@ -417,9 +410,52 @@ class TestBackpressure:
                     seen.add(response["id"])
                 assert seen == set(range(total))
                 stats = svc.stats()
-                assert stats.submitted == total + 1 and stats.lost == 0  # + POOL_START
+                assert stats.submitted == total and stats.lost == 0
                 writer.close()
                 front.close()
                 await front.wait_closed()
 
         run(scenario())
+
+
+# --------------------------------------------------------------------------- #
+# connection lifecycle
+# --------------------------------------------------------------------------- #
+class TestConnectionLifecycle:
+    def test_the_client_of_a_first_pool_job_sees_the_server_hang_up(self):
+        """Pool workers exist before any connection, so none holds its socket."""
+
+        async def scenario():
+            async with SolverService(workers=1) as svc:
+                front = await serve_tcp(svc, port=0)
+                port = front.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_message(solve_request(INSTANCES[1], "lpt", request_id=1)))
+                writer.write_eof()
+                answer = json.loads(await asyncio.wait_for(reader.readline(), 30))
+                assert answer["ok"] and answer["id"] == 1
+                assert svc.stats().inline == 0  # the first job of a spec runs in the pool
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+                writer.close()
+                front.close()
+                await front.wait_closed()
+
+        run(scenario())
+
+    def test_loop_teardown_with_a_connection_open_logs_no_traceback(self, caplog):
+        async def scenario():
+            async with SolverService(workers=1) as svc:
+                front = await serve_tcp(svc, port=0)
+                port = front.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(b'{"id":1,"op":"ping"}\n')
+                assert json.loads(await asyncio.wait_for(reader.readline(), 30))["pong"]
+            # asyncio.run ends with the connection open: its task is
+            # cancelled in its read.
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            run(scenario())
+        cancelled = [record for record in caplog.records
+                     if record.exc_info and isinstance(record.exc_info[1],
+                                                        asyncio.CancelledError)]
+        assert cancelled == []
