@@ -350,30 +350,37 @@ async def _serve_front_end(front, args: argparse.Namespace, banner) -> None:
         await _close_server(metrics_server)
 
 
+def _serve_config(args: argparse.Namespace):
+    """The :class:`~repro.service.ServiceConfig` ``repro serve`` runs with."""
+    from repro.service import ServiceConfig
+
+    return ServiceConfig(
+        workers=args.workers,
+        max_pending=args.max_pending,
+        backpressure=args.policy,
+        default_timeout=args.timeout,
+        cache=args.cache if args.cache else False,
+        start_method=args.start_method,
+        max_sessions=args.max_sessions,
+        session_ttl=args.session_ttl if args.session_ttl else None,
+        auto_timeouts=args.auto_timeouts,
+        tenants=args.tenants,
+        default_tenant=args.default_tenant,
+        trace=args.trace,
+        slow_request_threshold=args.slow_request_threshold,
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import ServiceConfig, SolverService
+    from repro.service import SolverService
 
     if args.stdio and args.port is not None:
         print("error: --stdio and --port are mutually exclusive", file=sys.stderr)
         return 2
     try:
-        config = ServiceConfig(
-            workers=args.workers,
-            max_pending=args.max_pending,
-            backpressure=args.policy,
-            default_timeout=args.timeout,
-            cache=args.cache if args.cache else False,
-            start_method=args.start_method,
-            max_sessions=args.max_sessions,
-            session_ttl=args.session_ttl if args.session_ttl else None,
-            auto_timeouts=args.auto_timeouts,
-            tenants=args.tenants,
-            default_tenant=args.default_tenant,
-            trace=args.trace,
-            slow_request_threshold=args.slow_request_threshold,
-        )
+        config = _serve_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -400,37 +407,44 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # cluster (sharded serving with autoscaling)
 # --------------------------------------------------------------------------- #
+def _cluster_config(args: argparse.Namespace):
+    """The :class:`~repro.cluster.ClusterConfig` ``repro cluster`` runs with."""
+    from repro.cluster import ClusterConfig
+
+    return ClusterConfig(
+        shards=args.shards,
+        min_shards=args.min_shards,
+        max_shards=args.max_shards,
+        attach=tuple(args.attach or ()),
+        probe_interval=args.probe_interval,
+        probe_failures=args.probe_failures,
+        backend=args.backend,
+        workers=args.workers,
+        max_pending=args.max_pending,
+        backpressure=args.policy,
+        default_timeout=args.timeout,
+        cache=args.cache,
+        auto_timeouts=args.auto_timeouts,
+        max_sessions=args.max_sessions,
+        session_ttl=args.session_ttl if args.session_ttl else None,
+        scale_up_at=args.scale_up_at,
+        scale_down_at=args.scale_down_at,
+        scale_interval=args.scale_interval,
+        hysteresis=args.hysteresis,
+        drain_timeout=args.drain_timeout,
+        tenants=args.tenants,
+        default_tenant=args.default_tenant,
+        trace=args.trace,
+    )
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.cluster import Autoscaler, ClusterConfig, ClusterRouter, ShardStartError
+    from repro.cluster import Autoscaler, ClusterRouter, ShardStartError
 
     try:
-        config = ClusterConfig(
-            shards=args.shards,
-            min_shards=args.min_shards,
-            max_shards=args.max_shards,
-            attach=tuple(args.attach or ()),
-            probe_interval=args.probe_interval,
-            probe_failures=args.probe_failures,
-            backend=args.backend,
-            workers=args.workers,
-            max_pending=args.max_pending,
-            backpressure=args.policy,
-            default_timeout=args.timeout,
-            cache=args.cache,
-            auto_timeouts=args.auto_timeouts,
-            max_sessions=args.max_sessions,
-            session_ttl=args.session_ttl if args.session_ttl else None,
-            scale_up_at=args.scale_up_at,
-            scale_down_at=args.scale_down_at,
-            scale_interval=args.scale_interval,
-            hysteresis=args.hysteresis,
-            drain_timeout=args.drain_timeout,
-            tenants=args.tenants,
-            default_tenant=args.default_tenant,
-            trace=args.trace,
-        )
+        config = _cluster_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -812,6 +826,10 @@ def _periodic_report(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
+    # The serving flags take their defaults from the config dataclasses.
+    from repro.cluster.config import BACKEND_KINDS, ClusterConfig
+    from repro.service.config import BACKPRESSURE_POLICIES, ServiceConfig
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Bi-objective (makespan, memory) scheduling — IPDPS 2008 reproduction",
@@ -865,11 +883,11 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1", help="TCP bind address")
     srv.add_argument("--port", type=int, default=None,
                      help="TCP port (0 picks a free one; omit for stdio mode)")
-    srv.add_argument("--workers", type=int, default=2,
+    srv.add_argument("--workers", type=int, default=ServiceConfig.workers,
                      help="solver worker processes shared by all clients")
-    srv.add_argument("--max-pending", type=int, default=64,
+    srv.add_argument("--max-pending", type=int, default=ServiceConfig.max_pending,
                      help="bound on admitted unfinished jobs (backpressure threshold)")
-    srv.add_argument("--policy", default="wait", choices=["wait", "reject"],
+    srv.add_argument("--policy", default=ServiceConfig.backpressure, choices=BACKPRESSURE_POLICIES,
                      help="backpressure policy once max-pending jobs are admitted")
     srv.add_argument("--timeout", type=float, default=None,
                      help="default per-request timeout in seconds (unlimited when omitted)")
@@ -878,9 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--start-method", default=None,
                      choices=["fork", "spawn", "forkserver"],
                      help="multiprocessing start method for the worker pool")
-    srv.add_argument("--max-sessions", type=int, default=64,
+    srv.add_argument("--max-sessions", type=int, default=ServiceConfig.max_sessions,
                      help="bound on concurrently open streaming sessions")
-    srv.add_argument("--session-ttl", type=float, default=300.0,
+    srv.add_argument("--session-ttl", type=float, default=ServiceConfig.session_ttl,
                      help="idle seconds before an open session expires (0 disables expiry)")
     srv.add_argument("--auto-timeouts", action="store_true",
                      help="derive per-solver-family timeouts from observed p99 latency tails")
@@ -910,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--host", default="127.0.0.1", help="TCP bind address")
     clu.add_argument("--port", type=int, default=8373,
                      help="TCP port of the cluster front end (0 picks a free one)")
-    clu.add_argument("--shards", type=int, default=2,
+    clu.add_argument("--shards", type=int, default=ClusterConfig.shards,
                      help="initial number of local backend shards (0 allowed "
                           "when --attach supplies the capacity)")
     clu.add_argument("--attach", action="append", default=None,
@@ -918,32 +936,32 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach an already-running repro-serve at HOST:PORT "
                           "as a remote shard (repeatable; never spawned, "
                           "never retired, health-checked by periodic pings)")
-    clu.add_argument("--probe-interval", type=float, default=2.0,
+    clu.add_argument("--probe-interval", type=float, default=ClusterConfig.probe_interval,
                      help="seconds between health probes of attached remote shards")
-    clu.add_argument("--probe-failures", type=int, default=3,
+    clu.add_argument("--probe-failures", type=int, default=ClusterConfig.probe_failures,
                      help="consecutive failed probes before a remote shard "
                           "is declared dead")
-    clu.add_argument("--min-shards", type=int, default=1,
+    clu.add_argument("--min-shards", type=int, default=ClusterConfig.min_shards,
                      help="autoscaler lower bound on the shard count")
-    clu.add_argument("--max-shards", type=int, default=8,
+    clu.add_argument("--max-shards", type=int, default=ClusterConfig.max_shards,
                      help="autoscaler upper bound on the shard count")
-    clu.add_argument("--scale-up-at", type=float, default=8.0,
+    clu.add_argument("--scale-up-at", type=float, default=ClusterConfig.scale_up_at,
                      help="average queue depth per shard at/above which a shard is added")
-    clu.add_argument("--scale-down-at", type=float, default=1.0,
+    clu.add_argument("--scale-down-at", type=float, default=ClusterConfig.scale_down_at,
                      help="average queue depth per shard at/below which a shard is retired")
-    clu.add_argument("--scale-interval", type=float, default=2.0,
+    clu.add_argument("--scale-interval", type=float, default=ClusterConfig.scale_interval,
                      help="seconds between autoscaler observations")
-    clu.add_argument("--hysteresis", type=int, default=3,
+    clu.add_argument("--hysteresis", type=int, default=ClusterConfig.hysteresis,
                      help="consecutive same-direction observations before scaling")
     clu.add_argument("--no-autoscale", action="store_true",
                      help="keep the shard count fixed at --shards")
-    clu.add_argument("--backend", default="process", choices=["process", "inproc"],
+    clu.add_argument("--backend", default=ClusterConfig.backend, choices=BACKEND_KINDS,
                      help="shard kind: repro-serve subprocesses or embedded services")
-    clu.add_argument("--workers", type=int, default=1,
+    clu.add_argument("--workers", type=int, default=ClusterConfig.workers,
                      help="solver worker processes per shard")
-    clu.add_argument("--max-pending", type=int, default=64,
+    clu.add_argument("--max-pending", type=int, default=ClusterConfig.max_pending,
                      help="per-shard bound on admitted unfinished jobs")
-    clu.add_argument("--policy", default="wait", choices=["wait", "reject"],
+    clu.add_argument("--policy", default=ClusterConfig.backpressure, choices=BACKPRESSURE_POLICIES,
                      help="per-shard backpressure policy")
     clu.add_argument("--timeout", type=float, default=None,
                      help="per-shard default request timeout in seconds")
@@ -953,11 +971,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "tier on top — strongly recommended)")
     clu.add_argument("--auto-timeouts", action="store_true",
                      help="derive per-solver-family timeouts on every shard")
-    clu.add_argument("--max-sessions", type=int, default=64,
+    clu.add_argument("--max-sessions", type=int, default=ClusterConfig.max_sessions,
                      help="per-shard bound on open streaming sessions")
-    clu.add_argument("--session-ttl", type=float, default=300.0,
+    clu.add_argument("--session-ttl", type=float, default=ClusterConfig.session_ttl,
                      help="per-shard idle session expiry (0 disables)")
-    clu.add_argument("--drain-timeout", type=float, default=30.0,
+    clu.add_argument("--drain-timeout", type=float, default=ClusterConfig.drain_timeout,
                      help="seconds a retiring shard gets to finish in-flight jobs")
     clu.add_argument("--tenants", default=None, metavar="FILE",
                      help="tenant registry JSON enabling cluster-wide multi-tenant "

@@ -173,45 +173,45 @@ class InprocShard(ShardHandle):
 
 
 class ProcessShard(ShardHandle):
-    """A shard running as a real ``repro serve`` subprocess over TCP."""
+    """A shard running as a real ``repro serve`` subprocess over TCP.
 
-    def __init__(
-        self,
-        name: str,
-        workers: int = 1,
-        max_pending: int = 64,
-        backpressure: str = "wait",
-        default_timeout: Optional[float] = None,
-        cache_dir: Optional[str] = None,
-        max_sessions: int = 64,
-        session_ttl: Optional[float] = 300.0,
-        auto_timeouts: bool = False,
-        host: str = "127.0.0.1",
-        stop_timeout: float = 10.0,
-        trace: bool = False,
-    ) -> None:
+    ``service_config`` is the shard's
+    :class:`~repro.service.ServiceConfig`, the same one an
+    :class:`InprocShard` takes
+    (:meth:`~repro.cluster.config.ClusterConfig.shard_service_config`);
+    its ``cache`` must be a directory or ``False``.  The subprocess is
+    started with the ``repro serve`` flags of the fields a cluster sets
+    and listens on :attr:`host`.  ``stop_timeout`` bounds both the
+    ``shutdown`` round-trip and the SIGTERM exit wait
+    (``ClusterConfig.drain_timeout``).
+    """
+
+    #: A spawned shard runs beside its router, which reaches it over loopback.
+    host = "127.0.0.1"
+
+    def __init__(self, name: str, service_config, stop_timeout: float = 10.0) -> None:
         super().__init__(name)
-        # Orderly-shutdown budget (``ClusterConfig.drain_timeout``): bounds
-        # both the ``shutdown`` round-trip and the SIGTERM exit wait.
         self._stop_timeout = float(stop_timeout)
+        cfg = service_config
+        # ``repro serve`` reads a session TTL of 0 as "never expire".
+        ttl = cfg.session_ttl if cfg.session_ttl is not None else 0
         self._argv = [
             sys.executable, "-m", "repro", "serve",
-            "--host", host, "--port", "0",
-            "--workers", str(workers),
-            "--max-pending", str(max_pending),
-            "--policy", backpressure,
-            "--max-sessions", str(max_sessions),
-            "--session-ttl", str(session_ttl if session_ttl is not None else 0),
+            "--host", self.host, "--port", "0",
+            "--workers", str(cfg.workers),
+            "--max-pending", str(cfg.max_pending),
+            "--policy", cfg.backpressure,
+            "--max-sessions", str(cfg.max_sessions),
+            "--session-ttl", str(ttl),
         ]
-        if default_timeout is not None:
-            self._argv += ["--timeout", str(default_timeout)]
-        if cache_dir:
-            self._argv += ["--cache", str(cache_dir)]
-        if auto_timeouts:
+        if cfg.default_timeout is not None:
+            self._argv += ["--timeout", str(cfg.default_timeout)]
+        if cfg.cache is not None and cfg.cache is not False:
+            self._argv += ["--cache", str(cfg.cache)]
+        if cfg.auto_timeouts:
             self._argv += ["--auto-timeouts"]
-        if trace:
+        if cfg.trace:
             self._argv += ["--trace"]
-        self._host = host
         self.port: Optional[int] = None
         self._proc: Optional["asyncio.subprocess.Process"] = None
         self._client = None
@@ -256,7 +256,7 @@ class ProcessShard(ShardHandle):
         # remember a short tail for post-mortem diagnostics.
         self._stderr_task = asyncio.create_task(self._drain_stderr())
         try:
-            self._client = await ServiceClient.connect(self._host, self.port)
+            self._client = await ServiceClient.connect(self.host, self.port)
         except OSError as exc:
             await self.kill()
             raise ShardStartError(f"shard {self.name}: connect failed: {exc}") from None

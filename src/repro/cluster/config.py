@@ -61,7 +61,10 @@ class ClusterConfig:
         Worker processes *per shard* (each shard is a full
         :class:`~repro.service.SolverService` with its own pool).
     max_pending / backpressure / default_timeout:
-        Forwarded into every shard's :class:`~repro.service.ServiceConfig`.
+        Forwarded into every shard's :class:`~repro.service.ServiceConfig`
+        (:meth:`shard_service_config`), which is built once at
+        construction so a bad shard setting fails here, before any shard
+        is spawned.
     cache:
         Read-through cache: a directory path (required for process
         backends) or a cache object (inproc backends only).
@@ -97,23 +100,19 @@ class ClusterConfig:
     drain_timeout:
         Seconds a retiring shard gets to finish its in-flight jobs
         before it is shut down regardless.
-    solve_retries:
-        Transport-failure retries per solve request (each retry re-routes
-        among the surviving shards); ``None`` retries once per remaining
-        shard.
     trace:
         Enable span recording (:mod:`repro.obs.trace`) in the router's
         process at start and in every *inproc* shard (process shards are
         spawned with ``--trace`` by the backend when set).  Off by
         default — the wire stays byte-identical.
-    tenants / default_tenant / qos_policy:
+    tenants / default_tenant:
         Multi-tenant QoS (:mod:`repro.qos`), enforced **at the router**:
         one cluster-wide admission controller whose slot capacity is
         ``routable shards x max_pending`` (tracking shard churn), so
         quotas and fair shares hold over the whole cluster, not per
         shard.  Shards are started *without* tenants — a request the
         router admitted is never second-guessed by a backend.  Semantics
-        of the three knobs match :class:`~repro.service.ServiceConfig`.
+        of the two knobs match :class:`~repro.service.ServiceConfig`.
     """
 
     shards: int = 2
@@ -134,14 +133,12 @@ class ClusterConfig:
     auto_timeouts: bool = False
     scale_up_at: float = 8.0
     scale_down_at: float = 1.0
-    scale_interval: float = 0.5
+    scale_interval: float = 2.0
     hysteresis: int = 3
     drain_timeout: float = 30.0
-    solve_retries: Optional[int] = None
     trace: bool = False
     tenants: object = None
     default_tenant: Optional[str] = None
-    qos_policy: str = "wfq"
 
     def __post_init__(self) -> None:
         if self.min_shards < 1:
@@ -168,8 +165,6 @@ class ClusterConfig:
             raise ValueError(
                 f"backend must be one of {BACKEND_KINDS}, got {self.backend!r}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.scale_up_at <= self.scale_down_at:
             raise ValueError(
                 f"scale_up_at ({self.scale_up_at}) must be > scale_down_at "
@@ -181,10 +176,6 @@ class ClusterConfig:
             raise ValueError(f"hysteresis must be >= 1, got {self.hysteresis}")
         if self.drain_timeout <= 0:
             raise ValueError(f"drain_timeout must be > 0, got {self.drain_timeout}")
-        if self.solve_retries is not None and self.solve_retries < 0:
-            raise ValueError(
-                f"solve_retries must be >= 0 or None, got {self.solve_retries}"
-            )
         if self.probe_interval <= 0:
             raise ValueError(
                 f"probe_interval must be > 0, got {self.probe_interval}"
@@ -197,15 +188,12 @@ class ClusterConfig:
             raise ValueError(
                 f"router_cache must be >= 0, got {self.router_cache}"
             )
+        # The shard settings are ServiceConfig's: let its own checks run.
+        self.shard_service_config()
         # Same normalization as ServiceConfig: the tenants source (path /
         # mapping / registry) becomes a validated registry at construction.
-        from repro.qos.fairshare import POLICY_NAMES
         from repro.qos.tenants import load_tenants
 
-        if self.qos_policy not in POLICY_NAMES:
-            raise ValueError(
-                f"qos_policy must be one of {POLICY_NAMES}, got {self.qos_policy!r}"
-            )
         object.__setattr__(
             self, "tenants", load_tenants(self.tenants, default=self.default_tenant)
         )

@@ -165,7 +165,7 @@ class ClusterRouter:
         # Per-counter balance invariant: every routing *decision* increments
         # ``routed`` and ends in exactly one of ``completed`` (a shard
         # response was relayed), ``retried`` (transport failure, the request
-        # re-decides), or ``lost`` (no shard / retry budget exhausted), so
+        # re-decides), or ``lost`` (no live shard left to try), so
         # ``routed == completed + retried + lost`` holds at every quiescent
         # point.
         self._counters: Dict[str, int] = {
@@ -223,9 +223,7 @@ class ClusterRouter:
             raise
         if self.config.tenants is not None:
             self._qos = AdmissionController(
-                self.config.tenants,
-                capacity=self._qos_capacity(),
-                policy=self.config.qos_policy,
+                self.config.tenants, capacity=self._qos_capacity()
             )
         return self
 
@@ -293,29 +291,19 @@ class ClusterRouter:
 
     def _make_shard(self, name: str) -> ShardHandle:
         config = self.config
+        service_config = config.shard_service_config()
         if config.backend == "inproc":
             # One process is one host: inproc shards legitimately share the
             # in-memory cache object.
-            return InprocShard(name, config.shard_service_config())
-        cache_dir: Optional[str] = None
-        if config.cache not in (None, False):
+            return InprocShard(name, service_config)
+        if service_config.cache is not False:
             # Every shard owns its directory — the layout a remote host
             # forces anyway, kept uniform for local spawns so no code
             # path ever assumes cross-shard cache storage.
-            cache_dir = str(Path(str(config.cache)) / name)
-        return ProcessShard(
-            name,
-            workers=config.workers,
-            max_pending=config.max_pending,
-            backpressure=config.backpressure,
-            default_timeout=config.default_timeout,
-            cache_dir=cache_dir,
-            max_sessions=config.max_sessions,
-            session_ttl=config.session_ttl,
-            auto_timeouts=config.auto_timeouts,
-            stop_timeout=config.drain_timeout,
-            trace=config.trace,
-        )
+            service_config = service_config.with_overrides(
+                cache=str(Path(str(config.cache)) / name)
+            )
+        return ProcessShard(name, service_config, stop_timeout=config.drain_timeout)
 
     async def add_shard(self) -> ShardHandle:
         """Start one more shard (the scale-up primitive).
@@ -596,7 +584,6 @@ class ClusterRouter:
         inner = dict(request)
         inner.pop("id", None)
         tried: set = set()
-        retries_left = self.config.solve_retries
         while True:
             # One loop iteration == one routing decision; it ends in exactly
             # one of completed / retried / lost (see the counter invariant).
@@ -630,16 +617,6 @@ class ClusterRouter:
                     )
                 tried.add(name)
                 await self._mark_dead(shard)
-                if retries_left is not None and retries_left <= 0:
-                    # This decision's request died AND cannot re-decide:
-                    # terminal — the decision ends as lost, not retried.
-                    self._counters["lost"] += 1
-                    raise NoShardAvailableError(
-                        f"shard {name} was lost mid-request and the retry "
-                        f"budget is exhausted"
-                    )
-                if retries_left is not None:
-                    retries_left -= 1
                 self._counters["retried"] += 1
                 continue
             if tctx is not None:

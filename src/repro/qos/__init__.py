@@ -3,16 +3,16 @@
 The paper treats scheduling as a bi-objective resource-allocation
 problem; this package applies the same lens to the serving stack itself.
 Worker capacity is the machine set, tenants are the jobs competing for
-it, and the dequeue policy that decides who is admitted next is the
-repo's own list-scheduling ledger transposed
+it, and the one dequeue discipline that decides who is admitted next
+is the repo's own list-scheduling ledger transposed
 (:mod:`repro.qos.fairshare`).  The pieces:
 
 * :mod:`repro.qos.tenants` — :class:`TenantConfig` /
   :class:`TenantRegistry` (quota, rate, weight, priority class) and the
   structured rejection errors with stable wire codes;
 * :mod:`repro.qos.bucket` — the token-bucket rate limiter;
-* :mod:`repro.qos.fairshare` — pluggable dequeue policies
-  (weighted-fair on the Graham ledger, FIFO baseline);
+* :mod:`repro.qos.fairshare` — the weighted-fair dequeue ledger (the
+  Graham ledger transposed);
 * :mod:`repro.qos.queue` — the priority-class-first, weighted-fair
   admission queue over a bounded slot pool;
 * :mod:`repro.qos.admission` — :class:`AdmissionController`, the one
@@ -30,13 +30,7 @@ is inert and the serving stack behaves exactly as before.
 
 from .admission import AdmissionController
 from .bucket import TokenBucket
-from .fairshare import (
-    DequeuePolicy,
-    FairShareLedger,
-    FifoPolicy,
-    WeightedFairPolicy,
-    create_policy,
-)
+from .fairshare import FairShareLedger
 from .queue import AdmissionQueue
 from .stats import merge_tenant_snapshots, tenant_snapshot
 from .tenants import (
@@ -56,11 +50,7 @@ __all__ = [
     "AdmissionController",
     "AdmissionQueue",
     "TokenBucket",
-    "DequeuePolicy",
     "FairShareLedger",
-    "FifoPolicy",
-    "WeightedFairPolicy",
-    "create_policy",
     "merge_tenant_snapshots",
     "tenant_snapshot",
     "CLASS_URGENCY",

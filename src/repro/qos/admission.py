@@ -81,12 +81,11 @@ class AdmissionController:
         self,
         registry: TenantRegistry,
         capacity: int,
-        policy: str = "wfq",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.registry = registry
         self._clock = clock
-        self._queue = AdmissionQueue(capacity, policy=policy)
+        self._queue = AdmissionQueue(capacity)
         self._states: Dict[str, _TenantState] = {
             cfg.name: _TenantState(cfg, clock) for cfg in registry
         }

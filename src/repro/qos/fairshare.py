@@ -15,48 +15,15 @@ tenants stays backlogged, their grant counts track ``weight``
 proportions to within one grant per tenant — which is why the shares
 converge (property-tested in ``tests/test_qos.py``).
 
-Dequeue policies are pluggable (:class:`DequeuePolicy`):
-:class:`WeightedFairPolicy` is the ledger above; :class:`FifoPolicy`
-ignores weights and serves tenants round-robin-by-arrival, useful as a
-baseline and for debugging fairness regressions.
+:class:`~repro.qos.queue.AdmissionQueue` keeps one ledger per priority
+class; this weighted-fair pick is the one dequeue discipline.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
-__all__ = [
-    "DequeuePolicy",
-    "FairShareLedger",
-    "WeightedFairPolicy",
-    "FifoPolicy",
-    "POLICY_NAMES",
-    "create_policy",
-]
-
-
-class DequeuePolicy(abc.ABC):
-    """Chooses which backlogged tenant's request is granted next.
-
-    The admission queue calls :meth:`activate` when a tenant's queue goes
-    from empty to non-empty, :meth:`pick` to select among backlogged
-    tenants of the same priority class, and :meth:`charge` when a grant
-    is issued.  Implementations must be deterministic: identical call
-    sequences must produce identical picks (the cluster relies on it).
-    """
-
-    @abc.abstractmethod
-    def activate(self, name: str, weight: float) -> None:
-        """A tenant became backlogged (its queue was empty a moment ago)."""
-
-    @abc.abstractmethod
-    def pick(self, eligible: Mapping[str, float]) -> str:
-        """Choose one tenant from ``{name: weight}`` (non-empty)."""
-
-    @abc.abstractmethod
-    def charge(self, name: str, weight: float, cost: float = 1.0) -> None:
-        """Record one grant of ``cost`` against the tenant's ledger."""
+__all__ = ["FairShareLedger"]
 
 
 class FairShareLedger:
@@ -95,58 +62,3 @@ class FairShareLedger:
     def served(self, name: str) -> float:
         """Accumulated normalized service of one tenant (0.0 when unseen)."""
         return self._served.get(name, 0.0)
-
-
-class WeightedFairPolicy(DequeuePolicy):
-    """Weighted-fair queueing via the :class:`FairShareLedger`."""
-
-    def __init__(self, ledger: Optional[FairShareLedger] = None) -> None:
-        self.ledger = ledger or FairShareLedger()
-
-    def activate(self, name: str, weight: float) -> None:
-        self.ledger.activate(name, weight)
-
-    def pick(self, eligible: Mapping[str, float]) -> str:
-        return self.ledger.pick(eligible)
-
-    def charge(self, name: str, weight: float, cost: float = 1.0) -> None:
-        self.ledger.charge(name, weight, cost)
-
-
-class FifoPolicy(DequeuePolicy):
-    """Weight-blind baseline: backlogged tenants served round-robin.
-
-    Grants rotate over the backlogged set in activation order; weights
-    are ignored.  Exists to make fairness regressions visible ("what
-    would the flat queue have done?") and as the degenerate policy for
-    single-tenant registries.
-    """
-
-    def __init__(self) -> None:
-        self._order: Dict[str, int] = {}
-        self._seq = 0
-
-    def activate(self, name: str, weight: float) -> None:
-        self._seq += 1
-        self._order[name] = self._seq
-
-    def pick(self, eligible: Mapping[str, float]) -> str:
-        return min(eligible, key=lambda name: (self._order.get(name, 0), name))
-
-    def charge(self, name: str, weight: float, cost: float = 1.0) -> None:
-        # Move the served tenant to the back of the rotation.
-        self._seq += 1
-        self._order[name] = self._seq
-
-
-#: Named dequeue policies accepted by configs and the CLI.
-POLICY_NAMES = ("wfq", "fifo")
-
-
-def create_policy(name: str = "wfq") -> DequeuePolicy:
-    """Instantiate a dequeue policy by name (``"wfq"`` or ``"fifo"``)."""
-    if name == "wfq":
-        return WeightedFairPolicy()
-    if name == "fifo":
-        return FifoPolicy()
-    raise ValueError(f"unknown dequeue policy {name!r}; expected one of {POLICY_NAMES}")

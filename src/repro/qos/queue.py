@@ -10,8 +10,8 @@ freed slot is granted by a two-level decision:
    preemption only: a running job is never revoked, so an interactive
    burst overtakes the *backlog*, not the workers.
 2. **Weighted-fair within the class** — among backlogged tenants of the
-   chosen class, the pluggable :class:`~repro.qos.fairshare.DequeuePolicy`
-   (per class, so ledgers never mix classes) picks the tenant with the
+   chosen class, that class's :class:`~repro.qos.fairshare.FairShareLedger`
+   (one per class, so ledgers never mix classes) picks the tenant with the
    least normalized service, exactly like list scheduling picks the
    least-loaded machine.
 
@@ -29,7 +29,7 @@ import asyncio
 from collections import deque
 from typing import Deque, Dict, Optional
 
-from .fairshare import DequeuePolicy, create_policy
+from .fairshare import FairShareLedger
 from .tenants import PRIORITY_CLASSES, TenantConfig
 
 __all__ = ["AdmissionQueue"]
@@ -38,16 +38,15 @@ __all__ = ["AdmissionQueue"]
 class AdmissionQueue:
     """Priority-class / weighted-fair gate over ``capacity`` admission slots."""
 
-    def __init__(self, capacity: int, policy: str = "wfq") -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._granted = 0
-        self._policy_name = policy
         # One ledger per priority class: the strict class ordering already
         # decides *between* classes, so fair shares are tracked within one.
-        self._policies: Dict[str, DequeuePolicy] = {
-            cls: create_policy(policy) for cls in PRIORITY_CLASSES
+        self._ledgers: Dict[str, FairShareLedger] = {
+            cls: FairShareLedger() for cls in PRIORITY_CLASSES
         }
         self._waiting: Dict[str, Dict[str, Deque["_Waiter"]]] = {
             cls: {} for cls in PRIORITY_CLASSES
@@ -110,14 +109,14 @@ class AdmissionQueue:
             # (A queued *lower* class never blocks this: strict priority.)
             if tenant.priority == PRIORITY_CLASSES[0] or not self._any_waiting():
                 self._granted += 1
-                self._policies[tenant.priority].charge(tenant.name, tenant.weight)
+                self._ledgers[tenant.priority].charge(tenant.name, tenant.weight)
                 return False
         waiter = _Waiter(tenant)
         bucket = queues.get(tenant.name)
         if bucket is None:
             bucket = queues[tenant.name] = deque()
         if not bucket:
-            self._policies[tenant.priority].activate(tenant.name, tenant.weight)
+            self._ledgers[tenant.priority].activate(tenant.name, tenant.weight)
         bucket.append(waiter)
         self._dispatch()
         try:
@@ -170,13 +169,13 @@ class AdmissionQueue:
                 }
                 if not eligible:
                     break
-                name = self._policies[cls].pick(eligible)
+                name = self._ledgers[cls].pick(eligible)
                 bucket = queues[name]
                 while bucket:
                     waiter = bucket.popleft()
                     if waiter.future.done():
                         continue  # cancelled while queued; skip, charge nothing
-                    self._policies[cls].charge(name, self._weights.get(name, 1.0))
+                    self._ledgers[cls].charge(name, self._weights.get(name, 1.0))
                     return waiter
                 # Tenant's queue held only cancelled waiters; re-pick.
         return None

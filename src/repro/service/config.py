@@ -2,18 +2,18 @@
 
 One frozen dataclass holds every tunable of a
 :class:`~repro.service.service.SolverService`: worker-pool size, the
-request-queue bound and its backpressure policy, request timeouts
-(default and per solver), the read-through result cache, and coalescing.
-Freezing the config keeps a running service's behaviour inspectable and
-prevents mid-flight reconfiguration races.
+request-queue bound and its backpressure policy, the default request
+timeout and the latency-derived one, the read-through result cache,
+streaming-session bounds, multi-tenant QoS and tracing.  Freezing the
+config keeps a running service's behaviour inspectable and prevents
+mid-flight reconfiguration races.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
-from repro.qos.fairshare import POLICY_NAMES
 from repro.qos.tenants import load_tenants
 from repro.solvers.cache import CacheLike
 
@@ -41,38 +41,24 @@ class ServiceConfig:
         ``"wait"`` parks the submitter until a slot frees (fair FIFO),
         ``"reject"`` raises ``ServiceOverloadedError`` immediately.
     default_timeout:
-        Per-request timeout in seconds applied when neither the call nor
-        ``spec_timeouts`` names one; ``None`` waits indefinitely.
-    spec_timeouts:
-        Per-solver-name timeout overrides, e.g. ``{"pareto_approx": 30.0}``
-        — matched on the registry entry name, not the full spec string.
+        Per-request timeout in seconds applied when the call names none
+        and no derived timeout applies; ``None`` waits indefinitely.
     auto_timeouts:
         Derive per-family timeout defaults from *observed* latency tails:
-        once a solver family has ``auto_timeout_min_samples`` recorded
+        once a solver family has
+        :data:`~repro.service.service.AUTO_TIMEOUT_MIN_SAMPLES` recorded
         requests, requests of that family default to
-        ``auto_timeout_multiplier x family p99``, clamped into
-        ``[auto_timeout_floor, auto_timeout_ceiling]``.  A pathological
-        request (a spec that suddenly blows up on one instance) is then
-        bounded by the family's own history instead of hanging a worker,
-        while healthy requests sit far below the derived timeout and are
-        untouched.  Explicit per-request timeouts and ``spec_timeouts``
-        entries always win over the derived value; families without
+        :data:`~repro.service.service.AUTO_TIMEOUT_MULTIPLIER` x family
+        p99, clamped into ``[AUTO_TIMEOUT_FLOOR, AUTO_TIMEOUT_CEILING]``.
+        A pathological request (a spec that suddenly blows up on one
+        instance) is then bounded by the family's own history instead of
+        hanging a worker, while healthy requests sit far below the
+        derived timeout and are untouched.  An explicit per-request
+        timeout always wins over the derived value; families without
         enough history fall back to ``default_timeout``.  The p99 is the
         lifetime histogram estimate of the service's latency record (the
         ``families`` summaries of :meth:`SolverService.stats`), which is
         always on and needs no configuration.
-    auto_timeout_multiplier:
-        Headroom factor applied to the family p99 (default 25.0).
-    auto_timeout_floor:
-        Lower clamp of the derived timeout in seconds (default 5.0) —
-        keeps cache-hit-dominated latency histories from starving real
-        compute requests.
-    auto_timeout_ceiling:
-        Upper clamp of the derived timeout in seconds (default 300.0);
-        ``None`` leaves the derived value unclamped from above.
-    auto_timeout_min_samples:
-        Recorded requests a family needs before its tail is trusted
-        (default 20).
     cache:
         Read-through result cache consulted before dispatch and filled
         after computation.  Semantics follow ``solve(..., cache=...)``:
@@ -104,10 +90,6 @@ class ServiceConfig:
         Tenant that untagged requests are attributed to (must name a
         registry entry).  ``None`` with tenants configured makes an
         untagged request an ``unknown_tenant`` rejection.
-    qos_policy:
-        Dequeue policy arbitrating admission slots between backlogged
-        tenants: ``"wfq"`` (weighted-fair, the default) or ``"fifo"``
-        (weight-blind baseline).
     trace:
         Enable span recording (:mod:`repro.obs.trace`) in this process
         when the service starts.  Off by default; with it off the wire
@@ -122,12 +104,7 @@ class ServiceConfig:
     max_pending: int = 64
     backpressure: str = "wait"
     default_timeout: Optional[float] = None
-    spec_timeouts: Mapping[str, float] = field(default_factory=dict)
     auto_timeouts: bool = False
-    auto_timeout_multiplier: float = 25.0
-    auto_timeout_floor: float = 5.0
-    auto_timeout_ceiling: Optional[float] = 300.0
-    auto_timeout_min_samples: int = 20
     cache: CacheLike = None
     start_method: Optional[str] = None
     max_sessions: int = 64
@@ -135,7 +112,6 @@ class ServiceConfig:
     session_ttl: Optional[float] = 300.0
     tenants: object = None
     default_tenant: Optional[str] = None
-    qos_policy: str = "wfq"
     trace: bool = False
     slow_request_threshold: Optional[float] = None
 
@@ -153,25 +129,6 @@ class ServiceConfig:
             raise ValueError(
                 f"default_timeout must be > 0 or None, got {self.default_timeout}"
             )
-        if self.auto_timeout_multiplier <= 0:
-            raise ValueError(
-                f"auto_timeout_multiplier must be > 0, got {self.auto_timeout_multiplier}"
-            )
-        if self.auto_timeout_floor <= 0:
-            raise ValueError(
-                f"auto_timeout_floor must be > 0, got {self.auto_timeout_floor}"
-            )
-        if self.auto_timeout_ceiling is not None and (
-            self.auto_timeout_ceiling < self.auto_timeout_floor
-        ):
-            raise ValueError(
-                f"auto_timeout_ceiling ({self.auto_timeout_ceiling}) must be >= "
-                f"auto_timeout_floor ({self.auto_timeout_floor}), or None"
-            )
-        if self.auto_timeout_min_samples < 1:
-            raise ValueError(
-                f"auto_timeout_min_samples must be >= 1, got {self.auto_timeout_min_samples}"
-            )
         if self.slow_request_threshold is not None and self.slow_request_threshold <= 0:
             raise ValueError(
                 f"slow_request_threshold must be > 0 or None, "
@@ -187,23 +144,9 @@ class ServiceConfig:
             raise ValueError(
                 f"session_ttl must be > 0 or None, got {self.session_ttl}"
             )
-        timeouts: Dict[str, float] = {}
-        for name, seconds in dict(self.spec_timeouts).items():
-            seconds = float(seconds)
-            if seconds <= 0:
-                raise ValueError(
-                    f"spec timeout for {name!r} must be > 0, got {seconds}"
-                )
-            timeouts[name] = seconds
-        # Freeze a validated private copy, decoupled from the caller's dict.
-        object.__setattr__(self, "spec_timeouts", timeouts)
         # Normalize the tenants source (path / mapping / registry) into a
         # validated registry once, at construction — bad tenants files fail
         # here, not mid-serving.
-        if self.qos_policy not in POLICY_NAMES:
-            raise ValueError(
-                f"qos_policy must be one of {POLICY_NAMES}, got {self.qos_policy!r}"
-            )
         object.__setattr__(
             self, "tenants", load_tenants(self.tenants, default=self.default_tenant)
         )

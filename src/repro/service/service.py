@@ -107,6 +107,18 @@ _EXPONENTIAL = frozenset({"exact", *PTAS_EPSILONS})
 #: parameter values.
 MAX_COST_KEYS = 256
 
+#: Latency-derived timeouts (``ServiceConfig.auto_timeouts``): once a
+#: solver family has ``AUTO_TIMEOUT_MIN_SAMPLES`` recorded requests, its
+#: requests default to ``AUTO_TIMEOUT_MULTIPLIER`` x the family's p99,
+#: clamped into ``[AUTO_TIMEOUT_FLOOR, AUTO_TIMEOUT_CEILING]`` seconds.
+#: The floor keeps cache-hit-dominated latency histories from starving
+#: real compute requests; the sample minimum keeps one early outlier from
+#: poisoning the bound.
+AUTO_TIMEOUT_MULTIPLIER = 25.0
+AUTO_TIMEOUT_FLOOR = 5.0
+AUTO_TIMEOUT_CEILING = 300.0
+AUTO_TIMEOUT_MIN_SAMPLES = 20
+
 #: Bound on distinct solver families each latency histogram tracks, with
 #: least-recently-recorded eviction beyond it: family names are
 #: client-influenced via runtime-registered solvers, so the breakdown
@@ -346,9 +358,7 @@ class SolverService:
         self._slots = asyncio.Semaphore(self.config.workers)
         if self.config.tenants is not None:
             self._qos = AdmissionController(
-                self.config.tenants,
-                capacity=self.config.max_pending,
-                policy=self.config.qos_policy,
+                self.config.tenants, capacity=self.config.max_pending
             )
         # Span recording is process-global and opt-in: flip the recorder on
         # only when this service asked for it (never off — another service
@@ -1097,8 +1107,6 @@ class SolverService:
             if not seconds > 0:  # also rejects nan
                 raise ValueError(f"timeout must be > 0 or None, got {seconds}")
             return seconds
-        if solver_name in self.config.spec_timeouts:
-            return self.config.spec_timeouts[solver_name]
         if self.config.auto_timeouts:
             derived = self._auto_timeout(solver_name)
             if derived is not None:
@@ -1108,20 +1116,15 @@ class SolverService:
     def _auto_timeout(self, solver_name: str) -> Optional[float]:
         """Timeout derived from the family's observed p99 tail (or ``None``).
 
-        ``multiplier x p99`` clamped into ``[floor, ceiling]`` — see the
-        ``auto_timeout_*`` fields of :class:`ServiceConfig`.  Requires
-        ``auto_timeout_min_samples`` recorded requests so one early
-        outlier cannot poison the derived bound.
+        ``AUTO_TIMEOUT_MULTIPLIER x p99`` clamped into
+        ``[AUTO_TIMEOUT_FLOOR, AUTO_TIMEOUT_CEILING]``, once the family
+        has ``AUTO_TIMEOUT_MIN_SAMPLES`` recorded requests.
         """
-        config = self.config
         tail = self._latency.summary(solver_name)
-        if tail["count"] < config.auto_timeout_min_samples:
+        if tail["count"] < AUTO_TIMEOUT_MIN_SAMPLES:
             return None
-        derived = config.auto_timeout_multiplier * tail["p99"]
-        derived = max(derived, config.auto_timeout_floor)
-        if config.auto_timeout_ceiling is not None:
-            derived = min(derived, config.auto_timeout_ceiling)
-        return derived
+        derived = max(AUTO_TIMEOUT_MULTIPLIER * tail["p99"], AUTO_TIMEOUT_FLOOR)
+        return min(derived, AUTO_TIMEOUT_CEILING)
 
     def load_summary(self) -> Dict[str, int]:
         """Cheap O(1) load gauges for health probes (the ``ping`` op).

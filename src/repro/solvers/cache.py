@@ -244,8 +244,7 @@ class DiskCache(ResultCache):
 
     Entries are sharded into 256 key-prefix subdirectories
     (``directory/<key[:2]>/<key>.pkl``) so very large sweeps never pile a
-    million files into one directory; entries written by older (flat
-    layout) versions are still found and served.  Files are written
+    million files into one directory.  Files are written
     atomically (temp file + ``os.replace``) so a concurrent or interrupted
     writer can never leave a half-written entry behind; unreadable entries
     are treated as misses and removed.
@@ -273,45 +272,39 @@ class DiskCache(ResultCache):
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.pkl"
 
-    def _legacy_path(self, key: str) -> Path:
-        # Flat layout written by pre-sharding versions of this class.
-        return self.directory / f"{key}.pkl"
-
     def _entry_files(self) -> list:
-        """Every stored entry, sharded or legacy-flat."""
-        files = [p for p in self.directory.glob("*.pkl")]
-        files.extend(self.directory.glob("??/*.pkl"))
-        return files
+        """Every stored entry."""
+        return list(self.directory.glob("??/*.pkl"))
 
     def _load(self, key: str) -> Optional[SolveResult]:
-        for path in (self._path(key), self._legacy_path(key)):
-            try:
-                with path.open("rb") as fh:
-                    result = pickle.load(fh)
-            except FileNotFoundError:
-                continue
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-                    TypeError):
-                # Corrupt / truncated / stale entry (an older object layout
-                # fails with UnpicklingError, AttributeError — a class or
-                # restore function that is gone — or TypeError — a restore
-                # function called with its old arguments): degrade to
-                # a miss and remove it so every future lookup doesn't re-pay
-                # the failed read (and the dead file doesn't occupy
-                # max_bytes budget).
-                self._unlink(path)
-                self._note_corrupt()
-                continue
-            if isinstance(result, SolveResult):
-                try:
-                    os.utime(path)  # refresh LRU recency for eviction
-                except OSError:
-                    pass
-                return result
-            # Unpickled cleanly but is not a SolveResult — a stale payload
-            # from a foreign writer.  Previously skipped but left on disk.
+        path = self._path(key)
+        try:
+            with path.open("rb") as fh:
+                result = pickle.load(fh)
+        except FileNotFoundError:
+            return None
+        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                TypeError):
+            # Corrupt / truncated / stale entry (an older object layout
+            # fails with UnpicklingError, AttributeError — a class or
+            # restore function that is gone — or TypeError — a restore
+            # function called with its old arguments): degrade to
+            # a miss and remove it so every future lookup doesn't re-pay
+            # the failed read (and the dead file doesn't occupy
+            # max_bytes budget).
             self._unlink(path)
             self._note_corrupt()
+            return None
+        if isinstance(result, SolveResult):
+            try:
+                os.utime(path)  # refresh LRU recency for eviction
+            except OSError:
+                pass
+            return result
+        # Unpickled cleanly but is not a SolveResult — a stale payload
+        # from a foreign writer.
+        self._unlink(path)
+        self._note_corrupt()
         return None
 
     def _store(self, key: str, result: SolveResult) -> None:
@@ -329,15 +322,7 @@ class DiskCache(ResultCache):
                 pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
             with self._trim_lock:
                 replaced = self._file_size(path)
-                # A pre-sharding flat entry for the same key would otherwise
-                # linger forever, double-counting the key in len/size_bytes.
-                legacy = self._legacy_path(key)
-                replaced += self._file_size(legacy)
                 os.replace(tmp_name, path)
-                try:
-                    legacy.unlink()
-                except OSError:
-                    pass
                 if self._size_bytes is not None:
                     self._size_bytes += self._file_size(path) - replaced
         except (OSError, pickle.PicklingError, TypeError, AttributeError, ValueError):

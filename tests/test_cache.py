@@ -367,36 +367,6 @@ class TestDiskCacheSharding:
         for key in keys:
             assert cache.get(key) is not None, f"key {key} did not round-trip"
 
-    def test_legacy_flat_entry_still_served(self, tmp_path):
-        # Entries written by the pre-sharding layout must keep hitting.
-        import pickle
-
-        sharded = DiskCache(tmp_path)
-        result = solve(REFERENCE, "lpt", cache=False)
-        key = cache_key(REFERENCE, "lpt(objective=time)")
-        (tmp_path / f"{key}.pkl").write_bytes(pickle.dumps(result))
-        assert len(sharded) == 1
-        assert sharded.get(key) is not None
-        sharded.clear()
-        assert len(sharded) == 0
-
-    def test_storing_over_legacy_entry_removes_the_flat_copy(self, tmp_path):
-        # Re-storing a migrated key must not leave two files for one key
-        # (double-counted size would eat the max_bytes budget forever).
-        import pickle
-
-        cache = DiskCache(tmp_path)
-        result = solve(REFERENCE, "lpt", cache=False)
-        key = cache_key(REFERENCE, "lpt(objective=time)")
-        (tmp_path / f"{key}.pkl").write_bytes(pickle.dumps(result))
-        cache.put(key, result)
-        assert len(cache) == 1
-        assert not (tmp_path / f"{key}.pkl").exists()
-        assert cache._path(key).exists()
-        assert cache.size_bytes() == sum(
-            p.stat().st_size for p in tmp_path.rglob("*.pkl")
-        )
-
 
 class TestDiskCacheEviction:
     @staticmethod

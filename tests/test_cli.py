@@ -36,6 +36,23 @@ class TestParser:
         args = build_parser().parse_args(["solve", "--input", "x.json"])
         assert args.solver == "sbo(delta=1.0)" and not args.gantt and args.cache is None
 
+    @pytest.mark.parametrize("command", ["serve", "cluster"])
+    def test_serving_defaults_come_from_the_configs(self, command):
+        """With no flags, each serving command builds its config's defaults."""
+        from dataclasses import fields
+
+        from repro.cli import _cluster_config, _serve_config
+        from repro.cluster import ClusterConfig
+        from repro.service import ServiceConfig
+
+        build, cls = {"serve": (_serve_config, ServiceConfig),
+                      "cluster": (_cluster_config, ClusterConfig)}[command]
+        built, default = build(build_parser().parse_args([command])), cls()
+        for field in fields(cls):
+            if command == "serve" and field.name == "cache":
+                continue  # the CLI disables the process-default cache
+            assert getattr(built, field.name) == getattr(default, field.name), field.name
+
     def test_schedule_subcommand_is_gone(self):
         # ``solve`` reaches every algorithm the old flags interface had.
         with pytest.raises(SystemExit):

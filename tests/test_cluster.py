@@ -145,6 +145,74 @@ class TestClusterConfig:
         with pytest.raises(ValueError, match="hysteresis"):
             ClusterConfig(hysteresis=0)
 
+    @pytest.mark.parametrize("overrides", [
+        {"max_pending": 0},
+        {"backpressure": "bogus"},
+        {"session_ttl": -1},
+        {"default_timeout": -5},
+        {"max_sessions": 0},
+    ])
+    def test_shard_settings_checked_at_construction(self, overrides):
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            ClusterConfig(**overrides)
+
+    def test_cli_rejects_a_bad_shard_setting_before_spawning(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.cluster.backend import ProcessShard
+
+        async def no_spawn(self):
+            raise AssertionError("a shard was spawned")
+
+        monkeypatch.setattr(ProcessShard, "start", no_spawn)
+        assert main(["cluster", "--port", "0", "--shards", "1",
+                     "--max-pending", "0", "--no-autoscale"]) == 2
+        assert "max_pending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("session_ttl", [12.5, None])
+    def test_process_shard_argv_round_trips_the_shard_config(self, session_ttl):
+        """``repro serve`` parses a process shard's argv back into its config."""
+        from dataclasses import fields
+
+        from repro.cli import _serve_config, build_parser
+        from repro.cluster.backend import ProcessShard
+        from repro.service import ServiceConfig
+
+        # The shard settings: what ClusterConfig shares with ServiceConfig,
+        # minus QoS, which the router enforces itself.
+        forwarded = ({f.name for f in fields(ClusterConfig)}
+                     & {f.name for f in fields(ServiceConfig)}) - {"tenants", "default_tenant"}
+        config = ServiceConfig(
+            workers=3, max_pending=7, backpressure="reject", default_timeout=4.5,
+            cache="shard-cache", auto_timeouts=True, max_sessions=5,
+            session_ttl=session_ttl, trace=True,
+        )
+        default = ServiceConfig()
+        assert all(getattr(config, name) != getattr(default, name) for name in forwarded)
+        argv = ProcessShard("s", config)._argv
+        assert argv[1:4] == ["-m", "repro", "serve"]
+        served = _serve_config(build_parser().parse_args(argv[3:]))
+        for name in sorted(forwarded):
+            assert getattr(served, name) == getattr(config, name), name
+
+    def test_cluster_mix_shard_argv(self, tmp_path):
+        """The exact argv behind ``repro cluster --workers 1 --cache DIR``."""
+        import sys
+
+        from repro.cli import _cluster_config, build_parser
+
+        args = build_parser().parse_args([
+            "cluster", "--port", "0", "--workers", "1", "--cache", str(tmp_path),
+            "--shards", "2", "--no-autoscale",
+        ])
+        shard = ClusterRouter(_cluster_config(args))._make_shard("shard-1")
+        assert shard._argv == [
+            sys.executable, "-m", "repro", "serve",
+            "--host", "127.0.0.1", "--port", "0",
+            "--workers", "1", "--max-pending", "64", "--policy", "wait",
+            "--max-sessions", "64", "--session-ttl", "300.0",
+            "--cache", str(tmp_path / "shard-1"),
+        ]
+
     def test_shard_service_config_carries_knobs(self):
         config = ClusterConfig(workers=3, max_pending=7, backpressure="reject",
                                auto_timeouts=True, session_ttl=None)

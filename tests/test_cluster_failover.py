@@ -178,8 +178,9 @@ class TestOrphanPinReap:
 # --------------------------------------------------------------------------- #
 class TestDrainTimeoutThreading:
     def test_process_shard_stop_timeout_parameter(self):
-        assert ProcessShard("s")._stop_timeout == 10.0  # standalone default
-        assert ProcessShard("s", stop_timeout=3.5)._stop_timeout == 3.5
+        config = ServiceConfig()
+        assert ProcessShard("s", config)._stop_timeout == 10.0  # standalone default
+        assert ProcessShard("s", config, stop_timeout=3.5)._stop_timeout == 3.5
 
     def test_router_threads_drain_timeout_to_spawned_shards(self, tmp_path):
         config = ClusterConfig(

@@ -36,15 +36,12 @@ from repro.qos import (
     AdmissionQueue,
     BackpressureError,
     FairShareLedger,
-    FifoPolicy,
     OverQuotaError,
     RateLimitedError,
     TenantConfig,
     TenantRegistry,
     TokenBucket,
     UnknownTenantError,
-    WeightedFairPolicy,
-    create_policy,
     load_tenants,
     merge_tenant_snapshots,
 )
@@ -205,7 +202,7 @@ class TestTokenBucket:
 
 
 # --------------------------------------------------------------------------- #
-# fair-share policies
+# fair-share ledger
 # --------------------------------------------------------------------------- #
 class TestFairShare:
     def test_ledger_tracks_weight_proportions(self):
@@ -228,23 +225,6 @@ class TestFairShare:
 
     def test_deterministic_tie_break(self):
         assert FairShareLedger().pick({"b": 1.0, "a": 1.0}) == "a"
-
-    def test_fifo_policy_round_robins(self):
-        policy = FifoPolicy()
-        for name in ("a", "b"):
-            policy.activate(name, 1.0)
-        order = []
-        for _ in range(4):
-            name = policy.pick({"a": 5.0, "b": 1.0})  # weights ignored
-            policy.charge(name, 1.0)
-            order.append(name)
-        assert order == ["a", "b", "a", "b"]
-
-    def test_create_policy(self):
-        assert isinstance(create_policy("wfq"), WeightedFairPolicy)
-        assert isinstance(create_policy("fifo"), FifoPolicy)
-        with pytest.raises(ValueError):
-            create_policy("lottery")
 
 
 # --------------------------------------------------------------------------- #
@@ -693,8 +673,6 @@ class TestServiceQos:
         config = ServiceConfig(tenants=str(path), default_tenant="a")
         assert isinstance(config.tenants, TenantRegistry)
         assert config.default_tenant == "a"
-        with pytest.raises(ValueError, match="qos_policy"):
-            ServiceConfig(qos_policy="lottery")
         with pytest.raises(ValueError, match="default_tenant"):
             ServiceConfig(default_tenant="a")
 

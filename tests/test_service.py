@@ -103,17 +103,10 @@ class TestServiceConfig:
         {"default_timeout": 0.0},
         {"default_timeout": -1.0},
         {"slow_request_threshold": 0.0},
-        {"spec_timeouts": {"sbo": -2.0}},
     ])
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ValueError):
             ServiceConfig(**overrides)
-
-    def test_spec_timeouts_copied_and_coerced(self):
-        raw = {"sbo": 5}
-        config = ServiceConfig(spec_timeouts=raw)
-        raw["sbo"] = -1  # caller mutation must not corrupt the config
-        assert config.spec_timeouts == {"sbo": 5.0}
 
     def test_with_overrides_revalidates(self):
         config = ServiceConfig(workers=2)
@@ -497,14 +490,14 @@ class TestTimeouts:
 
         run(scenario())
 
-    def test_per_spec_timeout_from_config(self, inst):
+    def test_default_timeout_from_config(self, inst):
         async def scenario():
             with registered(make_sleepy_entry()):
-                config = ServiceConfig(workers=1, spec_timeouts={"sleepy": 0.05})
+                config = ServiceConfig(workers=1, default_timeout=0.05)
                 async with SolverService(config) as svc:
                     with pytest.raises(ServiceTimeoutError):
                         await svc.solve(inst, "sleepy(seconds=2.0)")
-                    # An explicit timeout overrides the per-spec default ...
+                    # An explicit timeout overrides the configured default ...
                     result = await svc.solve(inst, "sleepy(seconds=0.1)", timeout=None)
                     assert result.feasible
                     await drain(svc)
@@ -910,24 +903,19 @@ class TestServeCLI:
 # latency-derived timeouts (ServiceConfig.auto_timeouts)
 # --------------------------------------------------------------------------- #
 class TestAutoTimeouts:
-    def _config(self, **overrides) -> ServiceConfig:
-        defaults = dict(
-            workers=1, auto_timeouts=True, auto_timeout_multiplier=10.0,
-            auto_timeout_floor=0.5, auto_timeout_ceiling=60.0,
-            auto_timeout_min_samples=5,
-        )
-        defaults.update(overrides)
-        return ServiceConfig(**defaults)
+    @pytest.fixture(autouse=True)
+    def tuning(self, monkeypatch):
+        """Scale the derivation constants down to test-sized histories."""
+        import repro.service.service as service_module
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="auto_timeout_multiplier"):
-            ServiceConfig(auto_timeout_multiplier=0)
-        with pytest.raises(ValueError, match="auto_timeout_floor"):
-            ServiceConfig(auto_timeout_floor=-1)
-        with pytest.raises(ValueError, match="auto_timeout_ceiling"):
-            ServiceConfig(auto_timeout_floor=5.0, auto_timeout_ceiling=1.0)
-        with pytest.raises(ValueError, match="auto_timeout_min_samples"):
-            ServiceConfig(auto_timeout_min_samples=0)
+        monkeypatch.setattr(service_module, "AUTO_TIMEOUT_MULTIPLIER", 10.0)
+        monkeypatch.setattr(service_module, "AUTO_TIMEOUT_FLOOR", 0.5)
+        monkeypatch.setattr(service_module, "AUTO_TIMEOUT_CEILING", 60.0)
+        monkeypatch.setattr(service_module, "AUTO_TIMEOUT_MIN_SAMPLES", 5)
+        return monkeypatch, service_module
+
+    def _config(self, **overrides) -> ServiceConfig:
+        return ServiceConfig(**{"workers": 1, "auto_timeouts": True, **overrides})
 
     def test_derivation_floor_ceiling_and_min_samples(self):
         from repro.service.service import _UNSET
@@ -954,33 +942,30 @@ class TestAutoTimeouts:
 
         run(scenario())
 
-    def test_explicit_and_spec_timeouts_win_over_derived(self):
+    def test_explicit_timeout_wins_over_derived(self):
         from repro.service.service import _UNSET
 
         async def scenario():
-            config = self._config(spec_timeouts={"sbo": 7.0}, default_timeout=9.0)
+            config = self._config(default_timeout=9.0)
             async with SolverService(config) as svc:
                 for _ in range(10):
                     svc._latency.observe(0.01, "sbo")
-                    svc._latency.observe(0.01, "lpt")
                 assert svc._effective_timeout(3.0, "sbo") == 3.0      # explicit
                 assert svc._effective_timeout(None, "sbo") is None    # explicit off
-                assert svc._effective_timeout(_UNSET, "sbo") == 7.0   # spec_timeouts
-                assert svc._effective_timeout(_UNSET, "lpt") == 0.5   # derived
+                assert svc._effective_timeout(_UNSET, "sbo") == 0.5   # derived
                 assert svc._effective_timeout(_UNSET, "rls") == 9.0   # default
 
         run(scenario())
 
-    def test_pathological_request_bounded_healthy_untouched(self, inst):
+    def test_pathological_request_bounded_healthy_untouched(self, inst, tuning):
         """The ROADMAP scenario: a family's own history bounds its outliers."""
+        monkeypatch, service_module = tuning
+        monkeypatch.setattr(service_module, "AUTO_TIMEOUT_FLOOR", 0.3)
+        monkeypatch.setattr(service_module, "AUTO_TIMEOUT_MULTIPLIER", 5.0)
 
         async def scenario():
             with registered(make_sleepy_entry()):
-                config = self._config(
-                    auto_timeout_floor=0.3, auto_timeout_multiplier=5.0,
-                    auto_timeout_min_samples=5,
-                )
-                async with SolverService(config) as svc:
+                async with SolverService(self._config()) as svc:
                     # Build healthy history for the sleepy family (~20ms).
                     for i in range(6):
                         await svc.solve(inst, "sleepy(seconds=0.01)",
